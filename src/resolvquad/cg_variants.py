@@ -362,7 +362,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
                     run.freeze(i, st, SolveStatus.SEED_BREAKDOWN, k)
             break
         alpha_seed = e_prev / qq  # alpha_{k-1}
-        if not isfinite_scalar(alpha_seed):
+        if not (isfinite_scalar(alpha_seed) and isfinite_scalar(qq)):
             for i, st in enumerate(states):
                 if st.status is SolveStatus.ACTIVE:
                     run.freeze(i, st, SolveStatus.OVERFLOW, k)

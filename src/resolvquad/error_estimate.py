@@ -24,16 +24,26 @@ entries; printed closed forms that carry ``(-1)^k`` factors correspond to
 the opposite off-diagonal sign convention and agree in modulus, which is
 all the estimates use.
 
+:class:`LagWindow` keeps the last ``d + 1`` iterations of a whole batch of
+shifts that advance in lockstep, as rings of shape ``(m, d + 1)`` indexed by
+the global iteration.  ``nu`` is always reported, because the stopping rule
+reads it; ``mu`` and the corner/bridge entries are computed, vectorised over
+the ring, only when the window is given the ``mu`` scale ``||v||^2``.  The
+scalar :class:`EstimatorState` is that window over a batch of one shift, and
+:func:`corner_update` and :func:`bridge_entry` run the same elementwise
+arithmetic the window runs on arrays.
+
 Estimator failures (vanished pivots, non-finite products) degrade to
 "estimate not available" and never touch the solver itself.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import isfinite_scalar
 
@@ -42,7 +52,10 @@ __all__ = [
     "EstimatorUnavailable",
     "EstimateReport",
     "EstimatorState",
+    "LagReport",
+    "LagWindow",
     "DelayedDifferenceWindow",
+    "cabs",
     "corner_update",
     "bridge_entry",
 ]
@@ -54,11 +67,43 @@ class EstimatorUnavailable(ArithmeticError):
     """The recursion for this (k, d) hit a zero pivot; no estimate emitted."""
 
 
-def corner_update(g: complex, beta: float, delta_next: complex) -> complex:
-    """Advance the corner entry: ``g_{k+1} = (beta_k / delta_{k+1}) g_k``."""
-    if delta_next == 0:
+def cabs(x):
+    """``|x|`` elementwise, rounded exactly as Python's ``abs(complex)``.
+
+    ``numpy.abs`` on complex arrays differs from it in the last bit for about
+    a third of all values; ``hypot`` of the parts agrees bitwise, which keeps
+    ``nu`` bitwise-recomputable from the recorded values.
+    """
+    return np.hypot(x.real, x.imag)
+
+
+def corner_update(g, beta, delta_next):
+    """Advance the corner entry: ``g_{k+1} = (beta_k / delta_{k+1}) g_k``.
+
+    Elementwise on arrays, where a vanished ``delta`` leaves a non-finite
+    entry instead of raising.
+    """
+    if np.ndim(delta_next) == 0 and delta_next == 0:
         raise EstimatorUnavailable("delta vanished in corner recursion")
     return g * (beta / delta_next)
+
+
+def _bridge(z, g_k, beta_k, alpha_tail, beta_tail, delta_tail):
+    """The bridge entry's arithmetic, elementwise over ``z``, ``g_k`` and
+    the ``delta_tail`` entries.  On Python scalars a vanished pivot raises
+    ``ZeroDivisionError``; on arrays it leaves a non-finite entry."""
+    d = len(delta_tail)
+    phi_prod = 1.0 + 0.0j
+    if d >= 2:
+        phi = z - alpha_tail[d - 1]
+        phi_prod = phi
+        for j in range(d - 1, 1, -1):
+            phi = z - alpha_tail[j - 1] - beta_tail[j - 1] ** 2 / phi
+            phi_prod = phi_prod * phi
+    denom = 1.0 + 0.0j
+    for delta in delta_tail:
+        denom = denom * delta
+    return g_k * beta_k * phi_prod / denom
 
 
 def bridge_entry(z: complex, g_k: complex, beta_k: float,
@@ -75,21 +120,11 @@ def bridge_entry(z: complex, g_k: complex, beta_k: float,
     d = len(delta_tail)
     if len(alpha_tail) != d or len(beta_tail) < d - 1:
         raise ValueError("tail lengths inconsistent with the lag")
-    phi_prod = 1.0 + 0.0j
-    if d >= 2:
-        phi = z - alpha_tail[d - 1]
-        phi_prod = phi
-        for j in range(d - 1, 1, -1):
-            if phi == 0:
-                raise EstimatorUnavailable("backward pivot phi vanished")
-            phi = z - alpha_tail[j - 1] - beta_tail[j - 1] ** 2 / phi
-            phi_prod *= phi
-    denom = 1.0 + 0.0j
-    for delta in delta_tail:
-        denom *= delta
-    if denom == 0:
-        raise EstimatorUnavailable("delta product vanished in bridge entry")
-    h = g_k * beta_k * phi_prod / denom
+    try:
+        h = _bridge(z, g_k, beta_k, alpha_tail, beta_tail, delta_tail)
+    except ZeroDivisionError as exc:
+        raise EstimatorUnavailable(
+            "a backward pivot or the delta product vanished") from exc
     if not isfinite_scalar(h):
         raise EstimatorUnavailable("bridge entry overflowed")
     return h
@@ -113,13 +148,148 @@ class EstimateReport:
 
 
 @dataclass
-class _Entry:
+class LagReport:
+    """Estimates for iteration ``k`` of every shift in a window.
+
+    Arrays over the window's shifts; ``mu``, ``g_abs`` and ``h_abs`` are
+    ``None`` when the window computes no ``mu``, and NaN where an entry is
+    unavailable.
+    """
+
     k: int
-    alpha: float
-    beta_prev: Optional[float]  # beta_{k-1}, None at k = 1
-    delta: complex
-    value: complex
-    g: Optional[complex]
+    nu: np.ndarray
+    scale: np.ndarray  # |L_k|, the scale the nu stopping rule uses
+    mu: Optional[np.ndarray] = None
+    g_abs: Optional[np.ndarray] = None
+    h_abs: Optional[np.ndarray] = None
+
+    def columns(self) -> list:
+        """Per-shift ``(mu, nu, g_abs, h_abs)`` lists, ``None`` for NaN."""
+        none = [None] * len(self.nu)
+        return [none if col is None
+                else [None if x != x else x for x in col.tolist()]
+                for col in (self.mu, self.nu, self.g_abs, self.h_abs)]
+
+    def shift(self, i: int) -> EstimateReport:
+        mu, nu, g_abs, h_abs = (col[i] for col in self.columns())
+        return EstimateReport(k=self.k, nu=nu,
+                              value_abs=float(self.scale[i]), mu=mu,
+                              g_abs=g_abs, h_abs=h_abs)
+
+
+class LagWindow:
+    """Ring of the last ``d + 1`` iterations of shifts advancing in lockstep.
+
+    Feed it once per iteration via :meth:`push` with the iterates of every
+    shift; the report for the lagged iteration comes back as soon as the
+    ring is full.  With ``mu_scale`` set (``||v||^2``), the corner entries
+    ``g`` ride along in a second ring; once one turns non-finite that
+    shift's ``mu`` side is abandoned while ``nu`` keeps flowing.  The ring's
+    rows follow the batch: :meth:`compact` drops the shifts that froze.
+    """
+
+    def __init__(self, z, lag: int, mu_scale: Optional[float] = None):
+        if lag < 1:
+            raise ValueError("estimator lag must be a positive integer")
+        self.lag = lag
+        self.k = 0
+        z = np.asarray(z, dtype=np.complex128)
+        self.values = np.zeros((z.size, lag + 1), dtype=np.complex128)
+        self.mu_scale = mu_scale
+        if mu_scale is not None:
+            self.z = z
+            self.g = np.zeros_like(self.values)
+            self.delta = np.zeros_like(self.values)
+            self.alpha: list = [None] * (lag + 1)
+            self.beta_prev: list = [None] * (lag + 1)
+
+    def slot(self, k: int) -> int:
+        return k % (self.lag + 1)
+
+    def compact(self, keep: np.ndarray) -> None:
+        self.values = self.values[keep]
+        if self.mu_scale is not None:
+            self.z = self.z[keep]
+            self.g = self.g[keep]
+            self.delta = self.delta[keep]
+
+    def push(self, value: np.ndarray, alpha: Optional[float] = None,
+             beta_prev: Optional[float] = None,
+             delta: Optional[np.ndarray] = None) -> Optional[LagReport]:
+        """Record iteration ``k``; return the report for ``k - d`` if due.
+
+        ``alpha``/``delta``/``value`` belong to iteration ``k``;
+        ``beta_prev`` is the off-diagonal ``beta_{k-1}`` that produced it.
+        Only the ``mu`` side reads ``alpha``, ``beta_prev`` and ``delta``.
+        """
+        self.k += 1
+        s = self.slot(self.k)
+        self.values[:, s] = value
+        if self.mu_scale is not None:
+            with np.errstate(all="ignore"):
+                if self.k == 1:
+                    g = 1.0 / delta
+                elif beta_prev is None:
+                    g = np.full_like(delta, np.nan)
+                else:
+                    g = corner_update(self.g[:, self.slot(self.k - 1)],
+                                      beta_prev, delta)
+            self.g[:, s] = np.where(np.isfinite(g), g, np.nan)
+            self.delta[:, s] = delta
+            self.alpha[s] = alpha
+            self.beta_prev[s] = beta_prev
+        if self.k <= self.lag:
+            return None
+        base = self.values[:, self.slot(self.k + 1)]
+        report = LagReport(k=self.k - self.lag, nu=cabs(base - value),
+                           scale=cabs(base))
+        if self.mu_scale is not None:
+            self._mu(report)
+        return report
+
+    def _mu(self, report: LagReport) -> None:
+        k0 = report.k
+        base = self.slot(k0)
+        tail = [self.slot(k0 + j) for j in range(1, self.lag + 1)]
+        g_abs = cabs(self.g[:, base])
+        beta_k = self.beta_prev[tail[0]]
+        if beta_k is None:
+            h_abs = mu = np.full_like(g_abs, np.nan)
+        else:
+            with np.errstate(all="ignore"):
+                h = _bridge(self.z, self.g[:, base], beta_k,
+                            [self.alpha[s] for s in tail],
+                            [self.beta_prev[s] for s in tail[1:]],
+                            [self.delta[:, s] for s in tail])
+                h_abs = cabs(h)
+                mu = beta_k * self.mu_scale * g_abs * h_abs
+        ok = np.isfinite(mu)
+        report.mu = np.where(ok, mu, np.nan)
+        report.g_abs = g_abs
+        report.h_abs = np.where(ok, h_abs, np.nan)
+
+    def flush_exact(self, value_final: np.ndarray,
+                    final_beta_zero: bool) -> list[LagReport]:
+        """Close out pending iterations after an invariant subspace.
+
+        The iteration stopped at ``k_last`` with an exact value, so
+        ``L_j = value_final`` for every virtual ``j > k_last`` and
+        ``nu_{k,d} = |L_k - value_final|`` for the pending ``k``.  ``mu`` is
+        only defined for the terminal iteration itself, where the vanished
+        off-diagonal makes it exactly zero.
+        """
+        reports = []
+        for k in range(max(1, self.k - self.lag + 1), self.k + 1):
+            values = self.values[:, self.slot(k)]
+            report = LagReport(k=k, nu=cabs(values - value_final),
+                               scale=cabs(values))
+            if self.mu_scale is not None:
+                zero = final_beta_zero and k == self.k
+                report.mu = np.full(values.shape, 0.0 if zero else np.nan)
+                report.g_abs = cabs(self.g[:, self.slot(k)])
+                report.h_abs = np.full(values.shape, np.nan)
+            reports.append(report)
+        return reports
 
 
 class DelayedDifferenceWindow:
@@ -147,23 +317,41 @@ class DelayedDifferenceWindow:
         return k0, abs(v0 - value), abs(v0)
 
 
+@dataclass
+class _Entry:
+    k: int
+    alpha: float
+    beta_prev: Optional[float]  # beta_{k-1}, None at k = 1
+    delta: complex
+    value: complex
+    g: Optional[complex]
+
+
 class EstimatorState:
-    """Ring buffer of the last ``d + 1`` iterations of one shift.
+    """The lag window of one shift: a :class:`LagWindow` over a batch of one.
 
     Feed it once per iteration via :meth:`push`; a report for the lagged
-    iteration comes back as soon as the window is full.  The corner product
-    ``g`` rides along inside the entries; once it turns non-finite the
-    ``mu`` side is abandoned while ``nu`` keeps flowing.
+    iteration comes back as soon as the window is full.
     """
 
     def __init__(self, z: complex, lag: int, vnorm2: float):
-        if lag < 1:
-            raise ValueError("estimator lag must be a positive integer")
         self.z = z
         self.lag = lag
         self.vnorm2 = vnorm2
-        self.window: deque[_Entry] = deque(maxlen=lag + 1)
-        self._k = 0
+        self._ring = LagWindow([z], lag, mu_scale=vnorm2)
+
+    @property
+    def window(self) -> list[_Entry]:
+        """The retained iterations, oldest first."""
+        ring = self._ring
+        entries = []
+        for k in range(max(1, ring.k - self.lag), ring.k + 1):
+            s = ring.slot(k)
+            g = complex(ring.g[0, s])
+            entries.append(_Entry(
+                k, ring.alpha[s], ring.beta_prev[s], complex(ring.delta[0, s]),
+                complex(ring.values[0, s]), None if g != g else g))
+        return entries
 
     def push(self, alpha: float, beta_prev: Optional[float], delta: complex,
              value: complex) -> Optional[EstimateReport]:
@@ -172,65 +360,15 @@ class EstimatorState:
         ``alpha``/``delta``/``value`` belong to iteration ``k``;
         ``beta_prev`` is the off-diagonal ``beta_{k-1}`` that produced it.
         """
-        self._k += 1
-        if self._k == 1:
-            g = 1.0 / delta if delta != 0 else None
-        else:
-            prev_g = self.window[-1].g
-            g = None
-            if prev_g is not None and beta_prev is not None and delta != 0:
-                g = corner_update(prev_g, beta_prev, delta)
-                if not isfinite_scalar(g):
-                    g = None
-        self.window.append(_Entry(self._k, alpha, beta_prev, delta, value, g))
-        if len(self.window) < self.lag + 1:
-            return None
-        return self._report()
-
-    def _report(self) -> EstimateReport:
-        w = self.window
-        base = w[0]
-        latest = w[-1]
-        nu = abs(base.value - latest.value)
-        mu = g_abs = h_abs = None
-        beta_k = w[1].beta_prev
-        if base.g is not None and beta_k is not None:
-            g_abs = abs(base.g)
-            try:
-                h = bridge_entry(
-                    self.z, base.g, beta_k,
-                    alpha_tail=[e.alpha for e in list(w)[1:]],
-                    beta_tail=[e.beta_prev for e in list(w)[2:]],
-                    delta_tail=[e.delta for e in list(w)[1:]],
-                )
-            except EstimatorUnavailable:
-                h = None
-            if h is not None:
-                h_abs = abs(h)
-                mu = beta_k * self.vnorm2 * g_abs * h_abs
-                if not math.isfinite(mu):
-                    mu, h_abs = None, None
-        return EstimateReport(k=base.k, nu=nu, value_abs=abs(base.value),
-                              mu=mu, g_abs=g_abs, h_abs=h_abs)
+        report = self._ring.push(np.array([value], dtype=np.complex128),
+                                 alpha, beta_prev,
+                                 np.array([delta], dtype=np.complex128))
+        return None if report is None else report.shift(0)
 
     def flush_exact(self, value_final: complex,
                     final_beta_zero: bool) -> list[EstimateReport]:
-        """Close out pending iterations after an invariant subspace.
-
-        The iteration stopped at ``k_last`` with an exact value, so
-        ``L_j = value_final`` for every virtual ``j > k_last`` and
-        ``nu_{k,d} = |L_k - value_final|`` for the pending ``k``.  ``mu`` is
-        only defined for the terminal iteration itself, where the vanished
-        off-diagonal makes it exactly zero.
-        """
-        reports = []
-        pending = list(self.window)[1:] if len(self.window) == self.lag + 1 \
-            else list(self.window)
-        for entry in pending:
-            mu = 0.0 if (final_beta_zero and entry.k == self._k) else None
-            reports.append(EstimateReport(
-                k=entry.k, nu=abs(entry.value - value_final),
-                value_abs=abs(entry.value), mu=mu,
-                g_abs=abs(entry.g) if entry.g is not None else None,
-                h_abs=None))
-        return reports
+        """Close out pending iterations after an invariant subspace
+        (see :meth:`LagWindow.flush_exact`)."""
+        reports = self._ring.flush_exact(
+            np.array([value_final], dtype=np.complex128), final_beta_zero)
+        return [r.shift(0) for r in reports]

@@ -158,6 +158,8 @@ def _resolve_vector(spec: str, n: int) -> np.ndarray:
             data = np.loadtxt(path)
         except OSError as exc:
             raise ConfigError(f"cannot read vector file {path!r}: {exc}") from exc
+        if not np.all(np.isfinite(data)):
+            raise ConfigError(f"vector file {path!r} has a non-finite entry")
         if data.ndim == 1:
             vec = data.astype(np.complex128)
         elif data.ndim == 2 and data.shape[1] == 2:
@@ -166,6 +168,8 @@ def _resolve_vector(spec: str, n: int) -> np.ndarray:
             raise ConfigError("vector file must have one or two columns")
         if vec.shape != (n,):
             raise ConfigError(f"vector length {vec.shape} does not match n={n}")
+        if not np.any(vec):
+            raise ConfigError(f"vector file {path!r} is the zero vector")
         return vec
     if spec.startswith("random:"):
         seed = int(spec[len("random:"):])

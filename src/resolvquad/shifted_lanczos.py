@@ -24,8 +24,12 @@ is not observable from the recursion itself; that bound is deliberately
 unimplemented and the lag-d estimates in :mod:`resolvquad.error_estimate`
 are the practical substitute.
 
-Per-iteration shift updates carry no cross-shift data flow: they may be
-reordered or parallelized without changing any result.
+Per-iteration shift updates carry no cross-shift data flow, so the driver
+batches them: ``z, c, pi, L`` are numpy arrays over the active shifts
+(:class:`~resolvquad.shift_batch.ShiftBatch`), and one call of the
+elementwise :func:`shift_update` advances all of them.  The same function
+runs on Python scalars in :func:`shift_state_update`; the guards are masks
+over the batch and branches on a scalar.
 """
 
 from __future__ import annotations
@@ -36,21 +40,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    HistoryEntry,
     MethodResult,
-    ShiftOutcome,
+    NonFiniteError,
     SolveStatus,
     SparseHermitianMatrix,
     isfinite_scalar,
 )
-from .error_estimate import DEFAULT_LAG, EstimatorState
+from .error_estimate import DEFAULT_LAG
 from .lanczos import lanczos_init, lanczos_step
+from .shift_batch import ShiftBatch
 
 __all__ = [
     "TOL_DELTA",
     "ShiftState",
     "QuadFormResult",
     "BilinearFormResult",
+    "shift_start",
+    "shift_update",
     "shift_state_init",
     "shift_state_update",
     "run_quadratic_forms",
@@ -58,6 +64,29 @@ __all__ = [
 ]
 
 TOL_DELTA = 1e-290
+
+
+def shift_start(z, c1, alpha1):
+    """First iteration, elementwise: ``delta_1 = z - alpha_1``,
+    ``pi_1 = 1 / delta_1``, ``L_1 = c_1 pi_1``."""
+    delta1 = z - alpha1
+    pi1 = 1.0 / delta1
+    return delta1, pi1, c1 * pi1
+
+
+def shift_update(z, alpha_next, beta_sq, c, pi, L):
+    """One iteration of the recursion, elementwise; eight operations.
+
+    Returns ``(delta_{k+1}, pi_{k+1}, c_{k+1}, L_{k+1})`` from
+    ``(c_k, pi_k, L_k)`` with ``beta_sq = beta_k**2``.  A vanished pivot
+    raises ``ZeroDivisionError`` on Python scalars and leaves non-finite
+    entries in arrays; callers guard the pivot.
+    """
+    t = beta_sq * pi
+    delta_next = z - alpha_next - t
+    pi_next = 1.0 / delta_next
+    c_next = c * t * pi
+    return delta_next, pi_next, c_next, L + c_next * pi_next
 
 
 @dataclass
@@ -82,12 +111,13 @@ def shift_state_init(z: complex, vnorm2: float, alpha1: float,
     undefined in that case.
     """
     c1 = vnorm2
-    delta1 = z - alpha1
-    if abs(delta1) <= tol_delta:
+    try:
+        delta1, pi1, L1 = shift_start(z, c1, alpha1)
+    except ZeroDivisionError:  # delta_1 == 0
+        delta1, pi1, L1 = 0j, 0j, None
+    if L1 is None or abs(delta1) <= tol_delta:
         return ShiftState(z=z, c=c1, delta=delta1, pi=0j, L=None,
                           status=SolveStatus.BREAKDOWN, k=1)
-    pi1 = 1.0 / delta1
-    L1 = c1 * pi1
     if not isfinite_scalar(L1):
         return ShiftState(z=z, c=c1, delta=delta1, pi=pi1, L=None,
                           status=SolveStatus.OVERFLOW, k=1)
@@ -109,14 +139,15 @@ def shift_state_update(state: ShiftState, alpha_next: float, beta: float,
         return state
     if beta_sq is None:
         beta_sq = beta * beta
-    t = beta_sq * state.pi
-    delta_next = state.z - alpha_next - t
+    try:
+        delta_next, pi_next, c_next, L_next = shift_update(
+            state.z, alpha_next, beta_sq, state.c, state.pi, state.L)
+    except ZeroDivisionError:  # delta_{k+1} == 0
+        state.status = SolveStatus.BREAKDOWN
+        return state
     if abs(delta_next) <= tol_delta:
         state.status = SolveStatus.BREAKDOWN
         return state
-    pi_next = 1.0 / delta_next
-    c_next = state.c * t * state.pi
-    L_next = state.L + c_next * pi_next
     if not (isfinite_scalar(L_next) and isfinite_scalar(c_next)
             and isfinite_scalar(pi_next)):
         state.status = SolveStatus.OVERFLOW
@@ -160,109 +191,63 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
     only ends on breakdown, invariant subspace, or ``max_iter``.
 
     Per-shift failures (breakdown, overflow) never abort the other shifts.
+    A stream that stops being finite freezes every active shift as an
+    overflow with its last value.
     """
-    shifts = [complex(z) for z in shifts]
-    if not shifts:
-        raise ValueError("at least one shift is required")
-    if reference is not None:
-        reference = [complex(r) for r in reference]
-        if len(reference) != len(shifts):
-            raise ValueError("reference values must match the shift list")
-    stream = lanczos_init(a, v)
+    try:
+        stream = lanczos_init(a, v)
+    except NonFiniteError:
+        stream = None
+    # mu is only ever read from recorded history
+    mu_scale = stream.vnorm2 if keep_history and stream is not None else None
+    batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
+                       keep_history=keep_history, mu_scale=mu_scale)
+    if stream is None:
+        batch.freeze_all(0, SolveStatus.OVERFLOW)
+        return QuadFormResult(method="lanczos", shifts=batch.finish(0),
+                              iterations=0)
     if max_iter is None:
         max_iter = 2 * a.n
-    vnorm2 = stream.vnorm2
     alpha1 = stream.coeffs.alpha[0]
+    s = batch.state
+    s.c = np.full(s.z.shape, stream.vnorm2, dtype=np.complex128)
 
-    states = [shift_state_init(z, vnorm2, alpha1, tol_delta) for z in shifts]
-    estimators = [EstimatorState(z, lag, vnorm2) for z in shifts]
-    outcomes: list[Optional[ShiftOutcome]] = [None] * len(shifts)
-    histories: list[Optional[list]] = [
-        [] if keep_history else None for _ in shifts]
+    # the array kernels leave inf/nan in exactly the shifts they then freeze
+    with np.errstate(all="ignore"):
+        k = 1
+        s.delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
+        breakdown = np.abs(s.delta) <= tol_delta
+        batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
+                     (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True)
+        batch.accept(k, s.L, alpha=alpha1, beta_prev=None, delta=s.delta)
 
-    def rel_err(i: int, value: complex) -> Optional[float]:
-        if reference is None:
-            return None
-        ref = reference[i]
-        denom = abs(ref)
-        if denom == 0.0:
-            return abs(value - ref)
-        return abs(value - ref) / denom
-
-    def freeze(i: int, status: SolveStatus, iterations: int) -> None:
-        st = states[i]
-        st.status = status
-        if histories[i]:
-            histories[i][-1].status = status
-        outcomes[i] = ShiftOutcome(z=st.z, value=st.L, iterations=iterations,
-                                   status=status, history=histories[i])
-
-    def record(i: int, k: int, err: Optional[float]) -> None:
-        if histories[i] is not None:
-            histories[i].append(HistoryEntry(
-                k=k, value=states[i].L, status=states[i].status, rel_err=err))
-
-    def attach(i: int, report) -> None:
-        hist = histories[i]
-        if hist is not None and 1 <= report.k <= len(hist):
-            row = hist[report.k - 1]
-            row.mu, row.nu = report.mu, report.nu
-            row.g_abs, row.h_abs = report.g_abs, report.h_abs
-
-    k = 1
-    for i, st in enumerate(states):
-        if st.status is not SolveStatus.ACTIVE:
-            record(i, k, None)
-            freeze(i, st.status, k)
-            continue
-        err = rel_err(i, st.L)
-        record(i, k, err)
-        estimators[i].push(alpha1, None, st.delta, st.L)
-        if reference is not None and rtol is not None and err <= rtol:
-            freeze(i, SolveStatus.CONVERGED, k)
-
-    while k < max_iter and any(s.status is SolveStatus.ACTIVE for s in states):
-        outcome = lanczos_step(stream)
-        if outcome.invariant_subspace:
-            # exhausted Krylov space: every surviving value is exact
-            for i, st in enumerate(states):
-                if st.status is not SolveStatus.ACTIVE:
-                    continue
-                for report in estimators[i].flush_exact(st.L, True):
-                    attach(i, report)
-                freeze(i, SolveStatus.CONVERGED, k)
-            break
-        beta, alpha_next = outcome.beta, outcome.alpha_next
-        beta_sq = beta * beta
-        k += 1
-        for i, st in enumerate(states):
-            if st.status is not SolveStatus.ACTIVE:
-                continue
-            shift_state_update(st, alpha_next, beta, beta_sq, tol_delta)
-            if st.status is not SolveStatus.ACTIVE:
-                record(i, k, None)
-                freeze(i, st.status, k)
-                continue
-            err = rel_err(i, st.L)
-            record(i, k, err)
-            report = estimators[i].push(alpha_next, beta, st.delta, st.L)
-            if report is not None:
-                attach(i, report)
-            if reference is not None:
-                if rtol is not None and err <= rtol:
-                    freeze(i, SolveStatus.CONVERGED, k)
-            elif rtol is not None and report is not None:
-                if report.nu <= rtol * report.value_abs:
-                    freeze(i, SolveStatus.CONVERGED, k)
-
-    for i, st in enumerate(states):
-        if st.status is SolveStatus.ACTIVE:
-            freeze(i, SolveStatus.MAX_ITER, k)
+        while k < max_iter and batch.running:
+            try:
+                outcome = lanczos_step(stream)
+            except NonFiniteError:
+                batch.freeze_all(k, SolveStatus.OVERFLOW)
+                break
+            if outcome.invariant_subspace:
+                # exhausted Krylov space: every surviving value is exact
+                batch.flush_exact()
+                batch.freeze_all(k, SolveStatus.CONVERGED)
+                break
+            beta, alpha_next = outcome.beta, outcome.alpha_next
+            k += 1
+            s.delta, s.pi, s.c, s.L = shift_update(
+                s.z, alpha_next, beta * beta, s.c, s.pi, s.L)
+            breakdown = np.abs(s.delta) <= tol_delta
+            overflow = ~(np.isfinite(s.L) & np.isfinite(s.c)
+                         & np.isfinite(s.pi))
+            batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
+                         (SolveStatus.OVERFLOW, overflow), row=True)
+            batch.accept(k, s.L, alpha=alpha_next, beta_prev=beta,
+                         delta=s.delta)
 
     return QuadFormResult(
-        method="lanczos", shifts=outcomes, iterations=k,
+        method="lanczos", shifts=batch.finish(k), iterations=k,
         alpha=list(stream.coeffs.alpha), beta=list(stream.coeffs.beta),
-        vnorm2=vnorm2,
+        vnorm2=stream.vnorm2,
         invariant_subspace_at=stream.k if stream.exhausted else None)
 
 

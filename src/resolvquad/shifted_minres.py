@@ -11,6 +11,12 @@ search directions.  ``|f_k|`` is nonincreasing and ``||r_0|| |f_{k+1}|`` is
 the residual norm of the implicit least-squares problem, exposed per shift
 as a diagnostic.  The iterate itself is never formed.
 
+Every shift advances in lockstep, so the two retained rotations ``(c, s)``,
+``f``, ``p_{k-1}``, ``p_{k-2}`` and ``M_k`` are numpy arrays over the active
+shifts (:class:`~resolvquad.shift_batch.ShiftBatch`) and one iteration is a
+handful of array operations.  :func:`givens` and :func:`apply_rotation` run
+the same elementwise arithmetic on Python scalars.
+
 The rotations operate on the tridiagonal with *positive* off-diagonals
 (rotation input pair ``(r_kk, beta_k)`` with real ``beta_k >= 0``), which is
 the projection of ``z I - A`` onto the sign-flipped Lanczos basis
@@ -32,19 +38,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    HistoryEntry,
     MethodResult,
-    ShiftOutcome,
+    NonFiniteError,
     SolveStatus,
     SparseHermitianMatrix,
-    isfinite_scalar,
 )
-from .error_estimate import DEFAULT_LAG, DelayedDifferenceWindow
+from .error_estimate import DEFAULT_LAG, cabs
 from .lanczos import lanczos_init, lanczos_step
+from .shift_batch import ShiftBatch
 
 __all__ = [
-    "GivensRotation",
-    "MinresShiftState",
     "MinresResult",
     "givens",
     "apply_rotation",
@@ -52,15 +55,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GivensRotation:
-    """Unitary 2x2 rotation ``[[c, s], [-conj(s), conj(c)]]``.
-
-    ``c`` is real by the phase convention below, so ``conj(c) = c``.
-    """
-
-    c: float
-    s: complex
+def _rotation(a, a_abs, b, rho):
+    """``(c, s, r)`` of :func:`givens` for ``a != 0``, elementwise, given
+    ``|a|`` and ``rho = hypot(|a|, b)``."""
+    phase = a / a_abs
+    return a_abs / rho, phase * (b / rho), phase * rho
 
 
 def givens(a: complex, b: float) -> tuple[float, complex, complex]:
@@ -78,30 +77,16 @@ def givens(a: complex, b: float) -> tuple[float, complex, complex]:
             raise ValueError("both rotation inputs are zero")
         return 0.0, 1.0 + 0j, complex(b)
     aa = abs(a)
-    rho = math.hypot(aa, b)
-    phase = a / aa
-    return aa / rho, phase * (b / rho), phase * rho
+    return _rotation(a, aa, b, math.hypot(aa, b))
 
 
-def apply_rotation(c: float, s: complex, x: complex, y: complex):
-    """Apply ``[[c, s], [-conj(s), conj(c)]]`` to the pair ``(x, y)``."""
+def apply_rotation(c, s, x, y):
+    """Apply ``[[c, s], [-conj(s), conj(c)]]`` to the pair ``(x, y)``.
+
+    ``c`` is real by the phase convention of :func:`givens`, so
+    ``conj(c) = c``; elementwise on arrays.
+    """
     return c * x + s * y, -s.conjugate() * x + c * y
-
-
-@dataclass
-class MinresShiftState:
-    """Per-shift MINRES pipeline: two rotations, two directions, phase, sum."""
-
-    z: complex
-    f: complex = 1.0 + 0j
-    p_prev: complex = 0j  # p_{k-1}
-    p_prev2: complex = 0j  # p_{k-2}
-    rot_prev: Optional[GivensRotation] = None  # G_{k-1}
-    rot_prev2: Optional[GivensRotation] = None  # G_{k-2}
-    value: complex = 0j
-    status: SolveStatus = SolveStatus.ACTIVE
-    k: int = 0
-    residual_norm: Optional[float] = None
 
 
 @dataclass
@@ -125,35 +110,30 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     ``reference`` when supplied, otherwise the delayed-difference rule on
     ``M_k`` at lag ``lag``.  At an invariant subspace the final values are
     exact (the residual phase ``f`` vanishes) and surviving shifts freeze
-    as converged.
+    as converged.  A stream that stops being finite freezes every active
+    shift as an overflow with its last value.
     """
-    shifts = [complex(z) for z in shifts]
-    if not shifts:
-        raise ValueError("at least one shift is required")
-    if reference is not None:
-        reference = [complex(r) for r in reference]
-        if len(reference) != len(shifts):
-            raise ValueError("reference values must match the shift list")
+    batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
+                       keep_history=keep_history)
     v = np.asarray(v, dtype=np.complex128)
-    stream = lanczos_init(a, v)
+    try:
+        stream = lanczos_init(a, v)
+    except NonFiniteError:
+        batch.freeze_all(0, SolveStatus.OVERFLOW)
+        return MinresResult(method="minres", shifts=batch.finish(0),
+                            iterations=0)
     if max_iter is None:
         max_iter = 2 * a.n
     rnorm = math.sqrt(stream.vnorm2)  # ||r_0|| = ||v||
 
-    states = [MinresShiftState(z=z) for z in shifts]
-    outcomes: list[Optional[ShiftOutcome]] = [None] * len(shifts)
-    histories = [[] if keep_history else None for _ in shifts]
-    windows = [DelayedDifferenceWindow(lag) for _ in shifts]
-
-    def freeze(i, status, iterations):
-        st = states[i]
-        st.status = status
-        if histories[i]:
-            histories[i][-1].status = status
-        outcomes[i] = ShiftOutcome(
-            z=st.z, value=st.value if st.k > 0 else None,
-            iterations=iterations, status=status, history=histories[i],
-            residual_norm=st.residual_norm)
+    s = batch.state
+    zeros = np.zeros(s.z.shape, dtype=np.complex128)
+    s.f = zeros + 1.0
+    s.value = zeros
+    s.p1 = s.p2 = zeros  # p_{k-1}, p_{k-2}
+    # G_{k-1}, G_{k-2}; the identity until two columns exist
+    s.c1 = s.c2 = np.ones(s.z.shape)
+    s.s1 = s.s2 = zeros
 
     k = 0
     alpha_k = stream.coeffs.alpha[0]
@@ -161,81 +141,50 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     qsign = 1.0  # (-1)^{k-1}: sign-flipped basis projection
     q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
 
-    while k < max_iter and any(s.status is SolveStatus.ACTIVE for s in states):
-        outcome = lanczos_step(stream)
-        exhausting = outcome.invariant_subspace
-        beta_k = 0.0 if exhausting else outcome.beta
-        k += 1
+    # the array kernels leave inf/nan in exactly the shifts they then freeze
+    with np.errstate(all="ignore"):
+        while k < max_iter and batch.running:
+            try:
+                outcome = lanczos_step(stream)
+            except NonFiniteError:
+                batch.freeze_all(k, SolveStatus.OVERFLOW)
+                break
+            exhausting = outcome.invariant_subspace
+            beta_k = 0.0 if exhausting else outcome.beta
+            k += 1
 
-        for i, st in enumerate(states):
-            if st.status is not SolveStatus.ACTIVE:
-                continue
-            r2 = 0j  # row k-2 entry of column k
-            r1 = complex(beta_prev)  # row k-1 entry
-            r0 = st.z - alpha_k  # diagonal candidate
-            if st.rot_prev2 is not None:
-                r2, r1 = apply_rotation(st.rot_prev2.c, st.rot_prev2.s, r2, r1)
-            if st.rot_prev is not None:
-                r1, r0 = apply_rotation(st.rot_prev.c, st.rot_prev.s, r1, r0)
-            if r0 == 0 and beta_k == 0.0:
-                # zI - A singular on the Krylov space; cannot divide
-                freeze(i, SolveStatus.BREAKDOWN, k)
-                continue
-            c, s, rkk = givens(r0, beta_k)
-            p_new = (q_scalar - r2 * st.p_prev2 - r1 * st.p_prev) / rkk
-            value_new = st.value + rnorm * c * st.f * p_new
-            f_new = -s.conjugate() * st.f
-            if not (isfinite_scalar(value_new) and isfinite_scalar(p_new)
-                    and isfinite_scalar(f_new)):
-                freeze(i, SolveStatus.OVERFLOW, k)
-                continue
-            st.rot_prev2 = st.rot_prev
-            st.rot_prev = GivensRotation(c, s)
-            st.p_prev2, st.p_prev = st.p_prev, p_new
-            st.f = f_new
-            st.value = value_new
-            st.k = k
-            st.residual_norm = rnorm * abs(f_new)
+            # column k of the tridiagonal: rows k-2, k-1 and the diagonal
+            r2, r1 = apply_rotation(s.c2, s.s2, 0j, beta_prev)
+            r1, r0 = apply_rotation(s.c1, s.s1, r1, s.z - alpha_k)
+            r0_abs = cabs(r0)
+            swap = r0_abs == 0
+            c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
+            if swap.any():
+                c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
+            p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
+            value_new = s.value + rnorm * c * s.f * p_new
+            f_new = -sn.conjugate() * s.f
+            s.c2, s.s2, s.c1, s.s1 = s.c1, s.s1, c, sn
+            s.p2, s.p1 = s.p1, p_new
+            s.f, s.value = f_new, value_new
+            overflow = ~(np.isfinite(value_new) & np.isfinite(p_new)
+                         & np.isfinite(f_new))
+            # zI - A singular on the Krylov space: cannot divide
+            batch.freeze(k, (SolveStatus.BREAKDOWN, swap & (beta_k == 0.0)),
+                         (SolveStatus.OVERFLOW, overflow))
+            batch.accept(k, s.value, residual=rnorm * cabs(s.f))
 
-            err = None
-            if reference is not None:
-                ref = reference[i]
-                denom = abs(ref) or 1.0
-                err = abs(st.value - ref) / denom
-            hist = histories[i]
-            if hist is not None:
-                hist.append(HistoryEntry(k=k, value=st.value,
-                                         status=st.status, rel_err=err,
-                                         residual=st.residual_norm))
-            lagged = windows[i].push(st.value)
-            if lagged is not None:
-                k0, nu, scale_abs = lagged
-                if hist is not None and 1 <= k0 <= len(hist):
-                    hist[k0 - 1].nu = nu
-                if (reference is None and rtol is not None
-                        and nu <= rtol * scale_abs):
-                    freeze(i, SolveStatus.CONVERGED, k)
-            if (reference is not None and rtol is not None
-                    and err is not None and err <= rtol):
-                freeze(i, SolveStatus.CONVERGED, k)
-
-        if exhausting:
-            # Krylov space exhausted: surviving values are exact
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    freeze(i, SolveStatus.CONVERGED, k)
-            break
-        alpha_k = outcome.alpha_next
-        beta_prev = beta_k
-        qsign = -qsign
-        q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
-
-    for i, st in enumerate(states):
-        if st.status is SolveStatus.ACTIVE:
-            freeze(i, SolveStatus.MAX_ITER, k)
+            if exhausting:
+                # Krylov space exhausted: surviving values are exact
+                batch.freeze_all(k, SolveStatus.CONVERGED)
+                break
+            alpha_k = outcome.alpha_next
+            beta_prev = beta_k
+            qsign = -qsign
+            q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
 
     return MinresResult(
-        method="minres", shifts=outcomes, iterations=k,
+        method="minres", shifts=batch.finish(k), iterations=k,
         alpha=list(stream.coeffs.alpha), beta=list(stream.coeffs.beta),
         vnorm2=stream.vnorm2,
         invariant_subspace_at=stream.k if stream.exhausted else None)

@@ -315,6 +315,37 @@ def test_cli_numerical_failure_is_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_overflowing_stream_is_exit_2(tmp_path):
+    # finite entries near 1e305: beta_1 overflows, so every shift of both
+    # Lanczos-stream methods freezes as an overflow instead of crashing
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((6, 6))
+    a = SparseHermitianMatrix.from_dense((b + b.T) * 1e305)
+    mat_path = tmp_path / "huge.mtx"
+    write_matrix_market(a, mat_path)
+    out = tmp_path / "out"
+    code = main(["run", "--matrix", str(mat_path), "--methods",
+                 "lanczos,minres", "--out", str(out)])
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    for method in ("lanczos", "minres"):
+        statuses = {s["status"] for s in summary["methods"][method]["shifts"]}
+        assert statuses == {"overflow"}
+
+
+@pytest.mark.parametrize("content", ["nan\n1.0\n", "1.0\ninf\n",
+                                     "1.0 -inf\n0.0 1.0\n", "0.0\n0.0\n"],
+                         ids=["nan", "inf", "complex-inf", "zero"])
+def test_cli_bad_vector_file_is_exit_1(tmp_path, diag_matrix_path, content,
+                                       capsys):
+    vec_path = tmp_path / "v.txt"
+    vec_path.write_text(content)
+    code = main(["run", "--matrix", str(diag_matrix_path),
+                 "--vector", f"file:{vec_path}"])
+    assert code == 1
+    assert "vector file" in capsys.readouterr().err
+
+
 def test_cli_shifts_subcommand(capsys):
     assert main(["shifts", "--spec", "unit-circle:m=4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

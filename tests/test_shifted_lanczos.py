@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resolvquad import shifted_lanczos
 from resolvquad.core import SolveStatus, SparseHermitianMatrix
 from resolvquad.oracle import (
     dense_resolvent_quadform,
@@ -247,6 +248,30 @@ def test_reference_stopping_records_true_error(rng):
     final = out.history[-1]
     assert final.rel_err is not None and final.rel_err <= 1e-10
     assert abs(out.value - ref) <= 1e-10 * abs(ref)
+
+
+def test_driver_runs_the_audited_update_kernel(monkeypatch, rng):
+    """Criterion 8 counts the operations of ``shift_update`` through
+    ``shift_state_update``; the driver runs that same kernel, over every
+    active shift, on every iteration after the first."""
+    calls = []
+    kernel = shifted_lanczos.shift_update
+
+    def counting(z, *args):
+        calls.append(np.size(z))
+        return kernel(z, *args)
+
+    monkeypatch.setattr(shifted_lanczos, "shift_update", counting)
+    a = random_hermitian(rng, 30)
+    v = random_vector(rng, 30)
+    shifts = [0.5 + 0.2j, -1.0 + 1.0j, 2.0 - 0.5j]
+    res = run_quadratic_forms(a, v, shifts, rtol=None, max_iter=12)
+    assert res.iterations == 12
+    assert calls == [len(shifts)] * (res.iterations - 1)
+
+    calls.clear()
+    shift_state_update(shift_state_init(2.0 + 1.0j, 1.0, 0.3), 0.1, 0.5)
+    assert calls == [1]
 
 
 def test_empty_shift_list_rejected():
