@@ -355,7 +355,8 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
             break
         k += 1
         q = w + beta_prev * q  # q_{k-1}
-        qq = dot_unconjugated(q, q)
+        with np.errstate(over="ignore"):  # overflow freezes every shift below
+            qq = dot_unconjugated(q, q)
         if abs(qq) <= TOL_PI:
             for i, st in enumerate(states):
                 if st.status is SolveStatus.ACTIVE:

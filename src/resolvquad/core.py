@@ -1,9 +1,10 @@
-"""Complex vector kernels and the sparse Hermitian matrix container.
+"""Vector kernels and the sparse Hermitian matrix container.
 
 Conventions used throughout the package:
 
 * scalars are Python ``complex`` (double precision); vectors are 1-D
-  ``numpy.ndarray`` of dtype ``complex128``,
+  ``numpy.ndarray`` of dtype ``complex128``, or ``float64`` where the data
+  is real,
 * ``dot`` conjugates its first argument (``x^H y``); the transpose bilinear
   form ``x^T y`` needed by the complex-symmetric solvers is the separate
   kernel :func:`dot_unconjugated`,
@@ -11,12 +12,17 @@ Conventions used throughout the package:
   matrix-vector product has a fixed, run-to-run deterministic accumulation
   order (row-major, column-index ascending).
 
-All arithmetic stays in double-precision complex even for real matrices.
+The dtype follows the data: a matrix whose entries are all real keeps
+``float64`` values and a ``float64`` CSR, and its product with a real vector
+is real.  Its product with a complex vector runs on a cached complex copy of
+the values that shares the index arrays, so it costs what a complex matrix
+costs.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,8 +39,6 @@ __all__ = [
     "dot",
     "dot_unconjugated",
     "norm",
-    "axpy",
-    "scale",
     "HistoryEntry",
     "ShiftOutcome",
     "MethodResult",
@@ -96,16 +100,6 @@ def norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def axpy(a: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``a*x + y`` without modifying the inputs."""
-    _check_same_length(x, y)
-    return a * x + y
-
-
-def scale(a: complex, x: np.ndarray) -> np.ndarray:
-    return a * x
-
-
 def as_complex_vector(v: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Coerce to a contiguous complex128 1-D array (copying if needed)."""
     arr = np.ascontiguousarray(v, dtype=np.complex128)
@@ -120,14 +114,15 @@ def as_complex_vector(v: Sequence[complex] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseHermitianMatrix:
-    """Square complex matrix in CSR with full (both-triangle) storage.
+    """Square matrix in CSR with full (both-triangle) storage.
 
     The container is immutable after construction and safe to share across
     threads.  ``hermitian_verified`` records whether the entries passed the
     conjugate-symmetry check at ``tol_herm`` relative to the largest entry
     magnitude; ``is_real`` records whether every stored imaginary part is
-    zero.  Solvers that require a Hermitian (or real symmetric) matrix check
-    these flags instead of re-scanning the entries.
+    zero, in which case ``values`` and the CSR are ``float64`` (otherwise
+    ``complex128``).  Solvers that require a Hermitian (or real symmetric)
+    matrix check these flags instead of re-scanning the entries.
     """
 
     n: int
@@ -147,15 +142,15 @@ class SparseHermitianMatrix:
                         tol_herm: float = DEFAULT_HERMITIAN_TOL) -> "SparseHermitianMatrix":
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.complex128)
+        values = _real_or_complex(values)
         _validate_csr(n, row_ptr, col_idx, values)
         csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
         verified, asym = hermitian_check_csr(csr, tol_herm)
-        is_real = not np.any(values.imag)
-        fro = float(np.linalg.norm(values)) if values.size else 0.0
         return cls(n=n, row_ptr=row_ptr, col_idx=col_idx, values=values,
-                   is_real=bool(is_real), hermitian_verified=verified,
-                   max_asymmetry=asym, _csr=csr, _fro_norm=fro)
+                   is_real=bool(values.dtype == np.float64),
+                   hermitian_verified=verified,
+                   max_asymmetry=asym, _csr=csr,
+                   _fro_norm=_frobenius_norm(values))
 
     @classmethod
     def from_coo(cls, n, rows, cols, values,
@@ -163,7 +158,7 @@ class SparseHermitianMatrix:
         """Build from 0-based triplets; duplicate ``(i, j)`` entries are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.complex128)
+        values = _real_or_complex(values)
         if rows.size and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= n):
             raise ValueError("triplet index out of range")
@@ -200,16 +195,57 @@ class SparseHermitianMatrix:
     def frobenius_norm(self) -> float:
         return self._fro_norm
 
+    @functools.cached_property
+    def _complex_csr(self) -> sp.csr_matrix:
+        """The CSR with ``complex128`` values; a real matrix builds it on the
+        first complex product and shares its index arrays with ``_csr``."""
+        if not self.is_real:
+            return self._csr
+        csr = self._csr
+        return sp.csr_matrix(
+            (csr.data.astype(np.complex128), csr.indices, csr.indptr),
+            shape=csr.shape, copy=False)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``y = A x`` with row-major, index-ascending accumulation."""
+        """``y = A x`` with row-major, index-ascending accumulation.
+
+        The product is ``float64`` when the matrix and ``x`` are both real,
+        ``complex128`` otherwise.
+        """
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}x{self.n}, "
                              f"vector has shape {x.shape}")
-        return self._csr.dot(x.astype(np.complex128, copy=False))
+        if self.is_real and not np.iscomplexobj(x):
+            return self._csr.dot(x.astype(np.float64, copy=False))
+        return self._complex_csr.dot(x.astype(np.complex128, copy=False))
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        """Dense ``complex128`` copy, the form the dense oracles work in."""
+        return self._complex_csr.toarray()
+
+
+def _real_or_complex(values) -> np.ndarray:
+    """``values`` as a contiguous ``float64`` array when no entry has an
+    imaginary part, as ``complex128`` otherwise."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        return np.ascontiguousarray(values, dtype=np.complex128)
+    return np.ascontiguousarray(values.real, dtype=np.float64)
+
+
+def _frobenius_norm(values: np.ndarray) -> float:
+    """``||values||_2`` that stays finite for entries near the overflow
+    threshold: the plain sum of squares, rescaled by the largest magnitude
+    only when it overflows."""
+    if not values.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(values))
+    if math.isinf(fro):
+        big = float(np.abs(values).max())
+        fro = big * float(np.linalg.norm(values / big))
+    return fro
 
 
 def _validate_csr(n, row_ptr, col_idx, values) -> None:

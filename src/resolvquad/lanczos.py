@@ -7,9 +7,19 @@ basis vectors are retained, so memory stays O(n); no reorthogonalization is
 performed (orthogonality loss shows up as delayed convergence, never as a
 wrong limit for the quadratic-form recursions built on top).
 
+The stream's dtype follows the data: ``float64`` when the matrix and the
+starting vector are both real, ``complex128`` otherwise; the same code runs
+for both.  A step updates two basis buffers that trade places and one
+scratch buffer in place, so the matrix-vector product is the only array a
+step allocates.
+
 ``alpha`` is stored as ``real(u^H v)``: for complex Hermitian matrices the
 numerically computed Rayleigh quotient picks up a spurious imaginary part
 that would otherwise leak into every shifted recursion.
+
+A stream that stops being finite raises :class:`NonFiniteError`; norms and
+inner products run with numpy's floating-point warnings silenced, so that
+exception is the only report.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ __all__ = [
     "StepOutcome",
     "lanczos_init",
     "lanczos_step",
+    "stream_vector",
 ]
 
 # beta_k below this times ||A||_F terminates with an invariant subspace;
@@ -47,16 +58,6 @@ class LanczosCoefficients:
     alpha: list = field(default_factory=list)
     beta: list = field(default_factory=list)
 
-    def tridiagonal(self, k: Optional[int] = None) -> np.ndarray:
-        """Dense ``T_{k,k}`` built from the first ``k`` coefficients."""
-        if k is None:
-            k = len(self.alpha)
-        t = np.diag(np.asarray(self.alpha[:k], dtype=float))
-        if k > 1:
-            off = np.asarray(self.beta[:k - 1], dtype=float)
-            t += np.diag(off, 1) + np.diag(off, -1)
-        return t
-
 
 @dataclass
 class StepOutcome:
@@ -68,17 +69,31 @@ class StepOutcome:
 
 @dataclass
 class LanczosState:
-    """Single-owner iteration state; share the matrix, not the state."""
+    """Single-owner iteration state; share the matrix, not the state.
+
+    ``v_prev`` and ``v_curr`` are ``v_{k-1}`` and ``v_k``; their buffers are
+    overwritten by later steps, so copy a basis vector to keep it.
+    """
 
     a: SparseHermitianMatrix
     k: int
     v_prev: np.ndarray
     v_curr: np.ndarray
     u: np.ndarray
+    scratch: np.ndarray = field(repr=False)
     coeffs: LanczosCoefficients
     vnorm2: float
     tol_happy: float
     exhausted: bool = False
+
+
+def stream_vector(a: SparseHermitianMatrix, v: np.ndarray) -> np.ndarray:
+    """``v`` in the dtype of its stream on ``a``: ``float64`` when ``a`` and
+    ``v`` are both real, ``complex128`` otherwise (no copy if it already is)."""
+    v = np.asarray(v)
+    if a.is_real and not (np.iscomplexobj(v) and np.any(v.imag)):
+        return np.ascontiguousarray(v.real, dtype=np.float64)
+    return np.ascontiguousarray(v, dtype=np.complex128)
 
 
 def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray,
@@ -87,20 +102,24 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray,
     if not a.hermitian_verified:
         raise ValueError("matrix failed the Hermitian check; "
                          "run hermitian_check / inspect max_asymmetry")
-    v = np.asarray(v, dtype=np.complex128)
-    vn = norm(v)
-    if vn == 0.0:
-        raise ValueError("starting vector must be nonzero")
-    v1 = v / vn
-    u = a.matvec(v1)
-    alpha1 = float(np.vdot(u, v1).real)
+    v = stream_vector(a, v)
+    with np.errstate(all="ignore"):
+        vn = norm(v)
+        if vn == 0.0:
+            raise ValueError("starting vector must be nonzero")
+        if not math.isfinite(vn):
+            raise NonFiniteError("||v|| is not finite")
+        v1 = v / vn
+        u = a.matvec(v1)
+        alpha1 = float(np.vdot(u, v1).real)
     if not math.isfinite(alpha1):
         raise NonFiniteError("alpha_1 is not finite")
     if tol_happy is None:
         tol_happy = HAPPY_BREAKDOWN_RTOL * a.frobenius_norm
     coeffs = LanczosCoefficients(alpha=[alpha1], beta=[])
     return LanczosState(a=a, k=1, v_prev=np.zeros_like(v1), v_curr=v1, u=u,
-                        coeffs=coeffs, vnorm2=vn * vn, tol_happy=tol_happy)
+                        scratch=np.empty_like(v1), coeffs=coeffs,
+                        vnorm2=vn * vn, tol_happy=tol_happy)
 
 
 def lanczos_step(state: LanczosState) -> StepOutcome:
@@ -109,26 +128,34 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     Returns an invariant-subspace outcome when ``beta_k`` falls below the
     happy-breakdown threshold; every quadratic-form value computed from the
     coefficients is exact from that point on.
+
+    ``v_{k+1}`` is written into the buffer of ``v_{k-1}``; afterwards
+    ``v_prev`` is ``v_k``'s buffer and ``v_curr`` the one just written.
     """
     if state.exhausted:
         raise RuntimeError("iteration already hit an invariant subspace")
     k = state.k
     alpha_k = state.coeffs.alpha[-1]
-    u = state.u - alpha_k * state.v_curr
-    beta_k = norm(u)
-    if not math.isfinite(beta_k):
-        raise NonFiniteError(f"beta_{k} is not finite")
-    if beta_k <= state.tol_happy:
-        state.exhausted = True
-        return StepOutcome(invariant_subspace=True, k=k)
-    v_next = u / beta_k
-    u_next = state.a.matvec(v_next) - beta_k * state.v_curr
-    alpha_next = float(np.vdot(u_next, v_next).real)
+    u, v_curr, scratch = state.u, state.v_curr, state.scratch
+    with np.errstate(all="ignore"):
+        # u <- u - alpha_k v_k, rounded as fl(u - fl(alpha_k v_k))
+        np.subtract(u, np.multiply(alpha_k, v_curr, out=scratch), out=u)
+        beta_k = norm(u)
+        if not math.isfinite(beta_k):
+            raise NonFiniteError(f"beta_{k} is not finite")
+        if beta_k <= state.tol_happy:
+            state.exhausted = True
+            return StepOutcome(invariant_subspace=True, k=k)
+        v_next = np.divide(u, beta_k, out=state.v_prev)
+        u_next = state.a.matvec(v_next)
+        np.subtract(u_next, np.multiply(beta_k, v_curr, out=scratch),
+                    out=u_next)
+        alpha_next = float(np.vdot(u_next, v_next).real)
     if not math.isfinite(alpha_next):
         raise NonFiniteError(f"alpha_{k + 1} is not finite")
     state.coeffs.beta.append(beta_k)
     state.coeffs.alpha.append(alpha_next)
-    state.v_prev = state.v_curr
+    state.v_prev = v_curr
     state.v_curr = v_next
     state.u = u_next
     state.k = k + 1

@@ -2,8 +2,10 @@
 
 Reads the exchange files the benchmark matrices ship in and mirrors
 ``symmetric``/``hermitian`` storage to the full both-triangle CSR layout used
-by the solvers.  Gzipped files are decompressed transparently when the
-filename ends in ``.gz``.
+by the solvers.  A short header check keeps this package's rules (coordinate
+format, a value field, no skew symmetry, a square matrix); the entries are
+read by :func:`scipy.io.mmread`, which also takes gzipped files (by a
+``.gz`` filename) and open text streams.
 
 Mirroring rules:
 
@@ -14,22 +16,25 @@ Mirroring rules:
 * ``general``    -> taken as stored.
 * ``skew-symmetric`` is rejected (cannot be Hermitian).
 
-Values are parsed as plain decimal doubles; duplicate ``(i, j)`` entries are
-summed; ``%`` comment lines are skipped.
+``real`` and ``integer`` fields give a real (``float64``) matrix; a
+``complex`` field gives a real matrix too when every imaginary part is
+zero.  Duplicate ``(i, j)`` entries are summed; ``%`` comment lines are
+skipped.
 """
 
 from __future__ import annotations
 
 import gzip
-from dataclasses import dataclass
+import io
 from pathlib import Path
 from typing import TextIO, Union
+
+import scipy.io
 
 from .core import DEFAULT_HERMITIAN_TOL, SparseHermitianMatrix
 
 __all__ = [
     "MatrixMarketError",
-    "MatrixMarketHeader",
     "parse_matrix_market",
     "read_matrix_market",
     "write_matrix_market",
@@ -43,15 +48,8 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-@dataclass(frozen=True)
-class MatrixMarketHeader:
-    object: str
-    format: str
-    field: str
-    symmetry: str
-
-
-def _parse_header(line: str) -> MatrixMarketHeader:
+def _parse_header(line: str) -> None:
+    """Reject a banner line this package cannot use."""
     parts = line.strip().split()
     if len(parts) != 5 or parts[0] != "%%MatrixMarket":
         raise MatrixMarketError(f"malformed header line: {line!r}")
@@ -68,78 +66,50 @@ def _parse_header(line: str) -> MatrixMarketHeader:
         raise MatrixMarketError(f"unknown symmetry {sym!r}")
     if sym == "skew-symmetric":
         raise MatrixMarketError("skew-symmetric matrices cannot be Hermitian")
-    return MatrixMarketHeader("matrix", fmt, fld, sym)
+
+
+# scipy's wording of a bad entry line -> this package's
+_SCIPY_ERRORS = (
+    ("index out of bounds", "entry index out of range"),
+    ("Truncated file", "fewer entries than the size line declares"),
+    ("Too many lines", "more entries than the size line declares"),
+)
+
+
+def _mmread(source, tol_herm: float) -> SparseHermitianMatrix:
+    """Read entries with ``scipy.io.mmread`` once the header has passed."""
+    try:
+        coo = scipy.io.mmread(source)
+    except ValueError as exc:
+        message = str(exc)
+        for theirs, ours in _SCIPY_ERRORS:
+            if theirs in message:
+                message = f"{ours} ({message})"
+                break
+        raise MatrixMarketError(message) from exc
+    nrows, ncols = coo.shape
+    if nrows != ncols:
+        raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
+    return SparseHermitianMatrix.from_coo(nrows, coo.row, coo.col, coo.data,
+                                          tol_herm=tol_herm)
 
 
 def parse_matrix_market(stream: TextIO,
                         tol_herm: float = DEFAULT_HERMITIAN_TOL) -> SparseHermitianMatrix:
     """Parse an open text stream into a :class:`SparseHermitianMatrix`."""
-    header = None
-    size = None
-    n_lines = 0
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for raw in stream:
-        line = raw.strip()
-        if not line:
-            continue
-        if header is None:
-            header = _parse_header(line)
-            continue
-        if line.startswith("%"):
-            continue
-        parts = line.split()
-        if size is None:
-            if len(parts) != 3:
-                raise MatrixMarketError(f"malformed size line: {line!r}")
-            nrows, ncols, nnz = (int(p) for p in parts)
-            if nrows != ncols:
-                raise MatrixMarketError(
-                    f"matrix must be square, got {nrows}x{ncols}")
-            size = (nrows, nnz)
-            continue
-        i, j, v = _parse_entry(parts, header.field)
-        n = size[0]
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise MatrixMarketError(f"index ({i}, {j}) out of range for n={n}")
-        n_lines += 1
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-        if header.symmetry != "general" and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v.conjugate() if header.symmetry == "hermitian" else v)
-    if header is None:
-        raise MatrixMarketError("empty stream")
-    if size is None:
-        raise MatrixMarketError("missing size line")
-    n, nnz = size
-    if n_lines != nnz:
-        raise MatrixMarketError(f"expected {nnz} entries, found {n_lines}")
-    return SparseHermitianMatrix.from_coo(n, rows, cols, vals, tol_herm=tol_herm)
-
-
-def _parse_entry(parts, field):
-    if field == "complex":
-        if len(parts) != 4:
-            raise MatrixMarketError(f"complex entry needs 4 tokens: {parts!r}")
-        return int(parts[0]), int(parts[1]), complex(float(parts[2]), float(parts[3]))
-    if len(parts) != 3:
-        raise MatrixMarketError(f"{field} entry needs 3 tokens: {parts!r}")
-    return int(parts[0]), int(parts[1]), complex(float(parts[2]), 0.0)
+    first = stream.readline()
+    _parse_header(first)
+    return _mmread(io.StringIO(first + stream.read()), tol_herm)
 
 
 def read_matrix_market(path: Union[str, Path],
                        tol_herm: float = DEFAULT_HERMITIAN_TOL) -> SparseHermitianMatrix:
     """Read a ``.mtx`` or ``.mtx.gz`` file."""
     path = Path(path)
-    if path.name.endswith(".gz"):
-        with gzip.open(path, "rt") as fh:
-            return parse_matrix_market(fh, tol_herm=tol_herm)
-    with open(path, "rt") as fh:
-        return parse_matrix_market(fh, tol_herm=tol_herm)
+    opener = gzip.open if path.name.endswith(".gz") else open
+    with opener(path, "rt") as fh:
+        _parse_header(fh.readline())
+    return _mmread(str(path), tol_herm)
 
 
 def write_matrix_market(a: SparseHermitianMatrix, target) -> None:

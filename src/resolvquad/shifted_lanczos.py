@@ -286,7 +286,7 @@ def bilinear_form(a: SparseHermitianMatrix, p: np.ndarray, q: np.ndarray,
     def forms(w):
         if np.linalg.norm(w) == 0.0:
             return [0j] * len(shifts), None
-        run = run_quadratic_forms(a, w.astype(np.complex128), shifts, **kwargs)
+        run = run_quadratic_forms(a, w, shifts, **kwargs)
         return run.values, run
 
     s_vals, s_run = forms(s)

@@ -44,7 +44,7 @@ from .core import (
     SparseHermitianMatrix,
 )
 from .error_estimate import DEFAULT_LAG, cabs
-from .lanczos import lanczos_init, lanczos_step
+from .lanczos import lanczos_init, lanczos_step, stream_vector
 from .shift_batch import ShiftBatch
 
 __all__ = [
@@ -115,7 +115,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     """
     batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
                        keep_history=keep_history)
-    v = np.asarray(v, dtype=np.complex128)
+    v = stream_vector(a, v)  # so the projections v^H v_k do not upcast
     try:
         stream = lanczos_init(a, v)
     except NonFiniteError:

@@ -33,6 +33,7 @@ from resolvquad.oracle import (
     shifted_determinant_sequence,
     spectral_decomposition,
     tridiag_resolvent_entry,
+    tridiagonal_matrix,
 )
 from resolvquad.shifted_lanczos import (
     ShiftState,
@@ -142,7 +143,7 @@ def test_criterion_2_moment_matching():
             if lanczos_step(state).invariant_subspace:
                 break
         k = state.k
-        t = state.coeffs.tridiagonal(k)
+        t = tridiagonal_matrix(state.coeffs.alpha, state.coeffs.beta, k)
         e1 = np.zeros(k)
         e1[0] = 1.0
         # plain moments v^H A^i v

@@ -8,6 +8,7 @@ from resolvquad.cg_variants import (
     pick_seed_shift,
 )
 from resolvquad.core import SolveStatus, SparseHermitianMatrix
+from resolvquad.harness import generate_unit_circle_shifts
 from resolvquad.oracle import dense_resolvent_quadform
 from resolvquad.shifted_lanczos import run_quadratic_forms
 
@@ -170,3 +171,25 @@ def test_reference_stopping(runner, rng):
     out = res.shifts[0]
     assert out.status is SolveStatus.CONVERGED
     assert abs(out.value - ref) <= 1e-10 * abs(ref)
+
+
+def test_near_overflow_matrix_against_dense_oracle():
+    """The 1e305 matrix of ``test_cli_overflowing_stream_is_exit_2``: COCG's
+    ``converged`` values match the dense oracle; COCR's ``q^T q`` overflows
+    on the first iteration, so every shift is an overflow with no value."""
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((6, 6))
+    a = SparseHermitianMatrix.from_dense((b + b.T) * 1e305)
+    v = np.full(6, 1.0 / np.sqrt(6.0))
+    shifts = generate_unit_circle_shifts(16)
+    config = SeededShiftedRunConfig(shifts=shifts)
+    cocg = cocg_run(a, v, config)
+    for out, z in zip(cocg.shifts, shifts):
+        want = dense_resolvent_quadform(a.to_dense(), v, z)
+        assert out.status is SolveStatus.CONVERGED
+        assert abs(out.value - want) <= 1e-13 * abs(want)
+    cocr = cocr_run(a, v, config)
+    assert cocr.iterations == 1
+    for out in cocr.shifts:
+        assert out.status is SolveStatus.OVERFLOW
+        assert out.value is None and out.iterations == 1

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvquad.core import (
     SparseHermitianMatrix,
-    axpy,
     dot,
     dot_unconjugated,
     hermitian_check,
     norm,
-    scale,
 )
 
 from conftest import random_hermitian_dense, random_vector
@@ -59,13 +58,6 @@ def test_dot_conjugates_first_argument():
 
 def test_norm_direct():
     assert norm(np.array([3.0, 4.0])) == 5.0
-
-
-def test_axpy_scale(rng):
-    x = random_vector(rng, 9)
-    y = random_vector(rng, 9)
-    assert np.allclose(axpy(2.0 - 1.0j, x, y), (2.0 - 1.0j) * x + y)
-    assert np.allclose(scale(3.0j, x), 3.0j * x)
 
 
 def test_kernel_length_mismatch():
@@ -141,3 +133,28 @@ def test_frobenius_norm(rng):
     dense = random_hermitian_dense(rng, 12)
     a = SparseHermitianMatrix.from_dense(dense)
     assert a.frobenius_norm == pytest.approx(np.linalg.norm(dense), rel=1e-14)
+
+
+def test_real_matrix_products(rng):
+    """A real matrix keeps a float64 CSR: a real vector gives a float64
+    product; a complex vector gives the product of the complex128 matrix
+    with the same entries, bitwise, from a complex CSR that shares the
+    index arrays."""
+    dense = random_hermitian_dense(rng, 30, real=True)
+    a = SparseHermitianMatrix.from_dense(dense)
+    assert a.is_real and a.values.dtype == np.float64
+    x = rng.standard_normal(30)
+    y = a.matvec(x)
+    assert y.dtype == np.float64
+    assert np.linalg.norm(y - dense @ x) <= 1e-13 * np.linalg.norm(y)
+    z = random_vector(rng, 30)
+    as_complex = sp.csr_matrix(dense.astype(np.complex128))
+    as_complex.sort_indices()
+    assert a.matvec(z).tobytes() == as_complex.dot(z).tobytes()
+    assert np.shares_memory(a._complex_csr.indices, a._csr.indices)
+    assert np.shares_memory(a._complex_csr.indptr, a._csr.indptr)
+
+
+def test_frobenius_norm_near_overflow():
+    a = SparseHermitianMatrix.diagonal([1e308, -1e308])
+    assert a.frobenius_norm == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)

@@ -3,6 +3,7 @@ import pytest
 
 from resolvquad.core import SparseHermitianMatrix
 from resolvquad.lanczos import lanczos_init, lanczos_step
+from resolvquad.oracle import tridiagonal_matrix
 
 from conftest import random_hermitian, random_hermitian_dense, random_vector
 
@@ -97,7 +98,7 @@ def test_decomposition_residual(rng):
     k = len(basis) - 1
     vmat = np.column_stack(basis)
     t_ext = np.zeros((k + 1, k))
-    t_ext[:k, :k] = state.coeffs.tridiagonal(k)
+    t_ext[:k, :k] = tridiagonal_matrix(state.coeffs.alpha, state.coeffs.beta, k)
     t_ext[k, k - 1] = betas[-1]
     resid = np.linalg.norm(dense @ vmat[:, :k] - vmat @ t_ext, 2)
     assert resid <= 1e-10 * np.linalg.norm(dense, 2)
@@ -116,7 +117,7 @@ def test_moment_matching(rng):
         if lanczos_step(state).invariant_subspace:
             break
     k = state.k
-    t = state.coeffs.tridiagonal(k)
+    t = tridiagonal_matrix(state.coeffs.alpha, state.coeffs.beta, k)
     power = v.copy()
     for i in range(2 * k):
         lhs = complex(np.vdot(v, power))
@@ -139,3 +140,50 @@ def test_non_finite_recurrence_raises():
     with pytest.raises(NonFiniteError):
         state = lanczos_init(a, v)
         lanczos_step(state)
+
+
+@pytest.mark.parametrize("real_matrix", [True, False])
+@pytest.mark.parametrize("vector", ["real", "complex_zero_imag", "complex"])
+def test_stream_dtype_follows_the_data(rng, real_matrix, vector):
+    """float64 exactly when both A and v are real (a complex128 v with zero
+    imaginary parts counts as real), complex128 otherwise."""
+    a = random_hermitian(rng, 12, real=real_matrix)
+    v = {"real": rng.standard_normal(12),
+         "complex_zero_imag": random_vector(rng, 12, real=True),
+         "complex": random_vector(rng, 12)}[vector]
+    state = lanczos_init(a, v)
+    lanczos_step(state)
+    want = np.float64 if real_matrix and vector != "complex" else np.complex128
+    for array in (state.v_prev, state.v_curr, state.u):
+        assert array.dtype == want
+    assert a.values.dtype == (np.float64 if real_matrix else np.complex128)
+
+
+def test_step_reuses_the_basis_buffers(rng):
+    """v_{k+1} is written into v_{k-1}'s buffer; v_k's buffer becomes v_prev."""
+    a = random_hermitian(rng, 30, real=True)
+    state = lanczos_init(a, rng.standard_normal(30))
+    for _ in range(4):
+        prev, curr, scratch = state.v_prev, state.v_curr, state.scratch
+        assert not lanczos_step(state).invariant_subspace
+        assert state.v_curr is prev
+        assert state.v_prev is curr
+        assert state.scratch is scratch
+
+
+def test_start_vector_is_not_modified(rng):
+    a = random_hermitian(rng, 10, real=True)
+    v = rng.standard_normal(10)
+    kept = v.copy()
+    state = lanczos_init(a, v)
+    for _ in range(3):
+        lanczos_step(state)
+    assert np.array_equal(v, kept)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+def test_non_finite_start_norm_raises(entry):
+    from resolvquad.core import NonFiniteError
+    a = SparseHermitianMatrix.diagonal([1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteError, match="v"):
+        lanczos_init(a, np.array([entry, 1e200, 1.0]))

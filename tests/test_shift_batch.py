@@ -1,5 +1,6 @@
-"""The shift-batch drivers against per-shift scalar runs, and their
-behaviour when the Lanczos stream itself stops being finite."""
+"""The shift-batch drivers against per-shift scalar runs, the float64
+stream against the complex one, and the drivers' behaviour when the
+Lanczos stream itself stops being finite."""
 
 import math
 
@@ -93,6 +94,47 @@ def test_minres_batch_agrees_with_single_shift_runs(seed, n, real, offaxis,
         assert out.iterations == alone.iterations
         assert close(out.value, alone.value)
         assert close(out.residual_norm, alone.residual_norm)
+
+
+# Measured over 600 problems: coefficients 7.8e-15 * ||A||_2, values 4.1e-13.
+ROTATION_COEFF_TOL = 1e-13
+ROTATION_VALUE_RTOL = 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+       theta=st.floats(0.0, 2 * math.pi), offaxis=st.integers(1, 6),
+       data=st.data())
+def test_real_stream_agrees_with_phase_rotated_complex_stream(
+        seed, n, theta, offaxis, data):
+    """``v`` real runs the float64 stream, ``e^{i theta} v`` the complex one;
+    the coefficients and ``v^H (zI - A)^{-1} v`` are invariant under the
+    rotation.  ``k <= n / 2`` keeps both streams short of the loss of
+    orthogonality that amplifies rounding differences."""
+    rng = np.random.default_rng(seed)
+    dense = random_hermitian_dense(rng, n, real=True)
+    a = SparseHermitianMatrix.from_dense(dense)
+    v = rng.standard_normal(n)
+    shifts = [complex(3 * rng.standard_normal(),
+                      (0.05 + 2 * rng.random()) * rng.choice([-1, 1]))
+              for _ in range(offaxis)]
+    shifts.append(complex(np.linalg.eigvalsh(dense)[rng.integers(n)], 1e-3))
+    max_iter = data.draw(st.integers(1, n // 2))
+    scale = np.linalg.norm(dense, 2)
+    for driver in (run_quadratic_forms, minres_run):
+        real = driver(a, v, shifts, rtol=None, max_iter=max_iter)
+        rotated = driver(a, np.exp(1j * theta) * v, shifts, rtol=None,
+                         max_iter=max_iter)
+        assert len(real.alpha) == len(rotated.alpha)
+        assert len(real.beta) == len(rotated.beta)
+        for x, y in zip(real.alpha + real.beta, rotated.alpha + rotated.beta):
+            assert abs(x - y) <= ROTATION_COEFF_TOL * scale
+        assert real.iterations == rotated.iterations
+        for got, want in zip(real.shifts, rotated.shifts):
+            assert got.status is want.status
+            assert got.iterations == want.iterations
+            assert abs(got.value - want.value) \
+                <= ROTATION_VALUE_RTOL * abs(want.value)
 
 
 def overflowing_matrix():
