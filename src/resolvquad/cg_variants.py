@@ -18,6 +18,17 @@ alpha_{k-1}`` and ``z - z_s``) are computed once per iteration, so the
 measured per-shift scalar cost is below the 18/17-operation budgets usually
 quoted for these recurrences; a dedicated audit test pins the actual
 counts.
+
+Every shift advances in lockstep with the seed, so ``sigma = z - z_s``, the
+``pi`` pair, the projected direction ``p`` and the value are numpy arrays
+over the active shifts (:class:`~resolvquad.shift_batch.ShiftBatch`), and
+one call of the elementwise :func:`collinear_pi_update` and
+:func:`cocg_scalar_update`/:func:`cocr_scalar_update` advances all of them;
+the same functions run on Python scalars.  ``pi`` depends only on the seed
+scalars and is bitwise-replayable from them with Python arithmetic.  numpy's
+complex ``*`` differs from Python's in the last bit for a large share of
+products, so the products of the ``pi`` recursion go through :func:`_mul`,
+which forms them from the real and imaginary parts as Python does.
 """
 
 from __future__ import annotations
@@ -28,9 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    HistoryEntry,
     MethodResult,
-    ShiftOutcome,
     SolveStatus,
     SparseHermitianMatrix,
     as_complex_vector,
@@ -38,7 +47,8 @@ from .core import (
     dot_unconjugated,
     isfinite_scalar,
 )
-from .error_estimate import DEFAULT_LAG, DelayedDifferenceWindow
+from .error_estimate import DEFAULT_LAG, cabs
+from .shift_batch import ShiftBatch
 
 __all__ = [
     "TOL_PI",
@@ -91,21 +101,6 @@ class SeededShiftedRunConfig:
 
 
 @dataclass
-class _CollinearState:
-    """Per-shift collinearity scalars (``pi`` pair, projection, accumulator)."""
-
-    z: complex
-    sigma: complex  # z - z_s, fixed for the run
-    p_scalar: complex
-    pi_m2: complex = 1.0 + 0j
-    pi_m1: complex = 1.0 + 0j
-    value: complex = 0j
-    status: SolveStatus = SolveStatus.ACTIVE
-    k: int = 0
-    pi_log: Optional[list] = None
-
-
-@dataclass
 class CollinearResult(MethodResult):
     """Adds the seed scalar stream needed to replay the pi recurrences."""
 
@@ -128,6 +123,20 @@ def _require_real_symmetric(a: SparseHermitianMatrix) -> None:
 # per-shift scalar kernels (kept standalone so op-count audits can wrap them)
 # ---------------------------------------------------------------------------
 
+def _mul(x, y):
+    """``x * y``, on arrays rounded exactly as Python's complex product.
+
+    The parts are assigned rather than summed as ``re + 1j * im``, which
+    would turn an infinite imaginary part into a NaN real part.
+    """
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return x * y
+    out = np.empty(np.broadcast(x, y).shape, dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def collinear_pi_update(pi_m1, pi_m2, alpha_seed, shared, sigma):
     """Collinearity factor recursion shared by COCG and COCR.
 
@@ -135,7 +144,8 @@ def collinear_pi_update(pi_m1, pi_m2, alpha_seed, shared, sigma):
     are computed once per iteration/shift respectively; per shift this is
     3 additions and 3 multiplications.
     """
-    return (1.0 + alpha_seed * sigma + shared) * pi_m1 - shared * pi_m2
+    return (_mul(1.0 + _mul(alpha_seed, sigma) + shared, pi_m1)
+            - _mul(shared, pi_m2))
 
 
 def cocg_scalar_update(pi_m1, pi_new, p_scalar, value, alpha_seed, beta_seed,
@@ -164,67 +174,48 @@ def cocr_scalar_update(pi_m2, pi_m1, pi_new, p_scalar, value, alpha_seed,
     return value_new, p_new
 
 
-class _Run:
-    """Bookkeeping shared by both methods: freezing, histories, stopping."""
+# ---------------------------------------------------------------------------
+# drivers
+# ---------------------------------------------------------------------------
 
-    def __init__(self, method, shifts, config, n):
-        self.method = method
-        self.config = config
-        self.shifts = shifts
-        self.max_iter = config.max_iter if config.max_iter is not None else 2 * n
-        self.outcomes: list[Optional[ShiftOutcome]] = [None] * len(shifts)
-        self.histories = [[] if config.keep_history else None for _ in shifts]
-        self.windows = [DelayedDifferenceWindow(config.lag) for _ in shifts]
-        self.reference = None
-        if config.reference is not None:
-            self.reference = [complex(r) for r in config.reference]
+def _start(a: SparseHermitianMatrix, config: SeededShiftedRunConfig):
+    """Check the run; its seed shift, shift batch, iteration limit and
+    per-shift ``pi`` logs (``None`` without history).
 
-    def freeze(self, i, state, status, iterations):
-        state.status = status
-        if self.histories[i]:
-            self.histories[i][-1].status = status
-        value = state.value if state.k > 0 else None
-        self.outcomes[i] = ShiftOutcome(
-            z=state.z, value=value, iterations=iterations, status=status,
-            history=self.histories[i])
-
-    def after_commit(self, i, state, k) -> None:
-        """Record history, attach nu, and apply the stopping rule."""
-        err = None
-        if self.reference is not None:
-            ref = self.reference[i]
-            denom = abs(ref) or 1.0
-            err = abs(state.value - ref) / denom
-        hist = self.histories[i]
-        if hist is not None:
-            hist.append(HistoryEntry(k=k, value=state.value,
-                                     status=state.status, rel_err=err))
-        lagged = self.windows[i].push(state.value)
-        if lagged is not None:
-            k0, nu, scale = lagged
-            if hist is not None and 1 <= k0 <= len(hist):
-                hist[k0 - 1].nu = nu
-            if (self.reference is None and self.config.rtol is not None
-                    and nu <= self.config.rtol * scale):
-                self.freeze(i, state, SolveStatus.CONVERGED, k)
-        if (self.reference is not None and self.config.rtol is not None
-                and err is not None and err <= self.config.rtol):
-            self.freeze(i, state, SolveStatus.CONVERGED, k)
-
-    def finish(self, states, k, seed_shift, seed_alpha, seed_beta, r_scalars):
-        for i, st in enumerate(states):
-            if st.status is SolveStatus.ACTIVE:
-                self.freeze(i, st, SolveStatus.MAX_ITER, k)
-        return CollinearResult(
-            method=self.method, shifts=self.outcomes, iterations=k,
-            seed_shift=seed_shift, seed_alpha=seed_alpha,
-            seed_beta=seed_beta, r_scalars=r_scalars)
+    The batch state holds ``sigma = z - z_s``, the ``pi`` pair (``pi_{-1} =
+    pi_0 = 1``), the projected direction ``p`` and the value (both zero).
+    """
+    _require_real_symmetric(a)
+    config.validate()
+    z_s = config.resolved_seed()
+    batch = ShiftBatch(config.shifts, rtol=config.rtol, lag=config.lag,
+                       reference=config.reference,
+                       keep_history=config.keep_history)
+    s = batch.state
+    s.sigma = s.z - z_s
+    s.pi_m1 = s.pi_m2 = np.ones(s.z.shape, dtype=np.complex128)
+    s.p = s.value = np.zeros(s.z.shape, dtype=np.complex128)
+    max_iter = config.max_iter if config.max_iter is not None else 2 * a.n
+    pi_log = [[] if config.keep_history else None for _ in s.z]
+    return z_s, batch, max_iter, pi_log
 
 
-def _init_states(shifts, z_s, p0, keep_pi):
-    return [_CollinearState(z=z, sigma=z - z_s, p_scalar=p0,
-                            pi_log=[] if keep_pi else None)
-            for z in shifts]
+def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new,
+            pi_log: list) -> None:
+    """Take iteration ``k`` of every active shift.
+
+    A vanished ``pi`` or a non-finite update freezes the shift with the
+    value of iteration ``k - 1``; the others log ``pi`` and are accepted.
+    """
+    s = batch.state
+    s.pi_m2, s.pi_m1, s.p, s.value = s.pi_m1, pi_new, p_new, value_new
+    finite = np.isfinite(value_new) & np.isfinite(p_new)
+    batch.freeze(k, (SolveStatus.PI_ZERO, cabs(pi_new) <= TOL_PI),
+                 (SolveStatus.OVERFLOW, ~finite))
+    if batch.history is not None:
+        for i, pi in zip(batch.active.tolist(), s.pi_m1.tolist()):
+            pi_log[i].append(pi)
+    batch.accept(k, s.value)
 
 
 def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
@@ -236,12 +227,9 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     conjugating ``v^H``-products throughout (verified against the dense
     reference for complex ``v``).
     """
-    _require_real_symmetric(a)
-    config.validate()
+    z_s, batch, max_iter, pi_log = _start(a, config)
     v = as_complex_vector(v)
-    shifts = [complex(z) for z in config.shifts]
-    z_s = config.resolved_seed()
-    run = _Run("cocg", shifts, config, a.n)
+    s = batch.state
 
     r = v.copy()
     p = r.copy()
@@ -249,27 +237,23 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     alpha_prev = 1.0 + 0j  # alpha_{-1}
     beta_prev = 0j  # beta_{-1}
     p0 = dot(v, r)  # p_0^{(i)} = v^H r_0
-    states = _init_states(shifts, z_s, p0, config.keep_history)
+    s.p = np.full(s.z.shape, p0, dtype=np.complex128)
     seed_alpha: list[complex] = []
     seed_beta: list[complex] = []
     r_scalars: list[complex] = [p0]
 
     k = 0
-    while k < run.max_iter and any(s.status is SolveStatus.ACTIVE for s in states):
+    while k < max_iter and batch.running:
         if dot(r, r).real == 0.0:
             # residual is exactly zero: the Krylov space is exhausted and the
             # collinear residual of every surviving shift vanished with it
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.CONVERGED, st.k)
+            batch.freeze_all(k, SolveStatus.CONVERGED)
             break
         k += 1
         w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
         pap = dot_unconjugated(p, w)
         if abs(pap) <= TOL_PI or abs(rr_prev) <= TOL_PI:
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.SEED_BREAKDOWN, k)
+            batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         alpha_seed = rr_prev / pap  # alpha_{k-1}
         r = r - alpha_seed * w
@@ -278,43 +262,27 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         r_scalar = dot(v, r)  # v^H r_k
         if not (isfinite_scalar(alpha_seed) and isfinite_scalar(beta_seed)
                 and isfinite_scalar(r_scalar)):
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.OVERFLOW, k)
+            batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_alpha.append(alpha_seed)
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
         shared = (beta_prev / alpha_prev) * alpha_seed  # shift-independent
 
-        for i, st in enumerate(states):
-            if st.status is not SolveStatus.ACTIVE:
-                continue
-            pi_new = collinear_pi_update(st.pi_m1, st.pi_m2, alpha_seed,
-                                         shared, st.sigma)
-            if abs(pi_new) <= TOL_PI:
-                run.freeze(i, st, SolveStatus.PI_ZERO, k)
-                continue
+        # a vanished pi leaves inf/nan in exactly the shifts _commit freezes
+        with np.errstate(all="ignore"):
+            pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed,
+                                         shared, s.sigma)
             value_new, p_new = cocg_scalar_update(
-                st.pi_m1, pi_new, st.p_scalar, st.value, alpha_seed,
-                beta_seed, r_scalar)
-            if not (isfinite_scalar(value_new) and isfinite_scalar(p_new)):
-                run.freeze(i, st, SolveStatus.OVERFLOW, k)
-                continue
-            st.pi_m2, st.pi_m1 = st.pi_m1, pi_new
-            st.p_scalar = p_new
-            st.value = value_new
-            st.k = k
-            if st.pi_log is not None:
-                st.pi_log.append(pi_new)
-            run.after_commit(i, st, k)
+                s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_seed,
+                r_scalar)
+        _commit(batch, k, pi_new, value_new, p_new, pi_log)
 
         p = r + beta_seed * p
         alpha_prev, beta_prev, rr_prev = alpha_seed, beta_seed, rr
 
-    result = run.finish(states, k, z_s, seed_alpha, seed_beta, r_scalars)
-    result.pi_history = [st.pi_log for st in states]
-    return result
+    return _result("cocg", batch, k, z_s, seed_alpha, seed_beta, r_scalars,
+                   pi_log)
 
 
 def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
@@ -326,12 +294,9 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     the residual once per iteration and reused for the next search
     direction.
     """
-    _require_real_symmetric(a)
-    config.validate()
+    z_s, batch, max_iter, pi_log = _start(a, config)
     v = as_complex_vector(v)
-    shifts = [complex(z) for z in config.shifts]
-    z_s = config.resolved_seed()
-    run = _Run("cocr", shifts, config, a.n)
+    s = batch.state  # p_{-1}^{(i)} = 0; p_{k-1}^{(i)} is rebuilt each step
 
     r = v.copy()
     q = np.zeros_like(r)
@@ -340,73 +305,48 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     alpha_prev = 1.0 + 0j
     beta_prev = 0j
     r_scalar_prev = dot(v, r)  # v^H r_0
-    # p_{-1}^{(i)} = 0; p_{k-1}^{(i)} is rebuilt inside the loop
-    states = _init_states(shifts, z_s, 0j, config.keep_history)
     seed_alpha: list[complex] = []
     seed_beta: list[complex] = []
     r_scalars: list[complex] = [r_scalar_prev]
 
     k = 0
-    while k < run.max_iter and any(s.status is SolveStatus.ACTIVE for s in states):
+    while k < max_iter and batch.running:
         if dot(r, r).real == 0.0:
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.CONVERGED, st.k)
+            batch.freeze_all(k, SolveStatus.CONVERGED)
             break
         k += 1
         q = w + beta_prev * q  # q_{k-1}
         with np.errstate(over="ignore"):  # overflow freezes every shift below
             qq = dot_unconjugated(q, q)
         if abs(qq) <= TOL_PI:
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.SEED_BREAKDOWN, k)
+            batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         alpha_seed = e_prev / qq  # alpha_{k-1}
         if not (isfinite_scalar(alpha_seed) and isfinite_scalar(qq)):
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.OVERFLOW, k)
+            batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_alpha.append(alpha_seed)
         shared = (beta_prev / alpha_prev) * alpha_seed
 
-        for i, st in enumerate(states):
-            if st.status is not SolveStatus.ACTIVE:
-                continue
-            pi_new = collinear_pi_update(st.pi_m1, st.pi_m2, alpha_seed,
-                                         shared, st.sigma)
-            if abs(pi_new) <= TOL_PI:
-                run.freeze(i, st, SolveStatus.PI_ZERO, k)
-                continue
+        # a vanished pi leaves inf/nan in exactly the shifts _commit freezes
+        with np.errstate(all="ignore"):
+            pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed,
+                                         shared, s.sigma)
             value_new, p_new = cocr_scalar_update(
-                st.pi_m2, st.pi_m1, pi_new, st.p_scalar, st.value,
-                alpha_seed, beta_prev, r_scalar_prev)
-            if not (isfinite_scalar(value_new) and isfinite_scalar(p_new)):
-                run.freeze(i, st, SolveStatus.OVERFLOW, k)
-                continue
-            st.pi_m2, st.pi_m1 = st.pi_m1, pi_new
-            st.p_scalar = p_new
-            st.value = value_new
-            st.k = k
-            if st.pi_log is not None:
-                st.pi_log.append(pi_new)
-            run.after_commit(i, st, k)
+                s.pi_m2, s.pi_m1, pi_new, s.p, s.value, alpha_seed,
+                beta_prev, r_scalar_prev)
+        _commit(batch, k, pi_new, value_new, p_new, pi_log)
 
         r = r - alpha_seed * q
         r_scalar = dot(v, r)
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
         e = dot_unconjugated(r, w)
         if abs(e_prev) <= TOL_PI:
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.SEED_BREAKDOWN, k)
+            batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         beta_seed = e / e_prev  # beta_{k-1}
         if not (isfinite_scalar(beta_seed) and isfinite_scalar(r_scalar)):
-            for i, st in enumerate(states):
-                if st.status is SolveStatus.ACTIVE:
-                    run.freeze(i, st, SolveStatus.OVERFLOW, k)
+            batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
@@ -414,6 +354,13 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         e_prev = e
         r_scalar_prev = r_scalar
 
-    result = run.finish(states, k, z_s, seed_alpha, seed_beta, r_scalars)
-    result.pi_history = [st.pi_log for st in states]
-    return result
+    return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars,
+                   pi_log)
+
+
+def _result(method, batch, k, z_s, seed_alpha, seed_beta, r_scalars,
+            pi_log) -> CollinearResult:
+    return CollinearResult(
+        method=method, shifts=batch.finish(k), iterations=k, seed_shift=z_s,
+        seed_alpha=seed_alpha, seed_beta=seed_beta, r_scalars=r_scalars,
+        pi_history=pi_log)

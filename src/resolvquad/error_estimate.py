@@ -29,7 +29,8 @@ shifts that advance in lockstep, as rings of shape ``(m, d + 1)`` indexed by
 the global iteration.  ``nu`` is always reported, because the stopping rule
 reads it; ``mu`` and the corner/bridge entries are computed, vectorised over
 the ring, only when the window is given the ``mu`` scale ``||v||^2``.  The
-scalar :class:`EstimatorState` is that window over a batch of one shift, and
+scalar :class:`EstimatorState` is that window over a batch of one shift,
+:class:`DelayedDifferenceWindow` its ``nu`` half over one shift, and
 :func:`corner_update` and :func:`bridge_entry` run the same elementwise
 arithmetic the window runs on arrays.
 
@@ -39,7 +40,6 @@ Estimator failures (vanished pivots, non-finite products) degrade to
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -293,28 +293,22 @@ class LagWindow:
 
 
 class DelayedDifferenceWindow:
-    """The ``nu`` half alone, for methods without a corner-entry recursion.
+    """The ``nu`` half alone over one iterate sequence: a :class:`LagWindow`
+    of one shift without ``mu``.
 
-    Feeds on any scalar iterate sequence and reports
-    ``nu_{k,d} = |x_k - x_{k+d}|`` with the scale ``|x_k|`` once the lag
-    window fills.
+    Reports ``nu_{k,d} = |x_k - x_{k+d}|`` with the scale ``|x_k|`` once the
+    lag window fills.
     """
 
     def __init__(self, lag: int):
-        if lag < 1:
-            raise ValueError("lag must be a positive integer")
-        self.lag = lag
-        self.window: deque = deque(maxlen=lag + 1)
-        self._k = 0
+        self._ring = LagWindow(np.zeros(1), lag)
 
     def push(self, value: complex) -> Optional[tuple[int, float, float]]:
         """Return ``(k, nu_{k,d}, |x_k|)`` once iteration ``k + d`` arrives."""
-        self._k += 1
-        self.window.append((self._k, value))
-        if len(self.window) < self.lag + 1:
+        report = self._ring.push(np.array([value], dtype=np.complex128))
+        if report is None:
             return None
-        k0, v0 = self.window[0]
-        return k0, abs(v0 - value), abs(v0)
+        return report.k, float(report.nu[0]), float(report.scale[0])
 
 
 @dataclass

@@ -1,12 +1,14 @@
-"""Per-shift bookkeeping shared by the shifted Lanczos and MINRES drivers.
+"""Per-shift bookkeeping shared by the shifted Lanczos, MINRES, COCG and
+COCR drivers.
 
-Both drivers advance every unfrozen shift by the same iteration at the same
+Each driver advances every unfrozen shift by the same iteration at the same
 time, so their per-shift state is a set of numpy arrays over the *active*
 shifts and each iteration is a handful of array operations.  A
 :class:`ShiftBatch` holds what the drivers share around their kernels:
 
-* freezing shifts with a status (breakdown, overflow, convergence,
-  ``MAX_ITER``, invariant subspace) and their last accepted value,
+* freezing shifts with a status (breakdown, overflow, a vanished ``pi``,
+  convergence, ``MAX_ITER``, invariant subspace) and their last accepted
+  value,
 * the two stopping rules: true relative error against a reference, or the
   delayed difference ``nu`` of a :class:`~resolvquad.error_estimate.LagWindow`,
 * the per-iteration history rows.

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resolvquad import cg_variants
 from resolvquad.cg_variants import (
+    TOL_PI,
     SeededShiftedRunConfig,
     cocg_run,
+    cocg_scalar_update,
     cocr_run,
+    cocr_scalar_update,
+    collinear_pi_update,
     pick_seed_shift,
 )
 from resolvquad.core import SolveStatus, SparseHermitianMatrix
@@ -101,6 +108,21 @@ def test_cocg_pi_zero_freezes_shift():
     assert res.shifts[1].value == pytest.approx(0.75, abs=1e-12)
 
 
+def test_cocg_update_overflow_freezes_only_that_shift():
+    # the pi_zero problem scaled by 1e150, with the shift 1e-20 off z = 1.5:
+    # pi_1 = -(2/3) 1e-20 i passes TOL_PI, but pi_0/pi_1 * alpha_0 * p_0
+    # overflows at the first iteration
+    a, v = diag12()
+    config = SeededShiftedRunConfig(shifts=[1.5 + 1e-20j, 3.0 + 0j],
+                                    seed_shift=0.0 + 0j, keep_history=True)
+    res = cocg_run(a, 1e150 * v, config)
+    blown, fine = res.shifts
+    assert blown.status is SolveStatus.OVERFLOW
+    assert blown.iterations == 1 and blown.value is None
+    assert blown.history == [] and res.pi_history[0] == []
+    assert fine.value == pytest.approx(0.75e300, rel=1e-12)
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_agreement_with_shifted_lanczos(runner, rng):
     dense = random_hermitian_dense(rng, 60, real=True)
@@ -123,25 +145,49 @@ def test_pi_replay_is_bitwise(runner, rng):
     dense = random_hermitian_dense(rng, 25, real=True)
     a = SparseHermitianMatrix.from_dense(dense)
     v = random_vector(rng, 25, real=True)
-    shifts = [0.3 + 0.7j]
+    # the seed shift (sigma = 0, every pi is 1) and three off-seed shifts
+    shifts = [0.3 + 0.7j, -0.5 + 0.2j, 1.1 + 0.05j]
     config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-10, max_iter=200,
                                     keep_history=True)
     res = runner(a, v, config)
-    z = complex(shifts[0])
-    sigma = z - res.seed_shift
-    pi_m2, pi_m1 = 1.0 + 0j, 1.0 + 0j
-    alpha_prev, beta_prev = 1.0 + 0j, 0j
-    replay = []
-    for j, alpha_seed in enumerate(res.seed_alpha):
-        shared = (beta_prev / alpha_prev) * alpha_seed
-        pi_new = (1.0 + alpha_seed * sigma + shared) * pi_m1 - shared * pi_m2
-        replay.append(pi_new)
-        pi_m2, pi_m1 = pi_m1, pi_new
-        alpha_prev = alpha_seed
-        if j < len(res.seed_beta):
-            beta_prev = res.seed_beta[j]
-    stored = res.pi_history[0]
-    assert replay[:len(stored)] == stored
+    assert res.seed_shift == shifts[0]
+    for z, stored in zip(shifts, res.pi_history):
+        sigma = complex(z) - res.seed_shift
+        pi_m2, pi_m1 = 1.0 + 0j, 1.0 + 0j
+        alpha_prev, beta_prev = 1.0 + 0j, 0j
+        replay = []
+        for j, alpha_seed in enumerate(res.seed_alpha):
+            shared = (beta_prev / alpha_prev) * alpha_seed
+            pi_new = ((1.0 + alpha_seed * sigma + shared) * pi_m1
+                      - shared * pi_m2)
+            replay.append(pi_new)
+            pi_m2, pi_m1 = pi_m1, pi_new
+            alpha_prev = alpha_seed
+            if j < len(res.seed_beta):
+                beta_prev = res.seed_beta[j]
+        assert len(stored) > 1
+        assert replay[:len(stored)] == stored
+
+
+def test_pi_update_on_arrays_rounds_as_python(rng):
+    """On arrays the pi recursion is Python's complex arithmetic bitwise,
+    also where a part of a product overflows."""
+    def draw():
+        exp = rng.uniform(-5.0, 160.0, (2, 2000))
+        return rng.standard_normal(2000) * 10.0 ** exp[0] \
+            + 1j * rng.standard_normal(2000) * 10.0 ** exp[1]
+
+    pi_m1, pi_m2, sigma = draw(), draw(), draw()
+    alpha_seed, shared = complex(draw()[0]), complex(draw()[0])
+    with np.errstate(all="ignore"):
+        got = collinear_pi_update(pi_m1, pi_m2, alpha_seed, shared, sigma)
+    want = np.array([
+        collinear_pi_update(complex(p1), complex(p2), alpha_seed, shared,
+                            complex(sg))
+        for p1, p2, sg in zip(pi_m1, pi_m2, sigma)])
+    assert not np.isfinite(want).all()
+    assert np.array_equal(got.real, want.real, equal_nan=True)
+    assert np.array_equal(got.imag, want.imag, equal_nan=True)
 
 
 def test_default_seed_picks_largest_imaginary():
@@ -193,3 +239,106 @@ def test_near_overflow_matrix_against_dense_oracle():
     for out in cocr.shifts:
         assert out.status is SolveStatus.OVERFLOW
         assert out.value is None and out.iterations == 1
+
+
+def scalar_replay(res, z):
+    """One shift of a COCG/COCR run on Python scalars, from the run's own
+    seed scalars: ``(status, iterations, value)``, with status ``None`` for
+    a shift still active when the seed stream ends."""
+    cocg = res.method == "cocg"
+    sigma = z - res.seed_shift
+    pi_m2 = pi_m1 = 1.0 + 0j
+    p = res.r_scalars[0] if cocg else 0j
+    value, accepted = 0j, None
+    alpha_prev, beta_prev = 1.0 + 0j, 0j
+    for k, alpha_seed in enumerate(res.seed_alpha, start=1):
+        shared = (beta_prev / alpha_prev) * alpha_seed
+        pi_new = collinear_pi_update(pi_m1, pi_m2, alpha_seed, shared, sigma)
+        if abs(pi_new) <= TOL_PI:
+            return SolveStatus.PI_ZERO, k, accepted
+        if cocg:
+            value, p = cocg_scalar_update(
+                pi_m1, pi_new, p, value, alpha_seed, res.seed_beta[k - 1],
+                res.r_scalars[k])
+        else:
+            value, p = cocr_scalar_update(
+                pi_m2, pi_m1, pi_new, p, value, alpha_seed, beta_prev,
+                res.r_scalars[k - 1])
+        if not (np.isfinite(value) and np.isfinite(p)):
+            return SolveStatus.OVERFLOW, k, accepted
+        pi_m2, pi_m1, accepted = pi_m1, pi_new, value
+        alpha_prev = alpha_seed
+        if k <= len(res.seed_beta):
+            beta_prev = res.seed_beta[k - 1]
+    return None, len(res.seed_alpha), accepted
+
+
+def assert_matches_scalar_replay(res, shifts, max_iter):
+    assert res.iterations == max_iter
+    for out, z in zip(res.shifts, shifts):
+        status, k, value = scalar_replay(res, complex(z))
+        assert out.status is (status or SolveStatus.MAX_ITER)
+        assert out.iterations == k
+        if value is None:
+            assert out.value is None
+        else:
+            assert abs(out.value - value) <= 1e-12 * abs(value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+       real_v=st.booleans(), m=st.integers(1, 8), data=st.data())
+def test_batch_agrees_with_scalar_replay(seed, n, real_v, m, data):
+    """The shift batch against the scalar kernels run shift by shift."""
+    rng = np.random.default_rng(seed)
+    a = SparseHermitianMatrix.from_dense(
+        random_hermitian_dense(rng, n, real=True))
+    v = random_vector(rng, n, real=real_v)
+    shifts = [complex(3 * rng.standard_normal(),
+                      (0.05 + 2 * rng.random()) * rng.choice([-1, 1]))
+              for _ in range(m)]
+    max_iter = data.draw(st.integers(1, n - 1))
+    config = SeededShiftedRunConfig(shifts=shifts, rtol=None,
+                                    max_iter=max_iter)
+    for runner in RUNNERS:
+        assert_matches_scalar_replay(runner(a, v, config), shifts, max_iter)
+
+
+def test_batch_pi_zero_agrees_with_scalar_replay():
+    a, v = diag12()
+    shifts = [1.5 + 0j, 3.0 + 0j]
+    config = SeededShiftedRunConfig(shifts=shifts, seed_shift=0.0 + 0j,
+                                    rtol=None, max_iter=2)
+    res = cocg_run(a, v, config)
+    assert res.shifts[0].status is SolveStatus.PI_ZERO
+    assert_matches_scalar_replay(res, shifts, 2)
+
+
+KERNELS = ("collinear_pi_update", "cocg_scalar_update", "cocr_scalar_update")
+
+
+@pytest.mark.parametrize("runner, update", [
+    (cocg_run, "cocg_scalar_update"), (cocr_run, "cocr_scalar_update")])
+def test_driver_runs_the_audited_kernels(monkeypatch, rng, runner, update):
+    """Criterion 8 counts the operations of the three kernels on scalars;
+    each driver calls its two once per iteration over the active shifts."""
+    calls = {name: [] for name in KERNELS}
+    for name in KERNELS:
+        def counting(*args, _name=name, _kernel=getattr(cg_variants, name)):
+            calls[_name].append(np.size(args[0]))
+            return _kernel(*args)
+
+        monkeypatch.setattr(cg_variants, name, counting)
+    a = SparseHermitianMatrix.from_dense(
+        random_hermitian_dense(rng, 40, real=True))
+    v = random_vector(rng, 40)
+    # far from the spectrum converges in a few iterations, near it in many
+    shifts = [0.2 + 3.0j, -1.0 + 1.0j, 0.5 + 0.2j, 1.0 + 0.05j]
+    res = runner(a, v, SeededShiftedRunConfig(shifts=shifts, rtol=1e-10))
+    active = [sum(out.iterations >= k for out in res.shifts)
+              for k in range(1, res.iterations + 1)]
+    assert active[0] == len(shifts) and active[-1] < len(shifts)
+    assert calls["collinear_pi_update"] == active
+    assert calls[update] == active
+    other, = set(KERNELS) - {"collinear_pi_update", update}
+    assert calls[other] == []

@@ -3,8 +3,10 @@ import pytest
 
 from resolvquad.core import SparseHermitianMatrix
 from resolvquad.error_estimate import (
+    DelayedDifferenceWindow,
     EstimatorState,
     EstimatorUnavailable,
+    LagWindow,
     bridge_entry,
     corner_update,
 )
@@ -162,6 +164,25 @@ def test_happy_breakdown_flush_mu_zero_nu_exact():
     assert hist[-1].mu == 0.0  # vanished off-diagonal makes mu exact zero
     assert hist[-1].nu == 0.0  # value stationary after exhaustion
     assert hist[0].nu == abs(hist[0].value - hist[-1].value)
+
+
+def test_delayed_difference_window_is_a_lag_window_of_one_shift(rng):
+    values = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    lag = 4
+    batch = LagWindow(np.zeros(3), lag)
+    windows = [DelayedDifferenceWindow(lag) for _ in range(3)]
+    reports = 0
+    for column in values.T:
+        report = batch.push(column)
+        got = [w.push(complex(x)) for w, x in zip(windows, column)]
+        if report is None:
+            assert got == [None] * 3
+            continue
+        reports += 1
+        for i, (k, nu, scale) in enumerate(got):
+            assert (k, nu, scale) == (report.k, report.nu[i], report.scale[i])
+            assert nu == abs(values[i, k - 1] - values[i, k - 1 + lag])
+    assert reports == values.shape[1] - lag
 
 
 def test_estimator_rejects_bad_lag():
