@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 
-from resolvquad import SeededShiftedRunConfig, SparseHermitianMatrix, \
-    cocg_run, cocr_run, generate_unit_circle_shifts, minres_run, \
-    run_quadratic_forms
+from resolvquad import SparseHermitianMatrix, cocg_run, cocr_run, \
+    generate_unit_circle_shifts, minres_run, run_quadratic_forms
 from resolvquad.oracle import dense_resolvent_quadform
 
 rng = np.random.default_rng(7)
@@ -26,22 +25,16 @@ v = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
 shifts = generate_unit_circle_shifts(16)
 refs = [dense_resolvent_quadform(dense, v, z) for z in shifts]
 
-config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-10, max_iter=3 * n,
-                                reference=refs)
-runs = {
-    "lanczos": lambda: run_quadratic_forms(matrix, v, shifts, rtol=1e-10,
-                                           max_iter=3 * n, reference=refs),
-    "cocg": lambda: cocg_run(matrix, v, config),
-    "cocr": lambda: cocr_run(matrix, v, config),
-    "minres": lambda: minres_run(matrix, v, shifts, rtol=1e-10,
-                                 max_iter=3 * n, reference=refs),
-}
+# every driver takes the same arguments
+runs = {"lanczos": run_quadratic_forms, "cocg": cocg_run, "cocr": cocr_run,
+        "minres": minres_run}
 
 print(f"n={n} real symmetric, m={len(shifts)} shifts, rtol=1e-10 (true error)")
 print(f"{'method':<10} {'iterations':>10} {'time [ms]':>10} {'max rel err':>12}")
 for name, runner in runs.items():
     t0 = time.perf_counter()
-    result = runner()
+    result = runner(matrix, v, shifts, rtol=1e-10, max_iter=3 * n,
+                    reference=refs)
     ms = 1e3 * (time.perf_counter() - t0)
     worst = max(abs(o.value - r) / abs(r)
                 for o, r in zip(result.shifts, refs))

@@ -14,7 +14,6 @@ from .core import (
     SparseHermitianMatrix,
     dot,
     dot_unconjugated,
-    hermitian_check,
     norm,
 )
 from .lanczos import LanczosState, lanczos_init, lanczos_step
@@ -26,7 +25,7 @@ from .shifted_lanczos import (
     shift_state_update,
 )
 from .error_estimate import EstimatorState, bridge_entry, corner_update
-from .cg_variants import SeededShiftedRunConfig, cocg_run, cocr_run
+from .cg_variants import cocg_run, cocr_run
 from .shifted_minres import givens, minres_run
 from .mmio import parse_matrix_market, read_matrix_market, write_matrix_market
 from .harness import (
@@ -42,7 +41,6 @@ __all__ = [
     "SparseHermitianMatrix",
     "dot",
     "dot_unconjugated",
-    "hermitian_check",
     "norm",
     "LanczosState",
     "lanczos_init",
@@ -55,7 +53,6 @@ __all__ = [
     "EstimatorState",
     "bridge_entry",
     "corner_update",
-    "SeededShiftedRunConfig",
     "cocg_run",
     "cocr_run",
     "givens",

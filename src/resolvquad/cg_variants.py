@@ -7,6 +7,11 @@ other shift through scalar collinearity factors ``pi_k``.  Only the
 projections ``v^H r_k`` and per-shift scalars are kept, so the output is
 the quadratic-form sequence, never a solution vector.
 
+The drivers are called like the Lanczos and MINRES drivers,
+``(a, v, shifts, *, rtol, lag, max_iter, reference, keep_history)``, with
+one more keyword, ``seed_shift`` (default: the first shift farthest from
+the real axis).  A shift may repeat; each copy gets the same result.
+
 Restrictions: ``A`` must be real symmetric (the complex-symmetric structure
 of the seed matrix is what the transpose products rely on); the starting
 vector may be complex.  A vanishing seed denominator ends the run with
@@ -52,52 +57,16 @@ from .shift_batch import ShiftBatch
 
 __all__ = [
     "TOL_PI",
-    "SeededShiftedRunConfig",
     "CollinearResult",
     "cocg_run",
     "cocr_run",
-    "pick_seed_shift",
     "collinear_pi_update",
     "cocg_scalar_update",
     "cocr_scalar_update",
 ]
 
-# pi is only a division guard, mirroring the shifted-Lanczos tol_delta.
+# pi is only a division guard, mirroring the shifted-Lanczos TOL_DELTA.
 TOL_PI = 1e-290
-
-
-def pick_seed_shift(shifts: Sequence[complex]) -> complex:
-    """Default seed: the shift farthest from the real axis."""
-    return max(shifts, key=lambda z: abs(complex(z).imag))
-
-
-@dataclass
-class SeededShiftedRunConfig:
-    """Run parameters shared by COCG and COCR."""
-
-    shifts: Sequence[complex]
-    seed_shift: Optional[complex] = None  # None -> largest |Im z|
-    rtol: Optional[float] = 1e-10
-    max_iter: Optional[int] = None
-    lag: int = DEFAULT_LAG
-    reference: Optional[Sequence[complex]] = None
-    keep_history: bool = False
-
-    def validate(self) -> None:
-        shifts = [complex(z) for z in self.shifts]
-        if not shifts:
-            raise ValueError("at least one shift is required")
-        if len(set(shifts)) != len(shifts):
-            raise ValueError("shifts must be distinct")
-        if self.reference is not None and len(self.reference) != len(shifts):
-            raise ValueError("reference values must match the shift list")
-        if self.lag < 1:
-            raise ValueError("lag must be a positive integer")
-
-    def resolved_seed(self) -> complex:
-        if self.seed_shift is not None:
-            return complex(self.seed_shift)
-        return complex(pick_seed_shift(self.shifts))
 
 
 @dataclass
@@ -178,25 +147,28 @@ def cocr_scalar_update(pi_m2, pi_m1, pi_new, p_scalar, value, alpha_seed,
 # drivers
 # ---------------------------------------------------------------------------
 
-def _start(a: SparseHermitianMatrix, config: SeededShiftedRunConfig):
+def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
+           seed_shift: Optional[complex], max_iter: Optional[int],
+           **batch_args):
     """Check the run; its seed shift, shift batch, iteration limit and
     per-shift ``pi`` logs (``None`` without history).
 
-    The batch state holds ``sigma = z - z_s``, the ``pi`` pair (``pi_{-1} =
+    The default seed is the first shift farthest from the real axis.  The
+    batch state holds ``sigma = z - z_s``, the ``pi`` pair (``pi_{-1} =
     pi_0 = 1``), the projected direction ``p`` and the value (both zero).
     """
     _require_real_symmetric(a)
-    config.validate()
-    z_s = config.resolved_seed()
-    batch = ShiftBatch(config.shifts, rtol=config.rtol, lag=config.lag,
-                       reference=config.reference,
-                       keep_history=config.keep_history)
+    batch = ShiftBatch(shifts, **batch_args)
     s = batch.state
+    if seed_shift is None:
+        seed_shift = s.z[np.argmax(np.abs(s.z.imag))]
+    z_s = complex(seed_shift)
     s.sigma = s.z - z_s
     s.pi_m1 = s.pi_m2 = np.ones(s.z.shape, dtype=np.complex128)
     s.p = s.value = np.zeros(s.z.shape, dtype=np.complex128)
-    max_iter = config.max_iter if config.max_iter is not None else 2 * a.n
-    pi_log = [[] if config.keep_history else None for _ in s.z]
+    if max_iter is None:
+        max_iter = 2 * a.n
+    pi_log = [[] if batch.history is not None else None for _ in s.z]
     return z_s, batch, max_iter, pi_log
 
 
@@ -219,15 +191,24 @@ def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new,
 
 
 def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
-             config: SeededShiftedRunConfig) -> CollinearResult:
+             shifts: Sequence[complex], *,
+             rtol: Optional[float] = 1e-10,
+             lag: int = DEFAULT_LAG,
+             max_iter: Optional[int] = None,
+             reference: Optional[Sequence[complex]] = None,
+             keep_history: bool = False,
+             seed_shift: Optional[complex] = None) -> CollinearResult:
     """Shifted COCG adapted to quadratic forms.
 
+    Stopping mirrors :func:`~resolvquad.shifted_lanczos.run_quadratic_forms`.
     Seed recurrences use the unconjugated products ``r^T r`` and
     ``p^T (z_s I - A) p``; the per-shift projection scalars are the
     conjugating ``v^H``-products throughout (verified against the dense
     reference for complex ``v``).
     """
-    z_s, batch, max_iter, pi_log = _start(a, config)
+    z_s, batch, max_iter, pi_log = _start(
+        a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
+        reference=reference, keep_history=keep_history)
     v = as_complex_vector(v)
     s = batch.state
 
@@ -286,15 +267,24 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
 
 
 def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
-             config: SeededShiftedRunConfig) -> CollinearResult:
+             shifts: Sequence[complex], *,
+             rtol: Optional[float] = 1e-10,
+             lag: int = DEFAULT_LAG,
+             max_iter: Optional[int] = None,
+             reference: Optional[Sequence[complex]] = None,
+             keep_history: bool = False,
+             seed_shift: Optional[complex] = None) -> CollinearResult:
     """Shifted COCR adapted to quadratic forms.
 
+    Stopping mirrors :func:`~resolvquad.shifted_lanczos.run_quadratic_forms`.
     Residual-based seed recurrences: denominators are ``q^T q`` and the
     bilinear forms ``r^T (z_s I - A) r``; the shifted matrix is applied to
     the residual once per iteration and reused for the next search
     direction.
     """
-    z_s, batch, max_iter, pi_log = _start(a, config)
+    z_s, batch, max_iter, pi_log = _start(
+        a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
+        reference=reference, keep_history=keep_history)
     v = as_complex_vector(v)
     s = batch.state  # p_{-1}^{(i)} = 0; p_{k-1}^{(i)} is rebuilt each step
 

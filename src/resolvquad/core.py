@@ -31,11 +31,10 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "DEFAULT_HERMITIAN_TOL",
+    "HERMITIAN_TOL",
     "SolveStatus",
     "NonFiniteError",
     "SparseHermitianMatrix",
-    "hermitian_check",
     "dot",
     "dot_unconjugated",
     "norm",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 # Relative asymmetry tolerance: unit round-off headroom.
-DEFAULT_HERMITIAN_TOL = 1e-12
+HERMITIAN_TOL = 1e-12
 
 
 class NonFiniteError(ArithmeticError):
@@ -63,10 +62,6 @@ class SolveStatus(enum.Enum):
     # statuses specific to the seeded collinear methods
     PI_ZERO = "pi_zero"
     SEED_BREAKDOWN = "seed_breakdown"
-
-    @property
-    def frozen(self) -> bool:
-        return self is not SolveStatus.ACTIVE
 
     @property
     def failed(self) -> bool:
@@ -118,7 +113,7 @@ class SparseHermitianMatrix:
 
     The container is immutable after construction and safe to share across
     threads.  ``hermitian_verified`` records whether the entries passed the
-    conjugate-symmetry check at ``tol_herm`` relative to the largest entry
+    conjugate-symmetry check at ``HERMITIAN_TOL`` relative to the largest entry
     magnitude; ``is_real`` records whether every stored imaginary part is
     zero, in which case ``values`` and the CSR are ``float64`` (otherwise
     ``complex128``).  Solvers that require a Hermitian (or real symmetric)
@@ -138,14 +133,13 @@ class SparseHermitianMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_csr_arrays(cls, n, row_ptr, col_idx, values,
-                        tol_herm: float = DEFAULT_HERMITIAN_TOL) -> "SparseHermitianMatrix":
+    def from_csr_arrays(cls, n, row_ptr, col_idx, values) -> "SparseHermitianMatrix":
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         values = _real_or_complex(values)
         _validate_csr(n, row_ptr, col_idx, values)
         csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
-        verified, asym = hermitian_check_csr(csr, tol_herm)
+        verified, asym = hermitian_check_csr(csr)
         return cls(n=n, row_ptr=row_ptr, col_idx=col_idx, values=values,
                    is_real=bool(values.dtype == np.float64),
                    hermitian_verified=verified,
@@ -153,8 +147,7 @@ class SparseHermitianMatrix:
                    _fro_norm=_frobenius_norm(values))
 
     @classmethod
-    def from_coo(cls, n, rows, cols, values,
-                 tol_herm: float = DEFAULT_HERMITIAN_TOL) -> "SparseHermitianMatrix":
+    def from_coo(cls, n, rows, cols, values) -> "SparseHermitianMatrix":
         """Build from 0-based triplets; duplicate ``(i, j)`` entries are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -166,18 +159,17 @@ class SparseHermitianMatrix:
         csr = coo.tocsr()
         csr.sum_duplicates()
         csr.sort_indices()
-        return cls.from_csr_arrays(n, csr.indptr, csr.indices, csr.data,
-                                   tol_herm=tol_herm)
+        return cls.from_csr_arrays(n, csr.indptr, csr.indices, csr.data)
 
     @classmethod
-    def from_dense(cls, a, tol_herm: float = DEFAULT_HERMITIAN_TOL) -> "SparseHermitianMatrix":
+    def from_dense(cls, a) -> "SparseHermitianMatrix":
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         csr = sp.csr_matrix(a)
         csr.sort_indices()
         return cls.from_csr_arrays(a.shape[0], csr.indptr, csr.indices,
-                                   csr.data, tol_herm=tol_herm)
+                                   csr.data)
 
     @classmethod
     def diagonal(cls, d) -> "SparseHermitianMatrix":
@@ -271,20 +263,14 @@ def _validate_csr(n, row_ptr, col_idx, values) -> None:
         raise ValueError("matrix entries must be finite")
 
 
-def hermitian_check_csr(csr: sp.csr_matrix, tol_herm: float = DEFAULT_HERMITIAN_TOL):
+def hermitian_check_csr(csr: sp.csr_matrix):
     """Return ``(verified, max_asymmetry)`` for a scipy CSR matrix."""
     if csr.nnz == 0:
         return True, 0.0
     diff = (csr - csr.getH()).tocsr()
     asym = float(np.abs(diff.data).max()) if diff.nnz else 0.0
     scale_ = float(np.abs(csr.data).max())
-    return bool(asym <= tol_herm * scale_), asym
-
-
-def hermitian_check(a: "SparseHermitianMatrix",
-                    tol_herm: float = DEFAULT_HERMITIAN_TOL):
-    """Pure predicate: ``(verified, max_asymmetry)`` at the given tolerance."""
-    return hermitian_check_csr(a._csr, tol_herm)
+    return bool(asym <= HERMITIAN_TOL * scale_), asym
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +316,6 @@ class MethodResult:
     method: str
     shifts: list
     iterations: int  # Lanczos-stream iterations actually performed
-
-    @property
-    def all_frozen(self) -> bool:
-        return all(s.status.frozen for s in self.shifts)
 
     @property
     def converged(self) -> bool:

@@ -28,11 +28,13 @@ all the estimates use.
 shifts that advance in lockstep, as rings of shape ``(m, d + 1)`` indexed by
 the global iteration.  ``nu`` is always reported, because the stopping rule
 reads it; ``mu`` and the corner/bridge entries are computed, vectorised over
-the ring, only when the window is given the ``mu`` scale ``||v||^2``.  The
-scalar :class:`EstimatorState` is that window over a batch of one shift,
-:class:`DelayedDifferenceWindow` its ``nu`` half over one shift, and
-:func:`corner_update` and :func:`bridge_entry` run the same elementwise
-arithmetic the window runs on arrays.
+the ring, only when the window is given the ``mu`` scale ``||v||^2``.  After
+an invariant subspace :meth:`LagWindow.flush_exact` reports the iterations
+still pending against the exact final value.  The scalar
+:class:`EstimatorState` is that window over a batch of one shift,
+:class:`DelayedDifferenceWindow` its ``nu`` half over one shift (no driver
+uses it), and :func:`corner_update` and :func:`bridge_entry` run the same
+elementwise arithmetic the window runs on arrays.
 
 Estimator failures (vanished pivots, non-finite products) degrade to
 "estimate not available" and never touch the solver itself.
@@ -268,8 +270,7 @@ class LagWindow:
         report.g_abs = g_abs
         report.h_abs = np.where(ok, h_abs, np.nan)
 
-    def flush_exact(self, value_final: np.ndarray,
-                    final_beta_zero: bool) -> list[LagReport]:
+    def flush_exact(self, value_final: np.ndarray) -> list[LagReport]:
         """Close out pending iterations after an invariant subspace.
 
         The iteration stopped at ``k_last`` with an exact value, so
@@ -284,8 +285,8 @@ class LagWindow:
             report = LagReport(k=k, nu=cabs(values - value_final),
                                scale=cabs(values))
             if self.mu_scale is not None:
-                zero = final_beta_zero and k == self.k
-                report.mu = np.full(values.shape, 0.0 if zero else np.nan)
+                report.mu = np.full(values.shape,
+                                    0.0 if k == self.k else np.nan)
                 report.g_abs = cabs(self.g[:, self.slot(k)])
                 report.h_abs = np.full(values.shape, np.nan)
             reports.append(report)
@@ -358,11 +359,3 @@ class EstimatorState:
                                  alpha, beta_prev,
                                  np.array([delta], dtype=np.complex128))
         return None if report is None else report.shift(0)
-
-    def flush_exact(self, value_final: complex,
-                    final_beta_zero: bool) -> list[EstimateReport]:
-        """Close out pending iterations after an invariant subspace
-        (see :meth:`LagWindow.flush_exact`)."""
-        reports = self._ring.flush_exact(
-            np.array([value_final], dtype=np.complex128), final_beta_zero)
-        return [r.shift(0) for r in reports]

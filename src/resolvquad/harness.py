@@ -29,7 +29,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cg_variants import SeededShiftedRunConfig, cocg_run, cocr_run
+from .cg_variants import cocg_run, cocr_run
 from .core import MethodResult, SparseHermitianMatrix
 from .error_estimate import DEFAULT_LAG
 from .mmio import read_matrix_market
@@ -149,6 +149,14 @@ class ExperimentReport:
 # config resolution
 # ---------------------------------------------------------------------------
 
+def _number(cast, text: str, what: str):
+    """``cast(text)``, or a :class:`ConfigError` naming ``what``."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {what}: {text!r}") from exc
+
+
 def _resolve_vector(spec: str, n: int) -> np.ndarray:
     if spec == "uniform":
         return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
@@ -156,7 +164,7 @@ def _resolve_vector(spec: str, n: int) -> np.ndarray:
         path = spec[len("file:"):]
         try:
             data = np.loadtxt(path)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read vector file {path!r}: {exc}") from exc
         if not np.all(np.isfinite(data)):
             raise ConfigError(f"vector file {path!r} has a non-finite entry")
@@ -172,7 +180,7 @@ def _resolve_vector(spec: str, n: int) -> np.ndarray:
             raise ConfigError(f"vector file {path!r} is the zero vector")
         return vec
     if spec.startswith("random:"):
-        seed = int(spec[len("random:"):])
+        seed = _number(int, spec[len("random:"):], "the vector seed")
         rng = np.random.default_rng(seed)
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
@@ -201,12 +209,13 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
         return shifts, meta
     if spec.startswith("unit-circle:"):
         kv = _parse_kv(spec[len("unit-circle:"):])
-        return generate_unit_circle_shifts(int(kv.get("m", "16"))), meta
+        m = _number(int, kv.get("m", "16"), "the shift count m")
+        return generate_unit_circle_shifts(m), meta
     if spec.startswith("list:"):
         path = spec[len("list:"):]
         try:
             data = np.loadtxt(path, ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read shift file {path!r}: {exc}") from exc
         if data.shape[1] == 1:
             shifts = [complex(x, 0.0) for x in data[:, 0]]
@@ -221,7 +230,7 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
         kv = _parse_kv(spec[len("spectrum-offset:"):])
         if "zeta" not in kv:
             raise ConfigError("spectrum-offset requires zeta=...")
-        zeta = float(kv["zeta"])
+        zeta = _number(float, kv["zeta"], "zeta")
         extremal = kv.get("extremal", "smallest")
         if extremal not in ("smallest", "largest"):
             raise ConfigError("extremal must be smallest or largest")
@@ -331,21 +340,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _dispatch(method, a, v, shifts, reference, config: ExperimentConfig):
-    common = dict(rtol=config.rtol, lag=config.lag, max_iter=config.max_iter,
-                  reference=reference, keep_history=config.history)
-    if method == "lanczos":
-        return run_quadratic_forms(a, v, shifts, **common)
-    if method == "minres":
-        return minres_run(a, v, shifts, **common)
-    seed = None
-    if config.seed_shift is not None:
-        seed = shifts[config.seed_shift - 1]
-    cg_config = SeededShiftedRunConfig(
-        shifts=shifts, seed_shift=seed, rtol=config.rtol,
-        max_iter=config.max_iter, lag=config.lag, reference=reference,
-        keep_history=config.history)
-    return cocg_run(a, v, cg_config) if method == "cocg" \
-        else cocr_run(a, v, cg_config)
+    # looked up per call, so a wrapper installed on a driver name is called
+    driver = {"lanczos": run_quadratic_forms, "minres": minres_run,
+              "cocg": cocg_run, "cocr": cocr_run}[method]
+    seeded = {}
+    if method in ("cocg", "cocr") and config.seed_shift is not None:
+        seeded["seed_shift"] = shifts[config.seed_shift - 1]
+    return driver(a, v, shifts, rtol=config.rtol, lag=config.lag,
+                  max_iter=config.max_iter, reference=reference,
+                  keep_history=config.history, **seeded)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -483,8 +486,7 @@ def render_summary_table(report: ExperimentReport) -> str:
 # CLI
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"matrix", "vector", "shifts", "methods", "rtol", "max_iter",
-                "lag", "reference", "seed_shift", "history", "out"}
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def load_config_file(path) -> dict:
@@ -523,10 +525,7 @@ def _build_config(args) -> ExperimentConfig:
     for key, cast in (("rtol", float), ("max_iter", int), ("lag", int),
                       ("seed_shift", int)):
         if key in values and isinstance(values[key], str):
-            try:
-                values[key] = cast(values[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {values[key]!r}") from exc
+            values[key] = _number(cast, values[key], key)
     if "history" in values and isinstance(values["history"], str):
         values["history"] = values["history"].lower() in ("1", "true", "yes")
     return ExperimentConfig(**values)

@@ -83,7 +83,6 @@ class LanczosState:
     scratch: np.ndarray = field(repr=False)
     coeffs: LanczosCoefficients
     vnorm2: float
-    tol_happy: float
     exhausted: bool = False
 
 
@@ -96,12 +95,11 @@ def stream_vector(a: SparseHermitianMatrix, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v, dtype=np.complex128)
 
 
-def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray,
-                 tol_happy: Optional[float] = None) -> LanczosState:
+def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
     """Normalize ``v``, apply the matrix once, and record ``alpha_1``."""
     if not a.hermitian_verified:
         raise ValueError("matrix failed the Hermitian check; "
-                         "run hermitian_check / inspect max_asymmetry")
+                         "inspect max_asymmetry")
     v = stream_vector(a, v)
     with np.errstate(all="ignore"):
         vn = norm(v)
@@ -114,12 +112,10 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray,
         alpha1 = float(np.vdot(u, v1).real)
     if not math.isfinite(alpha1):
         raise NonFiniteError("alpha_1 is not finite")
-    if tol_happy is None:
-        tol_happy = HAPPY_BREAKDOWN_RTOL * a.frobenius_norm
     coeffs = LanczosCoefficients(alpha=[alpha1], beta=[])
     return LanczosState(a=a, k=1, v_prev=np.zeros_like(v1), v_curr=v1, u=u,
                         scratch=np.empty_like(v1), coeffs=coeffs,
-                        vnorm2=vn * vn, tol_happy=tol_happy)
+                        vnorm2=vn * vn)
 
 
 def lanczos_step(state: LanczosState) -> StepOutcome:
@@ -143,7 +139,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
         beta_k = norm(u)
         if not math.isfinite(beta_k):
             raise NonFiniteError(f"beta_{k} is not finite")
-        if beta_k <= state.tol_happy:
+        if beta_k <= HAPPY_BREAKDOWN_RTOL * state.a.frobenius_norm:
             state.exhausted = True
             return StepOutcome(invariant_subspace=True, k=k)
         v_next = np.divide(u, beta_k, out=state.v_prev)

@@ -31,7 +31,7 @@ from typing import TextIO, Union
 
 import scipy.io
 
-from .core import DEFAULT_HERMITIAN_TOL, SparseHermitianMatrix
+from .core import SparseHermitianMatrix
 
 __all__ = [
     "MatrixMarketError",
@@ -76,7 +76,7 @@ _SCIPY_ERRORS = (
 )
 
 
-def _mmread(source, tol_herm: float) -> SparseHermitianMatrix:
+def _mmread(source) -> SparseHermitianMatrix:
     """Read entries with ``scipy.io.mmread`` once the header has passed."""
     try:
         coo = scipy.io.mmread(source)
@@ -90,26 +90,23 @@ def _mmread(source, tol_herm: float) -> SparseHermitianMatrix:
     nrows, ncols = coo.shape
     if nrows != ncols:
         raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
-    return SparseHermitianMatrix.from_coo(nrows, coo.row, coo.col, coo.data,
-                                          tol_herm=tol_herm)
+    return SparseHermitianMatrix.from_coo(nrows, coo.row, coo.col, coo.data)
 
 
-def parse_matrix_market(stream: TextIO,
-                        tol_herm: float = DEFAULT_HERMITIAN_TOL) -> SparseHermitianMatrix:
+def parse_matrix_market(stream: TextIO) -> SparseHermitianMatrix:
     """Parse an open text stream into a :class:`SparseHermitianMatrix`."""
     first = stream.readline()
     _parse_header(first)
-    return _mmread(io.StringIO(first + stream.read()), tol_herm)
+    return _mmread(io.StringIO(first + stream.read()))
 
 
-def read_matrix_market(path: Union[str, Path],
-                       tol_herm: float = DEFAULT_HERMITIAN_TOL) -> SparseHermitianMatrix:
+def read_matrix_market(path: Union[str, Path]) -> SparseHermitianMatrix:
     """Read a ``.mtx`` or ``.mtx.gz`` file."""
     path = Path(path)
     opener = gzip.open if path.name.endswith(".gz") else open
     with opener(path, "rt") as fh:
         _parse_header(fh.readline())
-    return _mmread(str(path), tol_herm)
+    return _mmread(str(path))
 
 
 def write_matrix_market(a: SparseHermitianMatrix, target) -> None:

@@ -173,7 +173,7 @@ class ShiftBatch:
         """Fill the pending estimates after an invariant subspace: every
         active value is exact from here on (history only)."""
         if self.history is not None:
-            self._attach(self.window.flush_exact(self.value, True))
+            self._attach(self.window.flush_exact(self.value))
 
     def finish(self, k: int) -> list:
         """Freeze the shifts still active as ``MAX_ITER``; every outcome."""

@@ -14,9 +14,9 @@ iteration by the driver, not per shift.
 The recursion's pivot ``delta_{k+1}`` is the ratio of consecutive shifted
 Jacobi determinants; it cannot vanish when the shift lies off the real
 interval spanned by the extremal eigenvalues, so for such shifts the method
-is breakdown-free.  ``tol_delta`` guards only genuine division hazards
-(default 1e-290 absolute): tiny pivots legitimately occur near convergence
-and must not be misreported as breakdowns.
+is breakdown-free.  :data:`TOL_DELTA` guards only genuine division hazards
+(1e-290 absolute): tiny pivots legitimately occur near convergence and must
+not be misreported as breakdowns.
 
 No rigorous a-priori error bound is computed.  The sharp bound is a
 min-max polynomial approximation problem over the spectral interval, which
@@ -47,13 +47,14 @@ from .core import (
     isfinite_scalar,
 )
 from .error_estimate import DEFAULT_LAG
-from .lanczos import lanczos_init, lanczos_step
+from .lanczos import LanczosState, lanczos_init, lanczos_step
 from .shift_batch import ShiftBatch
 
 __all__ = [
     "TOL_DELTA",
     "ShiftState",
     "QuadFormResult",
+    "stream_result",
     "BilinearFormResult",
     "shift_start",
     "shift_update",
@@ -102,8 +103,7 @@ class ShiftState:
     k: int
 
 
-def shift_state_init(z: complex, vnorm2: float, alpha1: float,
-                     tol_delta: float = TOL_DELTA) -> ShiftState:
+def shift_state_init(z: complex, vnorm2: float, alpha1: float) -> ShiftState:
     """Start the recursion: ``c_1 = v^H v``, ``delta_1 = z - alpha_1``.
 
     A vanishing ``delta_1`` (the shift equals the first Rayleigh quotient)
@@ -115,7 +115,7 @@ def shift_state_init(z: complex, vnorm2: float, alpha1: float,
         delta1, pi1, L1 = shift_start(z, c1, alpha1)
     except ZeroDivisionError:  # delta_1 == 0
         delta1, pi1, L1 = 0j, 0j, None
-    if L1 is None or abs(delta1) <= tol_delta:
+    if L1 is None or abs(delta1) <= TOL_DELTA:
         return ShiftState(z=z, c=c1, delta=delta1, pi=0j, L=None,
                           status=SolveStatus.BREAKDOWN, k=1)
     if not isfinite_scalar(L1):
@@ -126,14 +126,13 @@ def shift_state_init(z: complex, vnorm2: float, alpha1: float,
 
 
 def shift_state_update(state: ShiftState, alpha_next: float, beta: float,
-                       beta_sq: Optional[float] = None,
-                       tol_delta: float = TOL_DELTA) -> ShiftState:
+                       beta_sq: Optional[float] = None) -> ShiftState:
     """Advance one shift by one iteration (eight scalar operations).
 
     ``beta_sq`` is ``beta**2``; the driver passes it in because it is shared
-    by every shift of the iteration.  On a pivot smaller than ``tol_delta``
-    the state freezes as a breakdown and keeps ``L_k``; non-finite results
-    freeze it as an overflow.
+    by every shift of the iteration.  On a pivot smaller than
+    :data:`TOL_DELTA` the state freezes as a breakdown and keeps ``L_k``;
+    non-finite results freeze it as an overflow.
     """
     if state.status is not SolveStatus.ACTIVE:
         return state
@@ -145,7 +144,7 @@ def shift_state_update(state: ShiftState, alpha_next: float, beta: float,
     except ZeroDivisionError:  # delta_{k+1} == 0
         state.status = SolveStatus.BREAKDOWN
         return state
-    if abs(delta_next) <= tol_delta:
+    if abs(delta_next) <= TOL_DELTA:
         state.status = SolveStatus.BREAKDOWN
         return state
     if not (isfinite_scalar(L_next) and isfinite_scalar(c_next)
@@ -162,7 +161,8 @@ def shift_state_update(state: ShiftState, alpha_next: float, beta: float,
 
 @dataclass
 class QuadFormResult(MethodResult):
-    """Per-shift quadratic-form outcomes plus the coefficient stream."""
+    """Per-shift quadratic-form outcomes plus the coefficient stream; the
+    result of both drivers on one Lanczos stream (Lanczos and MINRES)."""
 
     alpha: list = field(default_factory=list)
     beta: list = field(default_factory=list)
@@ -174,14 +174,27 @@ class QuadFormResult(MethodResult):
         return [s.value for s in self.shifts]
 
 
+def stream_result(method: str, batch: ShiftBatch, k: int,
+                  stream: Optional[LanczosState]) -> QuadFormResult:
+    """Finish ``batch`` at iteration ``k`` and record ``stream``'s
+    coefficients; ``stream`` is ``None`` when it never started."""
+    result = QuadFormResult(method=method, shifts=batch.finish(k),
+                            iterations=k)
+    if stream is not None:
+        result.alpha = list(stream.coeffs.alpha)
+        result.beta = list(stream.coeffs.beta)
+        result.vnorm2 = stream.vnorm2
+        result.invariant_subspace_at = stream.k if stream.exhausted else None
+    return result
+
+
 def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                         shifts: Sequence[complex], *,
                         rtol: Optional[float] = 1e-10,
                         lag: int = DEFAULT_LAG,
                         max_iter: Optional[int] = None,
                         reference: Optional[Sequence[complex]] = None,
-                        keep_history: bool = False,
-                        tol_delta: float = TOL_DELTA) -> QuadFormResult:
+                        keep_history: bool = False) -> QuadFormResult:
     """Drive one Lanczos stream and every per-shift recursion to a stop.
 
     Stopping: with ``reference`` values supplied, a shift freezes when its
@@ -204,8 +217,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                        keep_history=keep_history, mu_scale=mu_scale)
     if stream is None:
         batch.freeze_all(0, SolveStatus.OVERFLOW)
-        return QuadFormResult(method="lanczos", shifts=batch.finish(0),
-                              iterations=0)
+        return stream_result("lanczos", batch, 0, None)
     if max_iter is None:
         max_iter = 2 * a.n
     alpha1 = stream.coeffs.alpha[0]
@@ -216,7 +228,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
     with np.errstate(all="ignore"):
         k = 1
         s.delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
-        breakdown = np.abs(s.delta) <= tol_delta
+        breakdown = np.abs(s.delta) <= TOL_DELTA
         batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
                      (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True)
         batch.accept(k, s.L, alpha=alpha1, beta_prev=None, delta=s.delta)
@@ -236,7 +248,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
             k += 1
             s.delta, s.pi, s.c, s.L = shift_update(
                 s.z, alpha_next, beta * beta, s.c, s.pi, s.L)
-            breakdown = np.abs(s.delta) <= tol_delta
+            breakdown = np.abs(s.delta) <= TOL_DELTA
             overflow = ~(np.isfinite(s.L) & np.isfinite(s.c)
                          & np.isfinite(s.pi))
             batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
@@ -244,11 +256,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
             batch.accept(k, s.L, alpha=alpha_next, beta_prev=beta,
                          delta=s.delta)
 
-    return QuadFormResult(
-        method="lanczos", shifts=batch.finish(k), iterations=k,
-        alpha=list(stream.coeffs.alpha), beta=list(stream.coeffs.beta),
-        vnorm2=stream.vnorm2,
-        invariant_subspace_at=stream.k if stream.exhausted else None)
+    return stream_result("lanczos", batch, k, stream)
 
 
 @dataclass

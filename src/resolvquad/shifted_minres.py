@@ -26,29 +26,25 @@ value drifts from the reference for every ``k >= 2`` (checked against the
 dense least-squares oracle).
 
 ``x_0 = 0`` always, so the initial residual is ``v`` and no seed shift
-exists.
+exists.  The driver is called like the Lanczos driver and returns the same
+:class:`~resolvquad.shifted_lanczos.QuadFormResult`, since both record one
+Lanczos stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    MethodResult,
-    NonFiniteError,
-    SolveStatus,
-    SparseHermitianMatrix,
-)
+from .core import NonFiniteError, SolveStatus, SparseHermitianMatrix
 from .error_estimate import DEFAULT_LAG, cabs
 from .lanczos import lanczos_init, lanczos_step, stream_vector
 from .shift_batch import ShiftBatch
+from .shifted_lanczos import QuadFormResult, stream_result
 
 __all__ = [
-    "MinresResult",
     "givens",
     "apply_rotation",
     "minres_run",
@@ -89,21 +85,13 @@ def apply_rotation(c, s, x, y):
     return c * x + s * y, -s.conjugate() * x + c * y
 
 
-@dataclass
-class MinresResult(MethodResult):
-    alpha: list = field(default_factory=list)
-    beta: list = field(default_factory=list)
-    vnorm2: float = 0.0
-    invariant_subspace_at: Optional[int] = None
-
-
 def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
                shifts: Sequence[complex], *,
                rtol: Optional[float] = 1e-10,
                lag: int = DEFAULT_LAG,
                max_iter: Optional[int] = None,
                reference: Optional[Sequence[complex]] = None,
-               keep_history: bool = False) -> MinresResult:
+               keep_history: bool = False) -> QuadFormResult:
     """Run shifted MINRES for ``v^H (z_i I - A)^{-1} v`` over all shifts.
 
     Stopping mirrors the quadratic-form driver: true relative error against
@@ -120,8 +108,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
         stream = lanczos_init(a, v)
     except NonFiniteError:
         batch.freeze_all(0, SolveStatus.OVERFLOW)
-        return MinresResult(method="minres", shifts=batch.finish(0),
-                            iterations=0)
+        return stream_result("minres", batch, 0, None)
     if max_iter is None:
         max_iter = 2 * a.n
     rnorm = math.sqrt(stream.vnorm2)  # ||r_0|| = ||v||
@@ -183,8 +170,4 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             qsign = -qsign
             q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
 
-    return MinresResult(
-        method="minres", shifts=batch.finish(k), iterations=k,
-        alpha=list(stream.coeffs.alpha), beta=list(stream.coeffs.beta),
-        vnorm2=stream.vnorm2,
-        invariant_subspace_at=stream.k if stream.exhausted else None)
+    return stream_result("minres", batch, k, stream)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from resolvquad.cg_variants import (
-    SeededShiftedRunConfig,
     cocg_run,
     cocg_scalar_update,
     cocr_run,
@@ -89,10 +88,9 @@ def corpus():
         others = {"minres": minres_run(matrix, v, shifts, rtol=1e-10,
                                        lag=LAG, max_iter=3 * n)}
         if real:
-            config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-10,
-                                            lag=LAG, max_iter=3 * n)
-            others["cocg"] = cocg_run(matrix, v, config)
-            others["cocr"] = cocr_run(matrix, v, config)
+            for name, runner in (("cocg", cocg_run), ("cocr", cocr_run)):
+                others[name] = runner(matrix, v, shifts, rtol=1e-10, lag=LAG,
+                                      max_iter=3 * n)
         runs.append(Run(n=n, real=real, dense=dense, matrix=matrix, v=v,
                         shifts=shifts, references=refs, lanczos=lan,
                         others=others))
@@ -337,10 +335,10 @@ def test_criterion_6_benchmark_iteration_counts(mhd1280b):
     counts["minres"] = mnr.iterations_to_convergence
     cg_ran = matrix.is_real and matrix.hermitian_verified
     if cg_ran:
-        config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-10, lag=LAG,
-                                        max_iter=2000, reference=refs)
-        counts["cocg"] = cocg_run(matrix, v, config).iterations_to_convergence
-        counts["cocr"] = cocr_run(matrix, v, config).iterations_to_convergence
+        for name, runner in (("cocg", cocg_run), ("cocr", cocr_run)):
+            counts[name] = runner(matrix, v, shifts, rtol=1e-10, lag=LAG,
+                                  max_iter=2000,
+                                  reference=refs).iterations_to_convergence
     for method, got in counts.items():
         want = expected[method]
         assert abs(got - want) <= 0.20 * want, f"{method}: {got} vs {want}"

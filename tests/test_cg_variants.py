@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from resolvquad import cg_variants
 from resolvquad.cg_variants import (
     TOL_PI,
-    SeededShiftedRunConfig,
     cocg_run,
     cocg_scalar_update,
     cocr_run,
     cocr_scalar_update,
     collinear_pi_update,
-    pick_seed_shift,
 )
 from resolvquad.core import SolveStatus, SparseHermitianMatrix
 from resolvquad.harness import generate_unit_circle_shifts
@@ -33,8 +31,7 @@ def diag12():
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_two_by_two_converges_in_two_iterations(runner):
     a, v = diag12()
-    config = SeededShiftedRunConfig(shifts=[3.0 + 0j], seed_shift=0.0 + 0j)
-    res = runner(a, v, config)
+    res = runner(a, v, [3.0 + 0j], seed_shift=0.0 + 0j)
     out = res.shifts[0]
     assert out.status is SolveStatus.CONVERGED
     assert out.iterations <= 2
@@ -45,9 +42,7 @@ def test_two_by_two_converges_in_two_iterations(runner):
 def test_seed_shift_collinearity_degenerates(runner):
     a, v = diag12()
     z_s = 1.0j
-    config = SeededShiftedRunConfig(shifts=[z_s], seed_shift=z_s,
-                                    keep_history=True)
-    res = runner(a, v, config)
+    res = runner(a, v, [z_s], seed_shift=z_s, keep_history=True)
     assert all(pi == pytest.approx(1.0, abs=1e-14)
                for pi in res.pi_history[0])
     want = dense_resolvent_quadform(a.to_dense(), v, z_s)
@@ -62,8 +57,7 @@ def test_complex_v_matches_oracle(runner, rng):
     a = SparseHermitianMatrix.from_dense(dense)
     v = random_vector(rng, 30)  # genuinely complex
     shifts = [1.5 + 0.8j, -0.4 + 0.3j]
-    config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-11, max_iter=300)
-    res = runner(a, v, config)
+    res = runner(a, v, shifts, rtol=1e-11, max_iter=300)
     for out, z in zip(res.shifts, shifts):
         assert out.status is SolveStatus.CONVERGED
         want = dense_resolvent_quadform(dense, v, z)
@@ -74,17 +68,15 @@ def test_complex_v_matches_oracle(runner, rng):
 def test_rejects_complex_matrix(runner, rng):
     a = random_hermitian(rng, 10)  # complex Hermitian
     v = random_vector(rng, 10)
-    config = SeededShiftedRunConfig(shifts=[2.0j])
     with pytest.raises(ValueError, match="real"):
-        runner(a, v, config)
+        runner(a, v, [2.0j])
 
 
 def test_cocg_seed_breakdown_on_isotropic_residual():
     # v^T v = 0 although v != 0: the transpose bilinear form vanishes
     a = SparseHermitianMatrix.diagonal([1.0, 2.0])
     v = np.array([1.0, 1.0j])
-    config = SeededShiftedRunConfig(shifts=[3.0 + 0j], seed_shift=0.0 + 0j)
-    res = cocg_run(a, v, config)
+    res = cocg_run(a, v, [3.0 + 0j], seed_shift=0.0 + 0j)
     assert res.shifts[0].status is SolveStatus.SEED_BREAKDOWN
 
 
@@ -92,8 +84,7 @@ def test_cocr_seed_breakdown_on_isotropic_direction():
     # q_0 = -A v is isotropic: q^T q = 0 although q != 0
     a = SparseHermitianMatrix.diagonal([1.0, 2.0])
     v = np.array([1.0, 0.5j])
-    config = SeededShiftedRunConfig(shifts=[3.0 + 0j], seed_shift=0.0 + 0j)
-    res = cocr_run(a, v, config)
+    res = cocr_run(a, v, [3.0 + 0j], seed_shift=0.0 + 0j)
     assert res.shifts[0].status is SolveStatus.SEED_BREAKDOWN
 
 
@@ -101,9 +92,7 @@ def test_cocg_pi_zero_freezes_shift():
     # diag(1,2), v=(1,1)/sqrt 2, z_s=0: alpha_0 = -2/3, so the shift
     # z = z_s - 1/alpha_0 = 1.5 makes pi_1 = 0 exactly
     a, v = diag12()
-    config = SeededShiftedRunConfig(shifts=[1.5 + 0j, 3.0 + 0j],
-                                    seed_shift=0.0 + 0j)
-    res = cocg_run(a, v, config)
+    res = cocg_run(a, v, [1.5 + 0j, 3.0 + 0j], seed_shift=0.0 + 0j)
     assert res.shifts[0].status is SolveStatus.PI_ZERO
     assert res.shifts[1].value == pytest.approx(0.75, abs=1e-12)
 
@@ -113,9 +102,8 @@ def test_cocg_update_overflow_freezes_only_that_shift():
     # pi_1 = -(2/3) 1e-20 i passes TOL_PI, but pi_0/pi_1 * alpha_0 * p_0
     # overflows at the first iteration
     a, v = diag12()
-    config = SeededShiftedRunConfig(shifts=[1.5 + 1e-20j, 3.0 + 0j],
-                                    seed_shift=0.0 + 0j, keep_history=True)
-    res = cocg_run(a, 1e150 * v, config)
+    res = cocg_run(a, 1e150 * v, [1.5 + 1e-20j, 3.0 + 0j],
+                   seed_shift=0.0 + 0j, keep_history=True)
     blown, fine = res.shifts
     assert blown.status is SolveStatus.OVERFLOW
     assert blown.iterations == 1 and blown.value is None
@@ -130,8 +118,7 @@ def test_agreement_with_shifted_lanczos(runner, rng):
     v = random_vector(rng, 60, real=True)
     shifts = [0.9 + 0.5j, -1.1 + 0.25j]
     lan = run_quadratic_forms(a, v, shifts, rtol=1e-11, max_iter=400)
-    config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-11, max_iter=400)
-    res = runner(a, v, config)
+    res = runner(a, v, shifts, rtol=1e-11, max_iter=400)
     for lo, co in zip(lan.shifts, res.shifts):
         assert lo.status is SolveStatus.CONVERGED
         assert co.status is SolveStatus.CONVERGED
@@ -147,9 +134,7 @@ def test_pi_replay_is_bitwise(runner, rng):
     v = random_vector(rng, 25, real=True)
     # the seed shift (sigma = 0, every pi is 1) and three off-seed shifts
     shifts = [0.3 + 0.7j, -0.5 + 0.2j, 1.1 + 0.05j]
-    config = SeededShiftedRunConfig(shifts=shifts, rtol=1e-10, max_iter=200,
-                                    keep_history=True)
-    res = runner(a, v, config)
+    res = runner(a, v, shifts, rtol=1e-10, max_iter=200, keep_history=True)
     assert res.seed_shift == shifts[0]
     for z, stored in zip(shifts, res.pi_history):
         sigma = complex(z) - res.seed_shift
@@ -191,17 +176,19 @@ def test_pi_update_on_arrays_rounds_as_python(rng):
 
 
 def test_default_seed_picks_largest_imaginary():
-    shifts = [1.0 + 0.1j, -2.0 - 0.9j, 0.5 + 0.4j]
-    assert pick_seed_shift(shifts) == -2.0 - 0.9j
+    a, v = diag12()
+    shifts = [1.0 + 0.1j, -2.0 - 0.9j, 0.5 + 0.4j, 3.0 + 0.9j]
+    for runner in RUNNERS:
+        assert runner(a, v, shifts).seed_shift == -2.0 - 0.9j
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="shift"):
-        SeededShiftedRunConfig(shifts=[]).validate()
-    with pytest.raises(ValueError, match="distinct"):
-        SeededShiftedRunConfig(shifts=[2.0 + 0j, 2.0 + 0j]).validate()
-    with pytest.raises(ValueError, match="lag"):
-        SeededShiftedRunConfig(shifts=[2.0 + 0j], lag=0).validate()
+    a, v = diag12()
+    for runner in RUNNERS:
+        with pytest.raises(ValueError, match="shift"):
+            runner(a, v, [])
+        with pytest.raises(ValueError, match="lag"):
+            runner(a, v, [2.0 + 0j], lag=0)
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
@@ -211,9 +198,7 @@ def test_reference_stopping(runner, rng):
     v = random_vector(rng, 40, real=True)
     z = 0.8 + 0.9j
     ref = dense_resolvent_quadform(dense, v, z)
-    config = SeededShiftedRunConfig(shifts=[z], rtol=1e-10, max_iter=400,
-                                    reference=[ref])
-    res = runner(a, v, config)
+    res = runner(a, v, [z], rtol=1e-10, max_iter=400, reference=[ref])
     out = res.shifts[0]
     assert out.status is SolveStatus.CONVERGED
     assert abs(out.value - ref) <= 1e-10 * abs(ref)
@@ -228,13 +213,12 @@ def test_near_overflow_matrix_against_dense_oracle():
     a = SparseHermitianMatrix.from_dense((b + b.T) * 1e305)
     v = np.full(6, 1.0 / np.sqrt(6.0))
     shifts = generate_unit_circle_shifts(16)
-    config = SeededShiftedRunConfig(shifts=shifts)
-    cocg = cocg_run(a, v, config)
+    cocg = cocg_run(a, v, shifts)
     for out, z in zip(cocg.shifts, shifts):
         want = dense_resolvent_quadform(a.to_dense(), v, z)
         assert out.status is SolveStatus.CONVERGED
         assert abs(out.value - want) <= 1e-13 * abs(want)
-    cocr = cocr_run(a, v, config)
+    cocr = cocr_run(a, v, shifts)
     assert cocr.iterations == 1
     for out in cocr.shifts:
         assert out.status is SolveStatus.OVERFLOW
@@ -298,18 +282,15 @@ def test_batch_agrees_with_scalar_replay(seed, n, real_v, m, data):
                       (0.05 + 2 * rng.random()) * rng.choice([-1, 1]))
               for _ in range(m)]
     max_iter = data.draw(st.integers(1, n - 1))
-    config = SeededShiftedRunConfig(shifts=shifts, rtol=None,
-                                    max_iter=max_iter)
     for runner in RUNNERS:
-        assert_matches_scalar_replay(runner(a, v, config), shifts, max_iter)
+        res = runner(a, v, shifts, rtol=None, max_iter=max_iter)
+        assert_matches_scalar_replay(res, shifts, max_iter)
 
 
 def test_batch_pi_zero_agrees_with_scalar_replay():
     a, v = diag12()
     shifts = [1.5 + 0j, 3.0 + 0j]
-    config = SeededShiftedRunConfig(shifts=shifts, seed_shift=0.0 + 0j,
-                                    rtol=None, max_iter=2)
-    res = cocg_run(a, v, config)
+    res = cocg_run(a, v, shifts, seed_shift=0.0 + 0j, rtol=None, max_iter=2)
     assert res.shifts[0].status is SolveStatus.PI_ZERO
     assert_matches_scalar_replay(res, shifts, 2)
 
@@ -334,7 +315,7 @@ def test_driver_runs_the_audited_kernels(monkeypatch, rng, runner, update):
     v = random_vector(rng, 40)
     # far from the spectrum converges in a few iterations, near it in many
     shifts = [0.2 + 3.0j, -1.0 + 1.0j, 0.5 + 0.2j, 1.0 + 0.05j]
-    res = runner(a, v, SeededShiftedRunConfig(shifts=shifts, rtol=1e-10))
+    res = runner(a, v, shifts, rtol=1e-10)
     active = [sum(out.iterations >= k for out in res.shifts)
               for k in range(1, res.iterations + 1)]
     assert active[0] == len(shifts) and active[-1] < len(shifts)

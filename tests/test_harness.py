@@ -334,8 +334,9 @@ def test_cli_overflowing_stream_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("content", ["nan\n1.0\n", "1.0\ninf\n",
-                                     "1.0 -inf\n0.0 1.0\n", "0.0\n0.0\n"],
-                         ids=["nan", "inf", "complex-inf", "zero"])
+                                     "1.0 -inf\n0.0 1.0\n", "0.0\n0.0\n",
+                                     "1.0\nabc\n"],
+                         ids=["nan", "inf", "complex-inf", "zero", "text"])
 def test_cli_bad_vector_file_is_exit_1(tmp_path, diag_matrix_path, content,
                                        capsys):
     vec_path = tmp_path / "v.txt"
@@ -344,6 +345,44 @@ def test_cli_bad_vector_file_is_exit_1(tmp_path, diag_matrix_path, content,
                  "--vector", f"file:{vec_path}"])
     assert code == 1
     assert "vector file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--shifts", "unit-circle:m=abc"),
+    ("--vector", "random:abc"),
+    ("--shifts", "spectrum-offset:zeta=abc"),
+    ("--shifts", "list:{shift_file}"),
+])
+def test_cli_malformed_number_is_exit_1(tmp_path, random_matrix_path, capsys,
+                                        flag, spec):
+    shift_file = tmp_path / "shifts.txt"
+    shift_file.write_text("0.5 abc\n")
+    code = main(["run", "--matrix", str(random_matrix_path),
+                 flag, spec.format(shift_file=shift_file)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_repeated_shifts(tmp_path, random_matrix_path):
+    """A repeated shift is solved once per occurrence, with identical
+    results each time."""
+    shift_path = tmp_path / "shifts.txt"
+    # the first shift is the COCG/COCR seed
+    shift_path.write_text("0.3 0.8\n-1.2 0.1\n0.3 0.8\n-1.2 0.1\n0.3 0.8\n")
+    out = tmp_path / "out"
+    code = main(["run", "--matrix", str(random_matrix_path),
+                 "--shifts", f"list:{shift_path}", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["methods"]) == {"lanczos", "cocg", "cocr", "minres"}
+    for entry in summary["methods"].values():
+        by_z = {}
+        for shift in entry["shifts"]:
+            by_z.setdefault(tuple(shift["z"]), []).append(
+                (shift["value"], shift["status"], shift["iterations"]))
+        assert [len(runs) for runs in by_z.values()] == [3, 2]
+        for first, *repeats in by_z.values():
+            assert all(again == first for again in repeats)
 
 
 def test_cli_shifts_subcommand(capsys):
