@@ -9,13 +9,7 @@ and brute-force oracles for verification.
 
 __version__ = "0.1.0"
 
-from .core import (
-    SolveStatus,
-    SparseHermitianMatrix,
-    dot,
-    dot_unconjugated,
-    norm,
-)
+from .core import SolveStatus, SparseHermitianMatrix
 from .lanczos import LanczosState, lanczos_init, lanczos_step
 from .shifted_lanczos import (
     QuadFormResult,
@@ -39,9 +33,6 @@ __all__ = [
     "__version__",
     "SolveStatus",
     "SparseHermitianMatrix",
-    "dot",
-    "dot_unconjugated",
-    "norm",
     "LanczosState",
     "lanczos_init",
     "lanczos_step",

@@ -5,7 +5,10 @@ Both methods run a conjugate-orthogonal iteration on one seed system
 matrix is complex symmetric for real symmetric ``A``), and propagate every
 other shift through scalar collinearity factors ``pi_k``.  Only the
 projections ``v^H r_k`` and per-shift scalars are kept, so the output is
-the quadratic-form sequence, never a solution vector.
+the quadratic-form sequence, never a solution vector.  The seed products
+``x^T y`` are ``numpy.dot`` and the projections ``x^H y`` are
+``numpy.vdot``, each cast to Python ``complex`` before the scalar
+recursions use it.
 
 The drivers are called like the Lanczos and MINRES drivers,
 ``(a, v, shifts, *, rtol, lag, max_iter, reference, keep_history)``, with
@@ -47,9 +50,6 @@ from .core import (
     MethodResult,
     SolveStatus,
     SparseHermitianMatrix,
-    as_complex_vector,
-    dot,
-    dot_unconjugated,
     isfinite_scalar,
 )
 from .error_estimate import DEFAULT_LAG, cabs
@@ -209,15 +209,15 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     z_s, batch, max_iter, pi_log = _start(
         a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
         reference=reference, keep_history=keep_history)
-    v = as_complex_vector(v)
+    v = np.ascontiguousarray(v, dtype=np.complex128)
     s = batch.state
 
     r = v.copy()
     p = r.copy()
-    rr_prev = dot_unconjugated(r, r)  # r_0^T r_0
+    rr_prev = complex(np.dot(r, r))  # r_0^T r_0
     alpha_prev = 1.0 + 0j  # alpha_{-1}
     beta_prev = 0j  # beta_{-1}
-    p0 = dot(v, r)  # p_0^{(i)} = v^H r_0
+    p0 = complex(np.vdot(v, r))  # p_0^{(i)} = v^H r_0
     s.p = np.full(s.z.shape, p0, dtype=np.complex128)
     seed_alpha: list[complex] = []
     seed_beta: list[complex] = []
@@ -225,22 +225,22 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
 
     k = 0
     while k < max_iter and batch.running:
-        if dot(r, r).real == 0.0:
+        if np.vdot(r, r).real == 0.0:
             # residual is exactly zero: the Krylov space is exhausted and the
             # collinear residual of every surviving shift vanished with it
             batch.freeze_all(k, SolveStatus.CONVERGED)
             break
         k += 1
         w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
-        pap = dot_unconjugated(p, w)
+        pap = complex(np.dot(p, w))
         if abs(pap) <= TOL_PI or abs(rr_prev) <= TOL_PI:
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         alpha_seed = rr_prev / pap  # alpha_{k-1}
         r = r - alpha_seed * w
-        rr = dot_unconjugated(r, r)
+        rr = complex(np.dot(r, r))
         beta_seed = rr / rr_prev  # beta_{k-1}
-        r_scalar = dot(v, r)  # v^H r_k
+        r_scalar = complex(np.vdot(v, r))  # v^H r_k
         if not (isfinite_scalar(alpha_seed) and isfinite_scalar(beta_seed)
                 and isfinite_scalar(r_scalar)):
             batch.freeze_all(k, SolveStatus.OVERFLOW)
@@ -285,29 +285,29 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     z_s, batch, max_iter, pi_log = _start(
         a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
         reference=reference, keep_history=keep_history)
-    v = as_complex_vector(v)
+    v = np.ascontiguousarray(v, dtype=np.complex128)
     s = batch.state  # p_{-1}^{(i)} = 0; p_{k-1}^{(i)} is rebuilt each step
 
     r = v.copy()
     q = np.zeros_like(r)
     w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
-    e_prev = dot_unconjugated(r, w)  # r_0^T (z_s I - A) r_0
+    e_prev = complex(np.dot(r, w))  # r_0^T (z_s I - A) r_0
     alpha_prev = 1.0 + 0j
     beta_prev = 0j
-    r_scalar_prev = dot(v, r)  # v^H r_0
+    r_scalar_prev = complex(np.vdot(v, r))  # v^H r_0
     seed_alpha: list[complex] = []
     seed_beta: list[complex] = []
     r_scalars: list[complex] = [r_scalar_prev]
 
     k = 0
     while k < max_iter and batch.running:
-        if dot(r, r).real == 0.0:
+        if np.vdot(r, r).real == 0.0:
             batch.freeze_all(k, SolveStatus.CONVERGED)
             break
         k += 1
         q = w + beta_prev * q  # q_{k-1}
         with np.errstate(over="ignore"):  # overflow freezes every shift below
-            qq = dot_unconjugated(q, q)
+            qq = complex(np.dot(q, q))
         if abs(qq) <= TOL_PI:
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
@@ -328,9 +328,9 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         _commit(batch, k, pi_new, value_new, p_new, pi_log)
 
         r = r - alpha_seed * q
-        r_scalar = dot(v, r)
+        r_scalar = complex(np.vdot(v, r))
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
-        e = dot_unconjugated(r, w)
+        e = complex(np.dot(r, w))
         if abs(e_prev) <= TOL_PI:
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break

@@ -1,16 +1,17 @@
-"""Vector kernels and the sparse Hermitian matrix container.
+"""The sparse Hermitian matrix container and the shared result records.
 
 Conventions used throughout the package:
 
 * scalars are Python ``complex`` (double precision); vectors are 1-D
   ``numpy.ndarray`` of dtype ``complex128``, or ``float64`` where the data
   is real,
-* ``dot`` conjugates its first argument (``x^H y``); the transpose bilinear
-  form ``x^T y`` needed by the complex-symmetric solvers is the separate
-  kernel :func:`dot_unconjugated`,
-* matrices are stored fully expanded (both triangles) in CSR so that the
-  matrix-vector product has a fixed, run-to-run deterministic accumulation
-  order (row-major, column-index ascending).
+* the inner product is ``x^H y``, conjugating its first argument
+  (``numpy.vdot``); the complex-symmetric solvers also use the transpose
+  bilinear form ``x^T y`` (``numpy.dot``); both are cast to Python
+  ``complex`` before scalar arithmetic,
+* matrices are stored fully expanded (both triangles) in one scipy CSR so
+  that the matrix-vector product has a fixed, run-to-run deterministic
+  accumulation order (row-major, column-index ascending).
 
 The dtype follows the data: a matrix whose entries are all real keeps
 ``float64`` values and a ``float64`` CSR, and its product with a real vector
@@ -25,7 +26,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,9 +36,6 @@ __all__ = [
     "SolveStatus",
     "NonFiniteError",
     "SparseHermitianMatrix",
-    "dot",
-    "dot_unconjugated",
-    "norm",
     "HistoryEntry",
     "ShiftOutcome",
     "MethodResult",
@@ -70,106 +68,75 @@ class SolveStatus(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# scalar/vector kernels
-# ---------------------------------------------------------------------------
-
-def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"vector length mismatch: {x.shape} vs {y.shape}")
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hermitian inner product ``x^H y`` (conjugate-linear in ``x``)."""
-    _check_same_length(x, y)
-    return complex(np.vdot(x, y))
-
-
-def dot_unconjugated(x: np.ndarray, y: np.ndarray) -> complex:
-    """Transpose bilinear form ``x^T y`` (no conjugation)."""
-    _check_same_length(x, y)
-    return complex(np.dot(x, y))
-
-
-def norm(x: np.ndarray) -> float:
-    """Euclidean norm ``sqrt(real(x^H x))``, always a nonnegative real."""
-    return float(np.linalg.norm(x))
-
-
-def as_complex_vector(v: Sequence[complex] | np.ndarray) -> np.ndarray:
-    """Coerce to a contiguous complex128 1-D array (copying if needed)."""
-    arr = np.ascontiguousarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    return arr
-
-
-# ---------------------------------------------------------------------------
 # sparse Hermitian container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseHermitianMatrix:
-    """Square matrix in CSR with full (both-triangle) storage.
+    """Square matrix held as one scipy CSR with full (both-triangle) storage.
 
     The container is immutable after construction and safe to share across
     threads.  ``hermitian_verified`` records whether the entries passed the
     conjugate-symmetry check at ``HERMITIAN_TOL`` relative to the largest entry
     magnitude; ``is_real`` records whether every stored imaginary part is
-    zero, in which case ``values`` and the CSR are ``float64`` (otherwise
-    ``complex128``).  Solvers that require a Hermitian (or real symmetric)
-    matrix check these flags instead of re-scanning the entries.
+    zero, in which case the CSR is ``float64`` (otherwise ``complex128``).
+    Solvers that require a Hermitian (or real symmetric) matrix check these
+    flags instead of re-scanning the entries.  ``row_ptr``, ``col_idx`` and
+    ``values`` are the CSR's own arrays, not copies.
     """
 
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-    is_real: bool
     hermitian_verified: bool
     max_asymmetry: float
-    _csr: sp.csr_matrix = field(repr=False, compare=False)
-    _fro_norm: float = field(repr=False, compare=False)
+    _csr: sp.csr_matrix = field(repr=False)
+    _fro_norm: float = field(repr=False)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_csr_arrays(cls, n, row_ptr, col_idx, values) -> "SparseHermitianMatrix":
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-        values = _real_or_complex(values)
-        _validate_csr(n, row_ptr, col_idx, values)
-        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+    def from_csr(cls, csr: sp.csr_matrix) -> "SparseHermitianMatrix":
+        """Check ``csr`` and keep it as the matrix's only copy of its entries.
+
+        ``csr`` must be square, pass scipy's full format check, hold columns
+        strictly increasing within each row and only finite entries;
+        otherwise ``ValueError``.  Its values become ``float64`` when no
+        entry has an imaginary part, ``complex128`` otherwise.
+        """
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {csr.shape}")
+        csr.check_format(full_check=True)
+        if not csr.has_canonical_format:
+            raise ValueError(
+                "column indices must be strictly increasing within a row")
+        if not np.all(np.isfinite(csr.data)):
+            raise ValueError("matrix entries must be finite")
+        values = _real_or_complex(csr.data)
+        if values is not csr.data:
+            csr = sp.csr_matrix((values, csr.indices, csr.indptr),
+                                shape=csr.shape)
         verified, asym = hermitian_check_csr(csr)
-        return cls(n=n, row_ptr=row_ptr, col_idx=col_idx, values=values,
-                   is_real=bool(values.dtype == np.float64),
-                   hermitian_verified=verified,
-                   max_asymmetry=asym, _csr=csr,
+        return cls(hermitian_verified=verified, max_asymmetry=asym, _csr=csr,
                    _fro_norm=_frobenius_norm(values))
+
+    @classmethod
+    def from_csr_arrays(cls, n, row_ptr, col_idx, values) -> "SparseHermitianMatrix":
+        values = np.asarray(values)
+        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+        if csr.nnz != values.size:  # scipy drops entries past row_ptr[-1]
+            raise ValueError("row_ptr endpoints inconsistent with nnz")
+        return cls.from_csr(csr)
 
     @classmethod
     def from_coo(cls, n, rows, cols, values) -> "SparseHermitianMatrix":
         """Build from 0-based triplets; duplicate ``(i, j)`` entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = _real_or_complex(values)
-        if rows.size and (rows.min() < 0 or rows.max() >= n
-                          or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("triplet index out of range")
-        coo = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
-        csr = coo.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls.from_csr_arrays(n, csr.indptr, csr.indices, csr.data)
+        return cls.from_csr(
+            sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr())
 
     @classmethod
     def from_dense(cls, a) -> "SparseHermitianMatrix":
         a = np.asarray(a, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        csr = sp.csr_matrix(a)
-        csr.sort_indices()
-        return cls.from_csr_arrays(a.shape[0], csr.indptr, csr.indices,
-                                   csr.data)
+        return cls.from_csr(sp.csr_matrix(a))
 
     @classmethod
     def diagonal(cls, d) -> "SparseHermitianMatrix":
@@ -180,8 +147,28 @@ class SparseHermitianMatrix:
     # -- queries -------------------------------------------------------------
 
     @property
+    def n(self) -> int:
+        return self._csr.shape[0]
+
+    @property
+    def is_real(self) -> bool:
+        return bool(self._csr.dtype == np.float64)
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return self._csr.indptr
+
+    @property
+    def col_idx(self) -> np.ndarray:
+        return self._csr.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._csr.data
+
+    @property
     def nnz(self) -> int:
-        return int(self.values.size)
+        return self._csr.nnz
 
     @property
     def frobenius_norm(self) -> float:
@@ -217,10 +204,9 @@ class SparseHermitianMatrix:
         return self._complex_csr.toarray()
 
 
-def _real_or_complex(values) -> np.ndarray:
+def _real_or_complex(values: np.ndarray) -> np.ndarray:
     """``values`` as a contiguous ``float64`` array when no entry has an
     imaginary part, as ``complex128`` otherwise."""
-    values = np.asarray(values)
     if np.iscomplexobj(values) and np.any(values.imag):
         return np.ascontiguousarray(values, dtype=np.complex128)
     return np.ascontiguousarray(values.real, dtype=np.float64)
@@ -238,29 +224,6 @@ def _frobenius_norm(values: np.ndarray) -> float:
         big = float(np.abs(values).max())
         fro = big * float(np.linalg.norm(values / big))
     return fro
-
-
-def _validate_csr(n, row_ptr, col_idx, values) -> None:
-    if n < 0:
-        raise ValueError("negative dimension")
-    if row_ptr.shape != (n + 1,):
-        raise ValueError("row_ptr must have length n+1")
-    if row_ptr[0] != 0 or row_ptr[-1] != values.size or col_idx.size != values.size:
-        raise ValueError("row_ptr endpoints inconsistent with nnz")
-    if np.any(np.diff(row_ptr) < 0):
-        raise ValueError("row_ptr must be nondecreasing")
-    if values.size and (col_idx.min() < 0 or col_idx.max() >= n):
-        raise ValueError("column index out of range")
-    # strictly increasing column indices within each row
-    if values.size:
-        bad = np.zeros(values.size, dtype=bool)
-        bad[1:] = np.diff(col_idx) <= 0
-        starts = row_ptr[1:-1]
-        bad[starts[starts < values.size]] = False  # a new row may restart anywhere
-        if np.any(bad):
-            raise ValueError("column indices must be strictly increasing within a row")
-    if not np.all(np.isfinite(values.view(np.float64))):
-        raise ValueError("matrix entries must be finite")
 
 
 def hermitian_check_csr(csr: sp.csr_matrix):

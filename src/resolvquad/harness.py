@@ -206,12 +206,11 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
         shifts = [complex(z) for z in spec]
         if not shifts:
             raise ConfigError("explicit shift list must not be empty")
-        return shifts, meta
-    if spec.startswith("unit-circle:"):
+    elif spec.startswith("unit-circle:"):
         kv = _parse_kv(spec[len("unit-circle:"):])
         m = _number(int, kv.get("m", "16"), "the shift count m")
-        return generate_unit_circle_shifts(m), meta
-    if spec.startswith("list:"):
+        shifts = generate_unit_circle_shifts(m)
+    elif spec.startswith("list:"):
         path = spec[len("list:"):]
         try:
             data = np.loadtxt(path, ndmin=2)
@@ -225,8 +224,7 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
             raise ConfigError("shift file must have one or two columns")
         if not shifts:
             raise ConfigError("shift file is empty")
-        return shifts, meta
-    if spec.startswith("spectrum-offset:"):
+    elif spec.startswith("spectrum-offset:"):
         kv = _parse_kv(spec[len("spectrum-offset:"):])
         if "zeta" not in kv:
             raise ConfigError("spectrum-offset requires zeta=...")
@@ -251,8 +249,12 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
             "zeta": zeta,
             "condition_number": condition_number(spec_dec.eigenvalues, z),
         }
-        return [z], meta
-    raise ConfigError(f"unknown shift spec {spec!r}")
+        shifts = [z]
+    else:
+        raise ConfigError(f"unknown shift spec {spec!r}")
+    if not all(cmath.isfinite(z) for z in shifts):
+        raise ConfigError("every shift must be finite")
+    return shifts, meta
 
 
 def _compute_reference(mode: str, a: SparseHermitianMatrix, v: np.ndarray,

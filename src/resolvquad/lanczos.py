@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteError, SparseHermitianMatrix, norm
+from .core import NonFiniteError, SparseHermitianMatrix
 
 __all__ = [
     "HAPPY_BREAKDOWN_RTOL",
@@ -102,7 +102,7 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
                          "inspect max_asymmetry")
     v = stream_vector(a, v)
     with np.errstate(all="ignore"):
-        vn = norm(v)
+        vn = float(np.linalg.norm(v))
         if vn == 0.0:
             raise ValueError("starting vector must be nonzero")
         if not math.isfinite(vn):
@@ -136,7 +136,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     with np.errstate(all="ignore"):
         # u <- u - alpha_k v_k, rounded as fl(u - fl(alpha_k v_k))
         np.subtract(u, np.multiply(alpha_k, v_curr, out=scratch), out=u)
-        beta_k = norm(u)
+        beta_k = float(np.linalg.norm(u))
         if not math.isfinite(beta_k):
             raise NonFiniteError(f"beta_{k} is not finite")
         if beta_k <= HAPPY_BREAKDOWN_RTOL * state.a.frobenius_norm:

@@ -19,7 +19,12 @@ Mirroring rules:
 ``real`` and ``integer`` fields give a real (``float64``) matrix; a
 ``complex`` field gives a real matrix too when every imaginary part is
 zero.  Duplicate ``(i, j)`` entries are summed; ``%`` comment lines are
-skipped.
+skipped.  An entry line with more tokens than its field needs is read
+from its leading tokens: ``1 1 2.0 3.0`` in a ``real`` file is the entry
+2.0.  Rejecting it would take a Python pass over every entry line.
+
+The writer is :func:`scipy.io.mmwrite` on the matrix's CSR, in ``general``
+storage.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ def _mmread(source) -> SparseHermitianMatrix:
     nrows, ncols = coo.shape
     if nrows != ncols:
         raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
-    return SparseHermitianMatrix.from_coo(nrows, coo.row, coo.col, coo.data)
+    return SparseHermitianMatrix.from_csr(coo.tocsr())
 
 
 def parse_matrix_market(stream: TextIO) -> SparseHermitianMatrix:
@@ -109,31 +114,10 @@ def read_matrix_market(path: Union[str, Path]) -> SparseHermitianMatrix:
     return _mmread(str(path))
 
 
-def write_matrix_market(a: SparseHermitianMatrix, target) -> None:
-    """Write full (``general``) coordinate storage, value-exact round trip.
-
-    ``target`` may be a path or an open text stream.  Entries are written
-    with ``repr``-grade precision so ``parse(write(a))`` reproduces the CSR
-    arrays exactly.
-    """
-    if isinstance(target, (str, Path)):
-        path = Path(target)
-        if path.name.endswith(".gz"):
-            with gzip.open(path, "wt", newline="\n") as fh:
-                write_matrix_market(a, fh)
-        else:
-            with open(path, "wt", newline="\n") as fh:
-                write_matrix_market(a, fh)
-        return
-    fh: TextIO = target
-    field = "real" if a.is_real else "complex"
-    fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-    fh.write(f"{a.n} {a.n} {a.nnz}\n")
-    for i in range(a.n):
-        for p in range(a.row_ptr[i], a.row_ptr[i + 1]):
-            j = a.col_idx[p]
-            v = complex(a.values[p])
-            if field == "real":
-                fh.write(f"{i + 1} {j + 1} {v.real!r}\n")
-            else:
-                fh.write(f"{i + 1} {j + 1} {v.real!r} {v.imag!r}\n")
+def write_matrix_market(a: SparseHermitianMatrix, path: Union[str, Path]) -> None:
+    """Write full (``general``) coordinate storage to a ``.mtx`` or
+    ``.mtx.gz`` file; reading it back reproduces the CSR arrays exactly."""
+    path = Path(path)
+    opener = gzip.open if path.name.endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        scipy.io.mmwrite(fh, a._csr, symmetry="general")

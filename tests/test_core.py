@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from resolvquad.core import (
-    SparseHermitianMatrix,
-    dot,
-    dot_unconjugated,
-    norm,
-)
+from resolvquad.core import SparseHermitianMatrix
+from resolvquad.mmio import read_matrix_market, write_matrix_market
 
 from conftest import random_hermitian_dense, random_vector
 
@@ -49,41 +43,12 @@ def test_matvec_dimension_mismatch():
         a.matvec(np.zeros(3))
 
 
-def test_dot_conjugates_first_argument():
-    x = np.array([1.0j, 0.0])
-    assert dot(x, x) == 1.0
-    assert dot_unconjugated(x, x) == -1.0
-
-
-def test_norm_direct():
-    assert norm(np.array([3.0, 4.0])) == 5.0
-
-
-def test_kernel_length_mismatch():
-    with pytest.raises(ValueError):
-        dot(np.zeros(2), np.zeros(3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                   allow_infinity=False),
-                min_size=1, max_size=8),
-       st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                   allow_infinity=False),
-                min_size=1, max_size=8))
-def test_dot_conjugate_symmetry(xs, ys):
-    n = min(len(xs), len(ys))
-    x = np.array(xs[:n])
-    y = np.array(ys[:n])
-    assert dot(x, y) == pytest.approx(np.conj(dot(y, x)), abs=1e-9, rel=1e-9)
-
-
 def test_rayleigh_quotient_real(rng):
     a = SparseHermitianMatrix.from_dense(random_hermitian_dense(rng, 60))
     assert a.hermitian_verified
     for _ in range(5):
         x = random_vector(rng, 60)
-        q = dot(x, a.matvec(x))
+        q = complex(np.vdot(x, a.matvec(x)))
         assert abs(q.imag) <= 1e-12 * abs(q)
 
 
@@ -119,6 +84,38 @@ def test_csr_validation_rejects_bad_input():
     with pytest.raises(ValueError):
         SparseHermitianMatrix.from_csr_arrays(
             2, [0, 2], [0, 1], [1.0, 1.0])  # row_ptr wrong length
+
+
+@pytest.mark.parametrize("row_ptr,col_idx,values", [
+    ([0, 2, 2], [1, 1], [1.0, 1.0]),
+    ([0, 2, 2], [1, 0], [1.0, 1.0]),
+    ([0, 1, 2], [0, 1], [np.nan, 1.0]),
+    ([0, 1, 2], [0, 1], [1.0, np.inf]),
+    ([0, 1, 2], [0, 1], [1.0, complex(0.0, np.inf)]),
+    ([0, 1, 2], [-1, 1], [1.0, 1.0]),
+    ([0, 1, 1], [0, 1], [1.0, 1.0]),
+], ids=["repeated-column", "unsorted-row", "nan", "inf", "complex-inf",
+        "negative-column", "entries-past-row-ptr-end"])
+def test_from_csr_arrays_rejects(row_ptr, col_idx, values):
+    with pytest.raises(ValueError):
+        SparseHermitianMatrix.from_csr_arrays(2, row_ptr, col_idx, values)
+
+
+def _assert_one_copy(a):
+    assert np.shares_memory(a.row_ptr, a._csr.indptr)
+    assert np.shares_memory(a.col_idx, a._csr.indices)
+    assert np.shares_memory(a.values, a._csr.data)
+    assert a.nnz == a._csr.nnz == a.values.size
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_arrays_are_the_csr_arrays(rng, tmp_path, real):
+    a = SparseHermitianMatrix.from_dense(
+        random_hermitian_dense(rng, 20, real=real))
+    _assert_one_copy(a)
+    path = tmp_path / "m.mtx"
+    write_matrix_market(a, path)
+    _assert_one_copy(read_matrix_market(path))
 
 
 def test_empty_rows_accepted():

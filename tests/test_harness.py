@@ -363,6 +363,31 @@ def test_cli_malformed_number_is_exit_1(tmp_path, random_matrix_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec, content", [
+    ("list:{shift_file}", "nan 0.5\n0.3 0.4\n"),
+    ("list:{shift_file}", "0.3 0.4\ninf 0.5\n"),
+    ("list:{shift_file}", "0.3\n-inf\n"),
+    ("spectrum-offset:zeta=nan", None),
+    ("spectrum-offset:zeta=inf", None),
+], ids=["list-nan", "list-inf", "list-real-inf", "zeta-nan", "zeta-inf"])
+def test_cli_non_finite_shift_is_exit_1(tmp_path, random_matrix_path, capsys,
+                                        spec, content):
+    shift_file = tmp_path / "shifts.txt"
+    if content is not None:
+        shift_file.write_text(content)
+    code = main(["run", "--matrix", str(random_matrix_path),
+                 "--shifts", spec.format(shift_file=shift_file)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_explicit_non_finite_shift_rejected(diag_matrix_path):
+    config = ExperimentConfig(matrix=diag_matrix_path,
+                              shifts=[0.5 + 1j, complex(math.nan, 0.5)])
+    with pytest.raises(ConfigError, match="finite"):
+        run_experiment(config)
+
+
 def test_cli_repeated_shifts(tmp_path, random_matrix_path):
     """A repeated shift is solved once per occurrence, with identical
     results each time."""

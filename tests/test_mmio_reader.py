@@ -89,3 +89,13 @@ def test_gz_header_is_checked(tmp_path):
         fh.write("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n")
     with pytest.raises(MatrixMarketError, match="pattern"):
         read_matrix_market(path)
+
+
+def test_extra_entry_token_is_ignored():
+    """scipy reads an entry line from its leading tokens, so a token past
+    the field is not an error (documented in ``mmio``); this pins that
+    behaviour against a change in scipy."""
+    a = parse_matrix_market(io.StringIO(
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+        "1 1 2.0 3.0\n2 2 4.0\n"))
+    assert np.array_equal(a.to_dense(), [[2.0, 0.0], [0.0, 4.0]])

@@ -206,6 +206,32 @@ def test_recursion_equals_tridiagonal_solve(rng):
             assert deltas[k] == pytest.approx(dets[k] / dets[k - 1], rel=1e-12)
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_values_equal_gauss_quadrature_rule(rng, real):
+    """L_k is the k-node Gauss rule for the spectral measure of v: with
+    T_k = U diag(theta) U^T from eigh, L_k = ||v||^2 sum_j |U_1j|^2 /
+    (z - theta_j), at every k up to n.  Independent of the Thomas solve."""
+    n = 24
+    for trial in range(3):
+        a = SparseHermitianMatrix.from_dense(
+            random_hermitian_dense(rng, n, real=real))
+        v = random_vector(rng, n, real=real)
+        shifts = [complex(rng.standard_normal(), sign * (0.1 + rng.random()))
+                  for sign in (1, -1, 1, -1)]
+        res = run_quadratic_forms(a, v, shifts, rtol=None, max_iter=n,
+                                  keep_history=True)
+        assert res.invariant_subspace_at is None
+        for out, z in zip(res.shifts, shifts):
+            assert [row.k for row in out.history] == list(range(1, n + 1))
+            for row in out.history:
+                k = row.k
+                t = (np.diag(res.alpha[:k]) + np.diag(res.beta[:k - 1], 1)
+                     + np.diag(res.beta[:k - 1], -1))
+                theta, u = np.linalg.eigh(t)
+                gauss = res.vnorm2 * np.sum(np.abs(u[0]) ** 2 / (z - theta))
+                assert row.value == pytest.approx(gauss, rel=1e-12)
+
+
 def test_breakdown_free_for_offaxis_shifts(rng):
     """No breakdown can occur when Im z is bounded away from zero."""
     for trial in range(40):
