@@ -17,7 +17,7 @@ The dtype follows the data: a matrix whose entries are all real keeps
 ``float64`` values and a ``float64`` CSR, and its product with a real vector
 is real.  Its product with a complex vector runs on a cached complex copy of
 the values that shares the index arrays, so it costs what a complex matrix
-costs.
+costs.  Its dense copy (``to_dense``) keeps the CSR's dtype.
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ class SparseHermitianMatrix:
         return self._complex_csr.dot(x.astype(np.complex128, copy=False))
 
     def to_dense(self) -> np.ndarray:
-        """Dense ``complex128`` copy, the form the dense oracles work in."""
-        return self._complex_csr.toarray()
+        """Dense copy in the CSR's dtype: ``float64`` for a real matrix,
+        ``complex128`` otherwise, the form the dense oracles work in."""
+        return self._csr.toarray()
 
 
 def _real_or_complex(values: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import platform
@@ -43,10 +44,12 @@ from .error_estimate import DEFAULT_LAG
 from .mmio import read_matrix_market
 from .oracle import (
     MAX_DENSE_N,
+    SpectralDecomposition,
     condition_number,
     dense_resolvent_quadform,
-    spectral_decomposition,
+    eigenpairs,
     spectral_quadform,
+    spectral_weights,
 )
 from .shifted_lanczos import run_quadratic_forms
 from .shifted_minres import minres_run
@@ -199,8 +202,17 @@ def _parse_kv(spec: str) -> dict:
     return out
 
 
-def _resolve_shifts(spec, a: SparseHermitianMatrix):
-    """Return ``(shifts, meta)``; meta records spectrum data when computed."""
+def _lazy_eigenpairs(a: SparseHermitianMatrix):
+    """A call that returns ``eigenpairs`` of the dense ``A``, computed on the
+    first call only, so ``spectrum-offset:`` shifts and the spectral
+    reference of one run share one ``eigh``."""
+    return functools.cache(lambda: eigenpairs(a.to_dense()))
+
+
+def _resolve_shifts(spec, a: SparseHermitianMatrix, spectrum):
+    """Return ``(shifts, meta)``; meta records spectrum data when computed.
+
+    ``spectrum`` is a :func:`_lazy_eigenpairs` of ``a``."""
     meta: dict = {}
     if not isinstance(spec, str):
         shifts = [complex(z) for z in spec]
@@ -236,18 +248,17 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
             raise ConfigError(
                 f"spectrum-offset shifts need a dense eigendecomposition "
                 f"(n <= {MAX_DENSE_N})")
-        spec_dec = spectral_decomposition(
-            a.to_dense(), np.full(a.n, 1.0 / math.sqrt(a.n)))
-        lam = spec_dec.lambda_min if extremal == "smallest" \
-            else spec_dec.lambda_max
+        eigenvalues, _ = spectrum()
+        lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+        lam = lam_min if extremal == "smallest" else lam_max
         z = complex(lam, zeta)
         meta = {
             "extremal": extremal,
             "lambda": lam,
-            "lambda_min": spec_dec.lambda_min,
-            "lambda_max": spec_dec.lambda_max,
+            "lambda_min": lam_min,
+            "lambda_max": lam_max,
             "zeta": zeta,
-            "condition_number": condition_number(spec_dec.eigenvalues, z),
+            "condition_number": condition_number(eigenvalues, z),
         }
         shifts = [z]
     else:
@@ -258,16 +269,20 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix):
 
 
 def _compute_reference(mode: str, a: SparseHermitianMatrix, v: np.ndarray,
-                       shifts: Sequence[complex]):
+                       shifts: Sequence[complex], spectrum):
+    """Per-shift reference values, or ``None`` for ``mode="none"``;
+    ``spectrum`` is a :func:`_lazy_eigenpairs` of ``a``."""
     if mode == "none":
         return None
     if a.n > MAX_DENSE_N:
         raise ConfigError(
             f"reference mode {mode!r} needs a dense solve (n <= {MAX_DENSE_N})")
-    dense = a.to_dense()
     if mode == "dense":
+        dense = a.to_dense()
         return [dense_resolvent_quadform(dense, v, z) for z in shifts]
-    spec_dec = spectral_decomposition(dense, v)
+    lam, u = spectrum()
+    spec_dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=u,
+                                     weights=spectral_weights(u, v))
     vnorm2 = float(np.vdot(v, v).real)
     return [spectral_quadform(spec_dec, z, vnorm2) for z in shifts]
 
@@ -277,9 +292,11 @@ def _compute_reference(mode: str, a: SparseHermitianMatrix, v: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _load_matrix(path) -> SparseHermitianMatrix:
+    # ValueError covers MatrixMarketError and rejected entries; a truncated
+    # .gz ends in EOFError
     try:
         return read_matrix_market(path)
-    except OSError as exc:
+    except (OSError, ValueError, EOFError) as exc:
         raise ConfigError(f"cannot read matrix {path!r}: {exc}") from exc
 
 
@@ -300,12 +317,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     a = _load_matrix(config.matrix)
     v = _resolve_vector(config.vector, a.n)
-    shifts, shift_meta = _resolve_shifts(config.shifts, a)
+    spectrum = _lazy_eigenpairs(a)
+    shifts, shift_meta = _resolve_shifts(config.shifts, a, spectrum)
     if config.seed_shift is not None and not (
             1 <= config.seed_shift <= len(shifts)):
         raise ConfigError(f"seed_shift index {config.seed_shift} outside "
                           f"1..{len(shifts)}")
-    reference = _compute_reference(config.reference, a, v, shifts)
+    reference = _compute_reference(config.reference, a, v, shifts, spectrum)
+    del spectrum  # drop the cached eigenvectors before the methods run
 
     real_symmetric = a.is_real and a.hermitian_verified
     reports = []
@@ -589,7 +608,7 @@ def _cmd_shifts(args) -> int:
             and a is None:
         raise ConfigError("spectrum-offset shifts need --matrix")
     dummy = a if a is not None else SparseHermitianMatrix.diagonal([1.0])
-    shifts, meta = _resolve_shifts(args.spec, dummy)
+    shifts, meta = _resolve_shifts(args.spec, dummy, _lazy_eigenpairs(dummy))
     for z in shifts:
         print(f"{z.real!r} {z.imag!r}")
     if meta:

@@ -6,8 +6,11 @@ spectral partial fractions, tridiagonal resolvent entries by the Thomas
 algorithm, and the shifted determinant recursion whose pivot ratios must
 reproduce the production ``delta`` sequence.
 
-These functions are test/bench-only.  They are never called from a solver
-hot path, so the production cost model stays honest.
+The solvers never call them, so the production cost model stays honest.
+Besides the tests and the benchmark, the harness uses them for its
+reference step (``--reference``) and for ``spectrum-offset:`` shifts.  A
+real symmetric matrix stays ``float64`` there, so LAPACK's real symmetric
+eigensolver runs; any other matrix is taken as ``complex128``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ __all__ = [
     "SingularShiftError",
     "ZeroPivotError",
     "SpectralDecomposition",
+    "eigenpairs",
     "spectral_decomposition",
+    "spectral_weights",
     "dense_resolvent_quadform",
     "spectral_quadform",
     "condition_number",
@@ -51,7 +56,7 @@ class SpectralDecomposition:
     """
 
     eigenvalues: np.ndarray  # ascending, real
-    eigenvectors: np.ndarray  # columns u_j, orthonormal
+    eigenvectors: np.ndarray  # columns u_j, orthonormal, in the matrix's dtype
     weights: np.ndarray
 
     @property
@@ -64,7 +69,11 @@ class SpectralDecomposition:
 
 
 def _as_dense_hermitian(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
+    """``a`` as a square array: ``float64`` stays real, anything else
+    becomes ``complex128``."""
+    a = np.asarray(a)
+    if a.dtype != np.float64:
+        a = a.astype(np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DENSE_N:
@@ -72,15 +81,32 @@ def _as_dense_hermitian(a) -> np.ndarray:
     return a
 
 
-def spectral_decomposition(a_dense, v) -> SpectralDecomposition:
-    a = _as_dense_hermitian(a_dense)
+def eigenpairs(a_dense) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, U)`` of a dense Hermitian matrix by ``np.linalg.eigh``; real
+    for a ``float64`` matrix, complex otherwise."""
+    return np.linalg.eigh(_as_dense_hermitian(a_dense))
+
+
+def spectral_weights(u: np.ndarray, v) -> np.ndarray:
+    """``|u_j^H v|^2 / ||v||^2`` for the columns ``u_j`` of ``u``.
+
+    The product runs in ``u``'s dtype: a real ``u`` takes the real and the
+    imaginary part of ``v`` as two right-hand sides of one real product.
+    """
     v = np.asarray(v, dtype=np.complex128)
-    lam, u = np.linalg.eigh(a)
     vn2 = float(np.vdot(v, v).real)
     if vn2 == 0.0:
         raise ValueError("weights undefined for a zero vector")
-    w = np.abs(u.conj().T @ v) ** 2 / vn2
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=u, weights=w)
+    if np.iscomplexobj(u):
+        return np.abs(u.conj().T @ v) ** 2 / vn2
+    parts = u.T @ np.column_stack((v.real, v.imag))
+    return np.square(parts).sum(axis=1) / vn2
+
+
+def spectral_decomposition(a_dense, v) -> SpectralDecomposition:
+    lam, u = eigenpairs(a_dense)
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=u,
+                                 weights=spectral_weights(u, v))
 
 
 def dense_resolvent_quadform(a_dense, v, z: complex) -> complex:

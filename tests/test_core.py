@@ -68,6 +68,19 @@ def test_is_real_flag():
         [[0.0, 1.0j], [-1.0j, 0.0]]).is_real
 
 
+def test_to_dense_keeps_the_csr_dtype(rng):
+    """A real matrix gives a float64 dense copy without building the complex
+    CSR; a complex Hermitian matrix gives a complex128 one."""
+    real = SparseHermitianMatrix.from_dense(
+        random_hermitian_dense(rng, 8, real=True))
+    dense = real.to_dense()
+    assert dense.dtype == np.float64
+    assert "_complex_csr" not in vars(real)
+    assert np.array_equal(dense, real._csr.toarray())
+    cplx = SparseHermitianMatrix.from_dense(random_hermitian_dense(rng, 8))
+    assert cplx.to_dense().dtype == np.complex128
+
+
 def test_from_coo_sums_duplicates():
     a = SparseHermitianMatrix.from_coo(
         2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])

@@ -18,9 +18,10 @@ from resolvquad.harness import (
     summary_dict,
     write_report,
 )
-from resolvquad.mmio import write_matrix_market
+from resolvquad.mmio import read_matrix_market, write_matrix_market
+from resolvquad.oracle import spectral_decomposition, spectral_quadform
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_hermitian_dense
 
 
 @pytest.fixture
@@ -386,6 +387,91 @@ def test_explicit_non_finite_shift_rejected(diag_matrix_path):
                               shifts=[0.5 + 1j, complex(math.nan, 0.5)])
     with pytest.raises(ConfigError, match="finite"):
         run_experiment(config)
+
+
+UNREADABLE_MATRICES = {
+    "pattern": "%%MatrixMarket matrix coordinate pattern general\n"
+               "2 2 1\n1 1\n",
+    "nan": "%%MatrixMarket matrix coordinate real general\n"
+           "2 2 2\n1 1 nan\n2 2 1.0\n",
+    "truncated-gz": None,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check", "shifts"])
+@pytest.mark.parametrize("kind", list(UNREADABLE_MATRICES))
+def test_cli_unreadable_matrix_is_exit_1(tmp_path, capsys, kind, command):
+    """A file the reader rejects is an input error, not a traceback."""
+    if kind == "truncated-gz":
+        a = SparseHermitianMatrix.diagonal([1.0, 2.0, 3.0])
+        whole = tmp_path / "whole.mtx.gz"
+        write_matrix_market(a, whole)
+        data = whole.read_bytes()
+        path = tmp_path / "cut.mtx.gz"
+        path.write_bytes(data[:len(data) // 2])
+    else:
+        path = tmp_path / f"{kind}.mtx"
+        path.write_text(UNREADABLE_MATRICES[kind])
+    argv = {"run": ["run", "--matrix", str(path),
+                    "--shifts", "unit-circle:m=2"],
+            "check": ["check", "--matrix", str(path)],
+            "shifts": ["shifts", "--spec", "unit-circle:m=2",
+                       "--matrix", str(path)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read matrix")
+
+
+def _write_complex_vector(path, v):
+    np.savetxt(path, np.column_stack([v.real, v.imag]))
+    return f"file:{path}"
+
+
+def test_spectrum_offset_and_spectral_reference_share_one_eigh(
+        tmp_path, random_matrix_path, rng, monkeypatch):
+    """``spectrum-offset:`` shifts and the spectral reference decompose the
+    matrix once, and the reference equals the oracle called on its own."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report = run_experiment(ExperimentConfig(
+        matrix=random_matrix_path, shifts="spectrum-offset:zeta=0.1",
+        vector=_write_complex_vector(tmp_path / "v.txt", v),
+        reference="spectral", methods=("lanczos",)))
+    assert calls == [np.float64]
+    monkeypatch.undo()
+
+    a = read_matrix_market(random_matrix_path)
+    spec = spectral_decomposition(a.to_dense(), v)
+    z = complex(spec.lambda_min, 0.1)
+    assert report.shifts == [z]
+    assert report.reference_values == [
+        spectral_quadform(spec, z, float(np.vdot(v, v).real))]
+
+
+def test_complex_spectral_reference_is_complex_eigh(tmp_path, rng):
+    """A complex Hermitian matrix keeps the complex128 reference: the values
+    are those of ``np.linalg.eigh`` on the dense matrix, bit for bit."""
+    dense = random_hermitian_dense(rng, 16)
+    path = tmp_path / "cplx16.mtx"
+    write_matrix_market(SparseHermitianMatrix.from_dense(dense), path)
+    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    shifts = [0.4 + 0.9j, -1.1 + 0.2j, 2.5 - 0.7j]
+    report = run_experiment(ExperimentConfig(
+        matrix=path, shifts=shifts, reference="spectral",
+        vector=_write_complex_vector(tmp_path / "v.txt", v),
+        methods=("lanczos",)))
+    lam, u = np.linalg.eigh(read_matrix_market(path).to_dense())
+    assert u.dtype == np.complex128
+    vnorm2 = float(np.vdot(v, v).real)
+    weights = np.abs(u.conj().T @ v) ** 2 / vnorm2
+    assert report.reference_values == [
+        complex(vnorm2 * np.sum(weights / (z - lam))) for z in shifts]
 
 
 def test_cli_repeated_shifts(tmp_path, random_matrix_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvquad.oracle import (
     SingularShiftError,
@@ -53,6 +55,53 @@ def test_spectral_weights_distribution(rng):
             dense @ spec.eigenvectors[:, j]
             - spec.eigenvalues[j] * spec.eigenvectors[:, j])
         assert resid <= 1e-10 * np.linalg.norm(dense, 2)
+
+
+def _cluster_sums(lam, w, gap):
+    """``w`` summed over runs of eigenvalues closer than ``gap``: the weight
+    of each eigenspace, which does not depend on the basis LAPACK picks."""
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > gap)
+    return np.add.reduceat(w, starts), starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       repeated=st.booleans(), real_v=st.booleans())
+def test_real_and_complex_decompositions_agree(seed, n, repeated, real_v):
+    """A real symmetric matrix decomposed in float64 and as its complex128
+    copy: the same spectrum, the same eigenspace weights and the same
+    partial-fraction values, both equal to the LU solve."""
+    rng = np.random.default_rng(seed)
+    if repeated:  # few distinct eigenvalues, each of high multiplicity
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.choice([-1.5, 0.0, 0.5, 2.0], size=n)
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2
+    else:
+        a = random_hermitian_dense(rng, n, real=True)
+    v = random_vector(rng, n, real=real_v)
+    if real_v:
+        v = v.real
+    real = spectral_decomposition(a, v)
+    cplx = spectral_decomposition(a.astype(np.complex128), v)
+    assert real.eigenvectors.dtype == np.float64
+    assert cplx.eigenvectors.dtype == np.complex128
+    scale = float(np.abs(real.eigenvalues).max())
+    assert np.all(np.abs(real.eigenvalues - cplx.eigenvalues)
+                  <= 1e-12 * scale)
+    gap = 1e-3 * max(scale, 1.0)
+    w_real, starts = _cluster_sums(real.eigenvalues, real.weights, gap)
+    w_cplx = np.add.reduceat(cplx.weights, starts)
+    assert np.all(np.abs(w_real - w_cplx) <= 1e-12)
+    vnorm2 = float(np.vdot(v, v).real)
+    s = max(scale, 1.0)
+    for z in ((0.3 + 1.0j) * s, (-0.7 + 0.25j) * s, (2.0 - 0.5j) * s):
+        got = spectral_quadform(real, z, vnorm2)
+        want = spectral_quadform(cplx, z, vnorm2)
+        assert abs(got - want) <= 1e-11 * abs(want)
+        lu = dense_resolvent_quadform(a, v, z)
+        assert abs(got - lu) <= 1e-11 * abs(lu)
+        assert abs(want - lu) <= 1e-11 * abs(lu)
 
 
 def test_spectral_quadform_n1():
