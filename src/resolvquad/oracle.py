@@ -88,19 +88,12 @@ def eigenpairs(a_dense) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_weights(u: np.ndarray, v) -> np.ndarray:
-    """``|u_j^H v|^2 / ||v||^2`` for the columns ``u_j`` of ``u``.
-
-    The product runs in ``u``'s dtype: a real ``u`` takes the real and the
-    imaginary part of ``v`` as two right-hand sides of one real product.
-    """
+    """``|u_j^H v|^2 / ||v||^2`` for the columns ``u_j`` of ``u``."""
     v = np.asarray(v, dtype=np.complex128)
     vn2 = float(np.vdot(v, v).real)
     if vn2 == 0.0:
         raise ValueError("weights undefined for a zero vector")
-    if np.iscomplexobj(u):
-        return np.abs(u.conj().T @ v) ** 2 / vn2
-    parts = u.T @ np.column_stack((v.real, v.imag))
-    return np.square(parts).sum(axis=1) / vn2
+    return np.abs(u.conj().T @ v) ** 2 / vn2
 
 
 def spectral_decomposition(a_dense, v) -> SpectralDecomposition:
