@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     MethodResult,
@@ -53,6 +54,7 @@ from .core import (
     isfinite_scalar,
 )
 from .error_estimate import DEFAULT_LAG, cabs
+from .lanczos import HAPPY_BREAKDOWN_RTOL
 from .shift_batch import ShiftBatch
 
 __all__ = [
@@ -77,7 +79,14 @@ class CollinearResult(MethodResult):
     seed_alpha: list = field(default_factory=list)
     seed_beta: list = field(default_factory=list)
     r_scalars: list = field(default_factory=list)
-    pi_history: list = field(default_factory=list)
+
+    @property
+    def pi_history(self) -> list:
+        """Per shift, ``pi`` after each accepted iteration (``None`` per
+        shift without history), built from the history columns."""
+        if self.history is None:
+            return [None] * len(self.shifts)
+        return self.history.pi()
 
 
 def _require_real_symmetric(a: SparseHermitianMatrix) -> None:
@@ -150,8 +159,7 @@ def cocr_scalar_update(pi_m2, pi_m1, pi_new, p_scalar, value, alpha_seed,
 def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
            seed_shift: Optional[complex], max_iter: Optional[int],
            **batch_args):
-    """Check the run; its seed shift, shift batch, iteration limit and
-    per-shift ``pi`` logs (``None`` without history).
+    """Check the run; its seed shift, shift batch and iteration limit.
 
     The default seed is the first shift farthest from the real axis.  The
     batch state holds ``sigma = z - z_s``, the ``pi`` pair (``pi_{-1} =
@@ -168,26 +176,40 @@ def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
     s.p = s.value = np.zeros(s.z.shape, dtype=np.complex128)
     if max_iter is None:
         max_iter = 2 * a.n
-    pi_log = [[] if batch.history is not None else None for _ in s.z]
-    return z_s, batch, max_iter, pi_log
+    return z_s, batch, max_iter
 
 
-def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new,
-            pi_log: list) -> None:
+def _norm(x: np.ndarray) -> float:
+    """``||x||_2`` by BLAS ``nrm2``, which scales instead of overflowing."""
+    return float(scipy.linalg.norm(x, check_finite=False))
+
+
+def _exhausted(a: SparseHermitianMatrix, rnorm: float, rnorm_prev: float,
+               alpha_prev: complex) -> bool:
+    """Whether the seed residual ``r_k`` fell to rounding size: the Krylov
+    space is exhausted.
+
+    The test is the one :func:`~resolvquad.lanczos.lanczos_step` applies to
+    its ``beta_k``, on the Lanczos ``beta_k`` that two seed residuals imply,
+    ``||r_k|| / (|alpha_{k-1}| ||r_{k-1}||)``; it does not depend on the
+    scale of ``v``.  ``rnorm_prev = 0`` (at ``k = 0``) tests ``r_k = 0``.
+    """
+    return rnorm <= (HAPPY_BREAKDOWN_RTOL * a.frobenius_norm
+                     * abs(alpha_prev) * rnorm_prev)
+
+
+def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
     """Take iteration ``k`` of every active shift.
 
     A vanished ``pi`` or a non-finite update freezes the shift with the
-    value of iteration ``k - 1``; the others log ``pi`` and are accepted.
+    value of iteration ``k - 1``; the others are accepted with their ``pi``.
     """
     s = batch.state
     s.pi_m2, s.pi_m1, s.p, s.value = s.pi_m1, pi_new, p_new, value_new
     finite = np.isfinite(value_new) & np.isfinite(p_new)
     batch.freeze(k, (SolveStatus.PI_ZERO, cabs(pi_new) <= TOL_PI),
                  (SolveStatus.OVERFLOW, ~finite))
-    if batch.history is not None:
-        for i, pi in zip(batch.active.tolist(), s.pi_m1.tolist()):
-            pi_log[i].append(pi)
-    batch.accept(k, s.value)
+    batch.accept(k, s.value, pi=s.pi_m1)
 
 
 def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
@@ -206,7 +228,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     conjugating ``v^H``-products throughout (verified against the dense
     reference for complex ``v``).
     """
-    z_s, batch, max_iter, pi_log = _start(
+    z_s, batch, max_iter = _start(
         a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
         reference=reference, keep_history=keep_history)
     v = np.ascontiguousarray(v, dtype=np.complex128)
@@ -224,12 +246,14 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     r_scalars: list[complex] = [p0]
 
     k = 0
+    rnorm_prev = 0.0  # ||r_{k-1}||
     while k < max_iter and batch.running:
-        if np.vdot(r, r).real == 0.0:
-            # residual is exactly zero: the Krylov space is exhausted and the
-            # collinear residual of every surviving shift vanished with it
+        rnorm = _norm(r)
+        if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
+            # the collinear residual of every surviving shift vanished too
             batch.freeze_all(k, SolveStatus.CONVERGED)
             break
+        rnorm_prev = rnorm
         k += 1
         w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
         pap = complex(np.dot(p, w))
@@ -257,13 +281,12 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
             value_new, p_new = cocg_scalar_update(
                 s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_seed,
                 r_scalar)
-        _commit(batch, k, pi_new, value_new, p_new, pi_log)
+        _commit(batch, k, pi_new, value_new, p_new)
 
         p = r + beta_seed * p
         alpha_prev, beta_prev, rr_prev = alpha_seed, beta_seed, rr
 
-    return _result("cocg", batch, k, z_s, seed_alpha, seed_beta, r_scalars,
-                   pi_log)
+    return _result("cocg", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 
 def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
@@ -282,7 +305,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     the residual once per iteration and reused for the next search
     direction.
     """
-    z_s, batch, max_iter, pi_log = _start(
+    z_s, batch, max_iter = _start(
         a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
         reference=reference, keep_history=keep_history)
     v = np.ascontiguousarray(v, dtype=np.complex128)
@@ -300,10 +323,14 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     r_scalars: list[complex] = [r_scalar_prev]
 
     k = 0
+    rnorm_prev = 0.0  # ||r_{k-1}||
     while k < max_iter and batch.running:
-        if np.vdot(r, r).real == 0.0:
+        rnorm = _norm(r)
+        if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
+            # the collinear residual of every surviving shift vanished too
             batch.freeze_all(k, SolveStatus.CONVERGED)
             break
+        rnorm_prev = rnorm
         k += 1
         q = w + beta_prev * q  # q_{k-1}
         with np.errstate(over="ignore"):  # overflow freezes every shift below
@@ -325,7 +352,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
             value_new, p_new = cocr_scalar_update(
                 s.pi_m2, s.pi_m1, pi_new, s.p, s.value, alpha_seed,
                 beta_prev, r_scalar_prev)
-        _commit(batch, k, pi_new, value_new, p_new, pi_log)
+        _commit(batch, k, pi_new, value_new, p_new)
 
         r = r - alpha_seed * q
         r_scalar = complex(np.vdot(v, r))
@@ -344,13 +371,12 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         e_prev = e
         r_scalar_prev = r_scalar
 
-    return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars,
-                   pi_log)
+    return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 
-def _result(method, batch, k, z_s, seed_alpha, seed_beta, r_scalars,
-            pi_log) -> CollinearResult:
+def _result(method, batch, k, z_s, seed_alpha, seed_beta,
+            r_scalars) -> CollinearResult:
     return CollinearResult(
-        method=method, shifts=batch.finish(k), iterations=k, seed_shift=z_s,
-        seed_alpha=seed_alpha, seed_beta=seed_beta, r_scalars=r_scalars,
-        pi_history=pi_log)
+        method=method, shifts=batch.finish(k), iterations=k,
+        history=batch.history, seed_shift=z_s, seed_alpha=seed_alpha,
+        seed_beta=seed_beta, r_scalars=r_scalars)

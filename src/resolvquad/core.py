@@ -37,6 +37,7 @@ __all__ = [
     "NonFiniteError",
     "SparseHermitianMatrix",
     "HistoryEntry",
+    "HistoryColumns",
     "ShiftOutcome",
     "MethodResult",
 ]
@@ -261,16 +262,170 @@ class HistoryEntry:
     residual: Optional[float] = None  # MINRES least-squares residual norm
 
 
+_STATUSES = tuple(SolveStatus)
+_STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
+_ESTIMATES = ("mu", "nu", "g_abs", "h_abs")
+
+
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts, dtype=dtype) if parts else np.empty(0, dtype)
+
+
+class HistoryColumns:
+    """The convergence history of one driver run, recorded as columns.
+
+    Each accepted iteration adds whole arrays over the shifts it advanced:
+    ``value`` and, when the run has them, ``rel_err``, ``residual`` and the
+    COCG/COCR ``pi``.  The lag-``d`` estimates of an earlier iteration fill
+    ``mu``, ``nu``, ``g_abs`` and ``h_abs`` of its cells once they arrive; a
+    NaN estimate reads as ``None``, as it always has.  Freezing adds one
+    event per group of shifts: a row of its own, or the status of each
+    shift's last row.
+
+    :meth:`columns` assembles every row in ``(shift, k)`` order;
+    :meth:`rows` and :meth:`pi` build per-shift lists from them on first
+    use, for callers that read :attr:`ShiftOutcome.history`.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        # per accepted iteration: (k, shifts, value, rel_err, residual, pi)
+        self._accepted: list = []
+        # (iteration index, shifts, mu, nu, g_abs, h_abs)
+        self._estimates: list = []
+        self._frozen: list = []  # freeze rows: (k, shifts, value, status)
+        self._closed: list = []  # last-row statuses: (iteration index, shifts, status)
+        self._rows: Optional[list] = None
+        self._pi: Optional[list] = None
+
+    def accept(self, k: int, shifts: np.ndarray, value: np.ndarray,
+               rel_err=None, residual=None, pi=None) -> None:
+        """Record iteration ``k`` of ``shifts``; the arrays are kept, not
+        copied, so a driver hands in arrays it no longer writes to."""
+        self._accepted.append((k, shifts, value, rel_err, residual, pi))
+
+    def estimates(self, k: int, shifts: np.ndarray, mu, nu, g_abs,
+                  h_abs) -> None:
+        """Fill the estimates of iteration ``k`` for ``shifts``, which were
+        all accepted at ``k``; ``None`` leaves a column empty."""
+        self._estimates.append((k - 1, shifts, mu, nu, g_abs, h_abs))
+
+    def freeze(self, k: int, shifts: np.ndarray, value: Optional[np.ndarray],
+               status: SolveStatus, row: bool) -> None:
+        """Freeze ``shifts`` at iteration ``k`` with their last accepted
+        ``value`` (``None``: none yet): with ``row`` on a row of its own,
+        otherwise on each shift's last row, if it has one."""
+        if row:
+            self._frozen.append((k, shifts, value, status))
+        elif self._accepted:
+            self._closed.append((len(self._accepted) - 1, shifts, status))
+
+    def columns(self) -> dict:
+        """Every row as arrays in ``(shift, k)`` order.
+
+        ``shift`` is 0-based; ``status`` holds codes into
+        ``tuple(SolveStatus)``; ``value`` and each float column carry a
+        ``has_*`` mask of the cells that hold a number (``None`` in a
+        :class:`HistoryEntry`).
+        """
+        blocks = self._accepted + [(k, shifts, value, None, None, None)
+                                   for k, shifts, value, _ in self._frozen]
+        sizes = [b[1].size for b in blocks]
+        starts = np.cumsum([0] + sizes)
+        cols = {"k": np.repeat(np.array([b[0] for b in blocks], np.int64),
+                               sizes),
+                "shift": _concat([b[1] for b in blocks], np.intp)}
+        for j, name, dtype in ((2, "value", np.complex128),
+                               (3, "rel_err", np.float64),
+                               (4, "residual", np.float64)):
+            parts = [b[j] for b in blocks]
+            cols[name] = _concat([np.zeros(n) if p is None else p
+                                  for p, n in zip(parts, sizes)], dtype)
+            cols["has_" + name] = np.repeat([p is not None for p in parts],
+                                            sizes).astype(bool)
+        active = _STATUS_CODE[SolveStatus.ACTIVE]
+        status = np.repeat([active] * len(self._accepted)
+                           + [_STATUS_CODE[f[3]] for f in self._frozen],
+                           sizes).astype(np.int8)
+        for name in _ESTIMATES:
+            cols[name] = np.full(starts[-1], np.nan)
+
+        def cells(j, shifts):  # rows of ``shifts`` in accepted iteration j
+            return starts[j] + np.searchsorted(blocks[j][1], shifts)
+
+        for j, shifts, *estimates in self._estimates:
+            at = cells(j, shifts)
+            for name, est in zip(_ESTIMATES, estimates):
+                if est is not None:
+                    cols[name][at] = est
+        for j, shifts, code in self._closed:
+            status[cells(j, shifts)] = _STATUS_CODE[code]
+        cols["status"] = status
+        for name in _ESTIMATES:
+            cols["has_" + name] = ~np.isnan(cols[name])
+        order = np.lexsort((cols["k"], cols["shift"]))
+        return {name: col[order] for name, col in cols.items()}
+
+    def rows(self, i: int) -> list:
+        """Shift ``i``'s :class:`HistoryEntry` rows, in iteration order."""
+        if self._rows is None:
+            cols = self.columns()
+            fields = [cols["k"].tolist(), _or_none(cols, "value"),
+                      np.array(_STATUSES, dtype=object)[cols["status"]]
+                      .tolist()]
+            fields += [_or_none(cols, name) for name in
+                       ("mu", "nu", "rel_err", "g_abs", "h_abs", "residual")]
+            self._rows = [list(map(HistoryEntry, *(f[a:b] for f in fields)))
+                          for a, b in _bounds(cols["shift"], self.m)]
+        return self._rows[i]
+
+    def pi(self) -> list:
+        """Per shift, the ``pi`` of every accepted iteration, in order."""
+        if self._pi is None:
+            shifts = _concat([b[1] for b in self._accepted], np.intp)
+            pis = _concat([b[5] for b in self._accepted], np.complex128)
+            order = np.argsort(shifts, kind="stable")
+            values = pis[order].tolist()
+            self._pi = [values[a:b]
+                        for a, b in _bounds(shifts[order], self.m)]
+        return self._pi
+
+
+def _or_none(cols: dict, name: str) -> list:
+    """Column ``name`` as Python scalars, ``None`` where it holds none."""
+    out = cols[name].astype(object)
+    out[~cols["has_" + name]] = None
+    return out.tolist()
+
+
+def _bounds(shift: np.ndarray, m: int):
+    """``(start, stop)`` of each shift's rows in a shift-sorted column."""
+    edges = np.searchsorted(shift, np.arange(m + 1)).tolist()
+    return zip(edges[:-1], edges[1:])
+
+
 @dataclass
 class ShiftOutcome:
-    """Final state of one shift after a solver run."""
+    """Final state of one shift after a solver run.
+
+    ``history`` is the shift's rows of the run's :class:`HistoryColumns`,
+    built when first read; ``None`` when the run kept no history.
+    """
 
     z: complex
     value: Optional[complex]
     iterations: int
     status: SolveStatus
-    history: Optional[list] = None
     residual_norm: Optional[float] = None  # MINRES diagnostic ||r0|| |f_{k+1}|
+    index: int = 0  # position in the run's shift list
+    recorded: Optional[HistoryColumns] = field(default=None, repr=False,
+                                               compare=False)
+
+    @property
+    def history(self) -> Optional[list]:
+        if self.recorded is None:
+            return None
+        return self.recorded.rows(self.index)
 
 
 @dataclass
@@ -280,6 +435,7 @@ class MethodResult:
     method: str
     shifts: list
     iterations: int  # Lanczos-stream iterations actually performed
+    history: Optional[HistoryColumns] = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:

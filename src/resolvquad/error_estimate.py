@@ -165,18 +165,15 @@ class LagReport:
     g_abs: Optional[np.ndarray] = None
     h_abs: Optional[np.ndarray] = None
 
-    def columns(self) -> list:
-        """Per-shift ``(mu, nu, g_abs, h_abs)`` lists, ``None`` for NaN."""
-        none = [None] * len(self.nu)
-        return [none if col is None
-                else [None if x != x else x for x in col.tolist()]
-                for col in (self.mu, self.nu, self.g_abs, self.h_abs)]
-
     def shift(self, i: int) -> EstimateReport:
-        mu, nu, g_abs, h_abs = (col[i] for col in self.columns())
-        return EstimateReport(k=self.k, nu=nu,
-                              value_abs=float(self.scale[i]), mu=mu,
-                              g_abs=g_abs, h_abs=h_abs)
+        """Shift ``i``'s estimates, ``None`` where an entry is NaN."""
+        def at(col):
+            x = None if col is None else float(col[i])
+            return None if x != x else x
+
+        return EstimateReport(k=self.k, nu=at(self.nu),
+                              value_abs=float(self.scale[i]), mu=at(self.mu),
+                              g_abs=at(self.g_abs), h_abs=at(self.h_abs))
 
 
 class LagWindow:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import platform
@@ -39,7 +40,7 @@ import scipy
 
 from . import __version__
 from .cg_variants import cocg_run, cocr_run
-from .core import MethodResult, SparseHermitianMatrix
+from .core import MethodResult, SolveStatus, SparseHermitianMatrix
 from .error_estimate import DEFAULT_LAG
 from .mmio import read_matrix_market
 from .oracle import (
@@ -388,33 +389,54 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # reports
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+# rows formatted at a time: bounds the strings alive at once
+CSV_CHUNK_ROWS = 1 << 14
+# status text by the codes of HistoryColumns.columns()
+_STATUS_TEXT = np.array([status.value for status in SolveStatus], dtype=object)
+
+
+def _fmt(col: np.ndarray, present: np.ndarray) -> list:
+    """``repr`` of each present float, ``""`` for the others."""
+    out = np.full(col.size, "", dtype=object)
+    out[present] = list(map(float.__repr__, col[present].tolist()))
+    return out.tolist()
+
+
+def _csv_lines(method: str, cols: dict):
+    """Lists of CSV rows (no newline) of one method's history columns."""
+    for a in range(0, cols["k"].size, CSV_CHUNK_ROWS):
+        c = {name: col[a:a + CSV_CHUNK_ROWS] for name, col in cols.items()}
+        value, has_value = c["value"], c["has_value"]
+        fields = (
+            itertools.repeat(method),
+            map(str, (c["shift"] + 1).tolist()),
+            map(str, c["k"].tolist()),
+            _fmt(value.real, has_value),
+            _fmt(value.imag, has_value),
+            _fmt(c["mu"], c["has_mu"]),
+            _fmt(c["nu"], c["has_nu"]),
+            _fmt(c["rel_err"], c["has_rel_err"]),
+            _STATUS_TEXT[c["status"]].tolist(),
+        )
+        yield list(map(",".join, zip(*fields)))
+
+
+def _history_chunks(report: ExperimentReport):
+    for mrep in report.methods:
+        if _recorded(mrep):
+            yield from _csv_lines(mrep.method, mrep.result.history.columns())
+
+
+def _recorded(mrep: MethodReport) -> bool:
+    return (mrep.applicable and mrep.result is not None
+            and mrep.result.history is not None)
 
 
 def history_rows(report: ExperimentReport):
-    """Yield CSV rows (as strings, no newline) for every recorded iteration."""
-    for mrep in report.methods:
-        if not mrep.applicable or mrep.result is None:
-            continue
-        for idx, shift in enumerate(mrep.result.shifts, start=1):
-            if shift.history is None:
-                continue
-            for row in shift.history:
-                value = row.value
-                yield ",".join([
-                    mrep.method,
-                    str(idx),
-                    str(row.k),
-                    _fmt(value.real if value is not None else None),
-                    _fmt(value.imag if value is not None else None),
-                    _fmt(row.mu),
-                    _fmt(row.nu),
-                    _fmt(row.rel_err),
-                    row.status.value,
-                ])
+    """Yield CSV rows (as strings, no newline) for every recorded iteration,
+    by method, then shift, then iteration."""
+    for lines in _history_chunks(report):
+        yield from lines
 
 
 def write_report(report: ExperimentReport, out_dir) -> dict:
@@ -422,19 +444,19 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
-    if any(m.applicable and m.result is not None
-           and any(s.history is not None for s in m.result.shifts)
-           for m in report.methods):
+    if any(map(_recorded, report.methods)):
         csv_path = out / "history.csv"
         with open(csv_path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in history_rows(report):
-                fh.write(row + "\n")
+            for lines in _history_chunks(report):
+                fh.write("\n".join(lines))
+                fh.write("\n")
         paths["history"] = csv_path
     json_path = out / "summary.json"
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # one write: json.dump would write every token on its own
+        fh.write(json.dumps(summary_dict(report), indent=2, sort_keys=True)
+                 + "\n")
     paths["summary"] = json_path
     return paths
 

@@ -11,7 +11,10 @@ shifts and each iteration is a handful of array operations.  A
   value,
 * the two stopping rules: true relative error against a reference, or the
   delayed difference ``nu`` of a :class:`~resolvquad.error_estimate.LagWindow`,
-* the per-iteration history rows.
+* the convergence history, recorded as columns
+  (:class:`~resolvquad.core.HistoryColumns`): each iteration appends its
+  arrays over the active shifts, and nothing is created per shift per
+  iteration.
 
 The active shifts are an index array into the shift list.  Whenever shifts
 freeze, it is compacted together with every array in :attr:`ShiftBatch.state`,
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import HistoryEntry, ShiftOutcome, SolveStatus
+from .core import HistoryColumns, ShiftOutcome, SolveStatus
 from .error_estimate import LagWindow, cabs
 
 __all__ = ["ShiftBatch"]
@@ -60,16 +63,12 @@ class ShiftBatch:
         self.value: Optional[np.ndarray] = None  # last accepted, per active
         self.residual: Optional[np.ndarray] = None
         self.window = LagWindow(self.z, lag, mu_scale)
-        self.history = ([[] for _ in range(self.z.size)] if keep_history
-                        else None)
+        self.history = HistoryColumns(self.z.size) if keep_history else None
         self._outcomes: list = [None] * self.z.size
 
     @property
     def running(self) -> bool:
         return self.active.size > 0
-
-    def _rows(self) -> list:
-        return [self.history[i] for i in self.active]
 
     # -- freezing ---------------------------------------------------------------
 
@@ -87,8 +86,7 @@ class ShiftBatch:
                 mask = mask & ~gone
             if not mask.any():
                 continue
-            for pos in np.flatnonzero(mask).tolist():
-                self._close(pos, status, k, row)
+            self._close(np.flatnonzero(mask), status, k, row)
             gone = mask if gone is None else gone | mask
         if gone is not None:
             self._compact(~gone)
@@ -96,20 +94,20 @@ class ShiftBatch:
     def freeze_all(self, k: int, status: SolveStatus) -> None:
         self.freeze(k, (status, np.ones(self.active.size, dtype=bool)))
 
-    def _close(self, pos: int, status: SolveStatus, k: int, row: bool) -> None:
-        i = int(self.active[pos])
-        value = None if self.value is None else complex(self.value[pos])
-        residual = None if self.residual is None else float(self.residual[pos])
-        hist = None
+    def _close(self, pos: np.ndarray, status: SolveStatus, k: int,
+               row: bool) -> None:
+        shifts = self.active[pos]
+        value = None if self.value is None else self.value[pos]
         if self.history is not None:
-            hist = self.history[i]
-            if row:
-                hist.append(HistoryEntry(k=k, value=value, status=status))
-            elif hist:
-                hist[-1].status = status
-        self._outcomes[i] = ShiftOutcome(
-            z=complex(self.z[i]), value=value, iterations=k, status=status,
-            history=hist, residual_norm=residual)
+            self.history.freeze(k, shifts, value, status, row)
+        n = pos.size
+        values = [None] * n if value is None else value.tolist()
+        residuals = ([None] * n if self.residual is None
+                     else self.residual[pos].tolist())
+        for i, x, r in zip(shifts.tolist(), values, residuals):
+            self._outcomes[i] = ShiftOutcome(
+                z=complex(self.z[i]), value=x, iterations=k, status=status,
+                residual_norm=r, index=i, recorded=self.history)
 
     def _compact(self, keep: np.ndarray) -> None:
         self.active = self.active[keep]
@@ -124,12 +122,13 @@ class ShiftBatch:
     # -- one iteration ----------------------------------------------------------
 
     def accept(self, k: int, value: np.ndarray,
-               residual: Optional[np.ndarray] = None, **coefficients) -> None:
+               residual: Optional[np.ndarray] = None,
+               pi: Optional[np.ndarray] = None, **coefficients) -> None:
         """Take iteration ``k``'s values of every active shift.
 
-        Records history, feeds the lag window (``coefficients`` are its
-        ``alpha``, ``beta_prev`` and ``delta``) and freezes the shifts that
-        meet the stopping rule.
+        Records history (with the COCG/COCR ``pi`` when given), feeds the
+        lag window (``coefficients`` are its ``alpha``, ``beta_prev`` and
+        ``delta``) and freezes the shifts that meet the stopping rule.
         """
         self.value = value
         self.residual = residual
@@ -138,7 +137,7 @@ class ShiftBatch:
             ref = self.reference[self.active]
             err = cabs(value - ref) / self._ref_scale[self.active]
         if self.history is not None:
-            self._record(k, value, residual, err)
+            self.history.accept(k, self.active, value, err, residual, pi)
         report = self.window.push(value, **coefficients)
         if report is not None and self.history is not None:
             self._attach([report])
@@ -150,24 +149,10 @@ class ShiftBatch:
             self.freeze(k, (SolveStatus.CONVERGED,
                             report.nu <= self.rtol * report.scale))
 
-    def _record(self, k, value, residual, err) -> None:
-        n = value.size
-        values = value.tolist()
-        errs = err.tolist() if err is not None else [None] * n
-        residuals = residual.tolist() if residual is not None else [None] * n
-        active = SolveStatus.ACTIVE
-        for hist, x, e, r in zip(self._rows(), values, errs, residuals):
-            hist.append(HistoryEntry(k=k, value=x, status=active, rel_err=e,
-                                     residual=r))
-
     def _attach(self, reports) -> None:
-        rows = self._rows()
-        for report in reports:
-            mus, nus, gs, hs = report.columns()
-            for hist, mu, nu, g_abs, h_abs in zip(rows, mus, nus, gs, hs):
-                entry = hist[report.k - 1]
-                entry.mu, entry.nu = mu, nu
-                entry.g_abs, entry.h_abs = g_abs, h_abs
+        for r in reports:
+            self.history.estimates(r.k, self.active, r.mu, r.nu, r.g_abs,
+                                   r.h_abs)
 
     def flush_exact(self) -> None:
         """Fill the pending estimates after an invariant subspace: every

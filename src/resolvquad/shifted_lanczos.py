@@ -179,7 +179,7 @@ def stream_result(method: str, batch: ShiftBatch, k: int,
     """Finish ``batch`` at iteration ``k`` and record ``stream``'s
     coefficients; ``stream`` is ``None`` when it never started."""
     result = QuadFormResult(method=method, shifts=batch.finish(k),
-                            iterations=k)
+                            iterations=k, history=batch.history)
     if stream is not None:
         result.alpha = list(stream.coeffs.alpha)
         result.beta = list(stream.coeffs.beta)

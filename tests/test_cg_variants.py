@@ -88,6 +88,20 @@ def test_cocr_seed_breakdown_on_isotropic_direction():
     assert res.shifts[0].status is SolveStatus.SEED_BREAKDOWN
 
 
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("scale", [1.0, 3.7, 1e150])
+def test_exhausted_krylov_space_at_any_scale(runner, scale):
+    """diag(1, 2) exhausts its Krylov space at k = 2 whatever the scale of
+    ``v``; the residual left there is rounding noise, not an exact zero."""
+    a, v = diag12()
+    res = runner(a, scale * v, [3.0 + 0j])
+    out = res.shifts[0]
+    assert out.status is SolveStatus.CONVERGED
+    assert out.iterations == 2 and res.iterations == 2
+    want = 0.75 * scale**2  # |v|^2 (1/2 + 1/4), |v|^2 = scale^2
+    assert abs(out.value - want) <= 1e-14 * want
+
+
 def test_cocg_pi_zero_freezes_shift():
     # diag(1,2), v=(1,1)/sqrt 2, z_s=0: alpha_0 = -2/3, so the shift
     # z = z_s - 1/alpha_0 = 1.5 makes pi_1 = 0 exactly
