@@ -19,7 +19,9 @@ Restrictions: ``A`` must be real symmetric (the complex-symmetric structure
 of the seed matrix is what the transpose products rely on); the starting
 vector may be complex.  A vanishing seed denominator ends the run with
 partial results for all still-active shifts: seed switching is deliberately
-not implemented.
+not implemented.  An exhausted Krylov space ends it with every surviving
+shift converged; it is detected on the Lanczos ``beta_k`` the seed
+residuals imply, as the Lanczos stream detects it, so at any scale of ``v``.
 
 Shift-independent combinations of seed scalars (``(beta_{k-2}/alpha_{k-2})
 alpha_{k-1}`` and ``z - z_s``) are computed once per iteration, so the

@@ -337,7 +337,8 @@ class HistoryColumns:
                 "shift": _concat([b[1] for b in blocks], np.intp)}
         for j, name, dtype in ((2, "value", np.complex128),
                                (3, "rel_err", np.float64),
-                               (4, "residual", np.float64)):
+                               (4, "residual", np.float64),
+                               (5, "pi", np.complex128)):
             parts = [b[j] for b in blocks]
             cols[name] = _concat([np.zeros(n) if p is None else p
                                   for p, n in zip(parts, sizes)], dtype)
@@ -382,12 +383,11 @@ class HistoryColumns:
     def pi(self) -> list:
         """Per shift, the ``pi`` of every accepted iteration, in order."""
         if self._pi is None:
-            shifts = _concat([b[1] for b in self._accepted], np.intp)
-            pis = _concat([b[5] for b in self._accepted], np.complex128)
-            order = np.argsort(shifts, kind="stable")
-            values = pis[order].tolist()
-            self._pi = [values[a:b]
-                        for a, b in _bounds(shifts[order], self.m)]
+            cols = self.columns()
+            has = cols["has_pi"]
+            values = cols["pi"][has].tolist()
+            self._pi = [values[a:b] for a, b in _bounds(cols["shift"][has],
+                                                        self.m)]
         return self._pi
 
 

@@ -390,7 +390,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 # rows formatted at a time: bounds the strings alive at once
-CSV_CHUNK_ROWS = 1 << 14
+_CSV_CHUNK_ROWS = 1 << 14
 # status text by the codes of HistoryColumns.columns()
 _STATUS_TEXT = np.array([status.value for status in SolveStatus], dtype=object)
 
@@ -404,8 +404,8 @@ def _fmt(col: np.ndarray, present: np.ndarray) -> list:
 
 def _csv_lines(method: str, cols: dict):
     """Lists of CSV rows (no newline) of one method's history columns."""
-    for a in range(0, cols["k"].size, CSV_CHUNK_ROWS):
-        c = {name: col[a:a + CSV_CHUNK_ROWS] for name, col in cols.items()}
+    for a in range(0, cols["k"].size, _CSV_CHUNK_ROWS):
+        c = {name: col[a:a + _CSV_CHUNK_ROWS] for name, col in cols.items()}
         value, has_value = c["value"], c["has_value"]
         fields = (
             itertools.repeat(method),
