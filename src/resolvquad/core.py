@@ -294,7 +294,8 @@ class HistoryColumns:
         # (iteration index, shifts, mu, nu, g_abs, h_abs)
         self._estimates: list = []
         self._frozen: list = []  # freeze rows: (k, shifts, value, status)
-        self._closed: list = []  # last-row statuses: (iteration index, shifts, status)
+        # statuses of last rows: (iteration index, shifts, status)
+        self._closed: list = []
         self._rows: Optional[list] = None
         self._pi: Optional[list] = None
 
