@@ -47,13 +47,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     MethodResult,
     SolveStatus,
     SparseHermitianMatrix,
     isfinite_scalar,
+    stable_norm,
 )
 from .error_estimate import DEFAULT_LAG, cabs
 from .lanczos import HAPPY_BREAKDOWN_RTOL
@@ -181,11 +181,6 @@ def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
     return z_s, batch, max_iter
 
 
-def _norm(x: np.ndarray) -> float:
-    """``||x||_2`` by BLAS ``nrm2``, which scales instead of overflowing."""
-    return float(scipy.linalg.norm(x, check_finite=False))
-
-
 def _exhausted(a: SparseHermitianMatrix, rnorm: float, rnorm_prev: float,
                alpha_prev: complex) -> bool:
     """Whether the seed residual ``r_k`` fell to rounding size: the Krylov
@@ -250,7 +245,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     k = 0
     rnorm_prev = 0.0  # ||r_{k-1}||
     while k < max_iter and batch.running:
-        rnorm = _norm(r)
+        rnorm = stable_norm(r)
         if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
             # the collinear residual of every surviving shift vanished too
             batch.freeze_all(k, SolveStatus.CONVERGED)
@@ -327,7 +322,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     k = 0
     rnorm_prev = 0.0  # ||r_{k-1}||
     while k < max_iter and batch.running:
-        rnorm = _norm(r)
+        rnorm = stable_norm(r)
         if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
             # the collinear residual of every surviving shift vanished too
             batch.freeze_all(k, SolveStatus.CONVERGED)

@@ -116,7 +116,7 @@ class SparseHermitianMatrix:
                                 shape=csr.shape)
         verified, asym = hermitian_check_csr(csr)
         return cls(hermitian_verified=verified, max_asymmetry=asym, _csr=csr,
-                   _fro_norm=_frobenius_norm(values))
+                   _fro_norm=stable_norm(values))
 
     @classmethod
     def from_csr_arrays(cls, n, row_ptr, col_idx, values) -> "SparseHermitianMatrix":
@@ -214,10 +214,11 @@ def _real_or_complex(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.real, dtype=np.float64)
 
 
-def _frobenius_norm(values: np.ndarray) -> float:
+def stable_norm(values: np.ndarray) -> float:
     """``||values||_2`` that stays finite for entries near the overflow
     threshold: the plain sum of squares, rescaled by the largest magnitude
-    only when it overflows."""
+    only when it overflows.  The matrix's Frobenius norm, and the COCG/COCR
+    residual norms."""
     if not values.size:
         return 0.0
     with np.errstate(over="ignore"):
