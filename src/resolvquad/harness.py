@@ -454,9 +454,8 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
         paths["history"] = csv_path
     json_path = out / "summary.json"
     with open(json_path, "w", newline="\n") as fh:
-        # one write: json.dump would write every token on its own
-        fh.write(json.dumps(summary_dict(report), indent=2, sort_keys=True)
-                 + "\n")
+        json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     paths["summary"] = json_path
     return paths
 
