@@ -17,11 +17,12 @@ the real axis).  A shift may repeat; each copy gets the same result.
 
 Restrictions: ``A`` must be real symmetric (the complex-symmetric structure
 of the seed matrix is what the transpose products rely on); the starting
-vector may be complex.  A vanishing seed denominator ends the run with
-partial results for all still-active shifts: seed switching is deliberately
-not implemented.  An exhausted Krylov space ends it with every surviving
-shift converged; it is detected on the Lanczos ``beta_k`` the seed
-residuals imply, as the Lanczos stream detects it, so at any scale of ``v``.
+vector may be complex.  A seed denominator ``x^T y`` that vanishes at the
+scale of its own factors ends the run with partial results for all
+still-active shifts: seed switching is deliberately not implemented.  An
+exhausted Krylov space ends it with every surviving shift converged; it is
+detected on the Lanczos ``beta_k`` the seed residuals imply, as the Lanczos
+stream detects it, so at any scale of ``v``.
 
 Shift-independent combinations of seed scalars (``(beta_{k-2}/alpha_{k-2})
 alpha_{k-1}`` and ``z - z_s``) are computed once per iteration, so the
@@ -43,6 +44,8 @@ which forms them from the real and imaginary parts as Python does.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,7 +55,6 @@ from .core import (
     MethodResult,
     SolveStatus,
     SparseHermitianMatrix,
-    isfinite_scalar,
     stable_norm,
 )
 from .error_estimate import DEFAULT_LAG, cabs
@@ -71,6 +73,9 @@ __all__ = [
 
 # pi is only a division guard, mirroring the shifted-Lanczos TOL_DELTA.
 TOL_PI = 1e-290
+# A seed product x^T y at most this times ||x|| ||y|| has vanished: the
+# unit round-off, below which no digit of the computed product is correct.
+TOL_SEED = 2.0 ** -53
 
 
 @dataclass
@@ -195,6 +200,14 @@ def _exhausted(a: SparseHermitianMatrix, rnorm: float, rnorm_prev: float,
                      * abs(alpha_prev) * rnorm_prev)
 
 
+def _vanished(product: complex, x_norm: float, y_norm: float) -> bool:
+    """Whether the seed product ``x^T y`` vanished at the scale of its own
+    factors, ``|x^T y| <= TOL_SEED ||x|| ||y||``, which holds at any scale
+    of ``v``.  A scale that overflowed is left to the overflow checks."""
+    scale = TOL_SEED * x_norm * y_norm
+    return abs(product) <= scale < math.inf
+
+
 def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
     """Take iteration ``k`` of every active shift.
 
@@ -254,7 +267,8 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         k += 1
         w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
         pap = complex(np.dot(p, w))
-        if abs(pap) <= TOL_PI or abs(rr_prev) <= TOL_PI:
+        if (_vanished(pap, stable_norm(p), stable_norm(w))
+                or _vanished(rr_prev, rnorm, rnorm)):
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         alpha_seed = rr_prev / pap  # alpha_{k-1}
@@ -262,8 +276,8 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         rr = complex(np.dot(r, r))
         beta_seed = rr / rr_prev  # beta_{k-1}
         r_scalar = complex(np.vdot(v, r))  # v^H r_k
-        if not (isfinite_scalar(alpha_seed) and isfinite_scalar(beta_seed)
-                and isfinite_scalar(r_scalar)):
+        if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
+                and cmath.isfinite(r_scalar)):
             batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_alpha.append(alpha_seed)
@@ -312,6 +326,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     q = np.zeros_like(r)
     w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
     e_prev = complex(np.dot(r, w))  # r_0^T (z_s I - A) r_0
+    wnorm_prev = stable_norm(w)
     alpha_prev = 1.0 + 0j
     beta_prev = 0j
     r_scalar_prev = complex(np.vdot(v, r))  # v^H r_0
@@ -332,11 +347,12 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         q = w + beta_prev * q  # q_{k-1}
         with np.errstate(over="ignore"):  # overflow freezes every shift below
             qq = complex(np.dot(q, q))
-        if abs(qq) <= TOL_PI:
+        qnorm = stable_norm(q)
+        if _vanished(qq, qnorm, qnorm):
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         alpha_seed = e_prev / qq  # alpha_{k-1}
-        if not (isfinite_scalar(alpha_seed) and isfinite_scalar(qq)):
+        if not (cmath.isfinite(alpha_seed) and cmath.isfinite(qq)):
             batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_alpha.append(alpha_seed)
@@ -355,17 +371,17 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         r_scalar = complex(np.vdot(v, r))
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
         e = complex(np.dot(r, w))
-        if abs(e_prev) <= TOL_PI:
+        if _vanished(e_prev, rnorm, wnorm_prev):
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
         beta_seed = e / e_prev  # beta_{k-1}
-        if not (isfinite_scalar(beta_seed) and isfinite_scalar(r_scalar)):
+        if not (cmath.isfinite(beta_seed) and cmath.isfinite(r_scalar)):
             batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
         alpha_prev, beta_prev = alpha_seed, beta_seed
-        e_prev = e
+        e_prev, wnorm_prev = e, stable_norm(w)
         r_scalar_prev = r_scalar
 
     return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars)

@@ -31,6 +31,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .error_estimate import history_estimates
+
 __all__ = [
     "HERMITIAN_TOL",
     "SolveStatus",
@@ -247,9 +249,9 @@ def hermitian_check_csr(csr: sp.csr_matrix):
 class HistoryEntry:
     """One (shift, iteration) row of a convergence history.
 
-    ``mu``/``nu`` are the lag-``d`` error estimates for this iteration; they
-    are filled in retroactively once iteration ``k + d`` has completed, so
-    recent rows of a live run carry ``None``.
+    ``mu``/``nu`` are the lag-``d`` error estimates for this iteration,
+    derived from the recorded history; ``None`` where iteration ``k + d``
+    was never recorded, unless the run ended on an invariant subspace.
     """
 
     k: int
@@ -265,7 +267,7 @@ class HistoryEntry:
 
 _STATUSES = tuple(SolveStatus)
 _STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
-_ESTIMATES = ("mu", "nu", "g_abs", "h_abs")
+_ESTIMATES = ("nu", "mu", "g_abs", "h_abs")
 
 
 def _concat(parts: list, dtype) -> np.ndarray:
@@ -276,24 +278,30 @@ class HistoryColumns:
     """The convergence history of one driver run, recorded as columns.
 
     Each accepted iteration adds whole arrays over the shifts it advanced:
-    ``value`` and, when the run has them, ``rel_err``, ``residual`` and the
-    COCG/COCR ``pi``.  The lag-``d`` estimates of an earlier iteration fill
-    ``mu``, ``nu``, ``g_abs`` and ``h_abs`` of its cells once they arrive; a
-    NaN estimate reads as ``None``, as it always has.  Freezing adds one
+    ``value`` and, when the run has them, ``rel_err``, ``residual``, the
+    COCG/COCR ``pi`` and the Lanczos pivot ``delta``.  Freezing adds one
     event per group of shifts: a row of its own, or the status of each
-    shift's last row.
+    shift's last row.  The lag-``d`` estimates ``nu``, ``mu``, ``g_abs`` and
+    ``h_abs`` are not recorded: :meth:`columns` derives them from the
+    recorded values (:func:`~resolvquad.error_estimate.history_estimates`),
+    with the Lanczos :attr:`stream` for ``mu`` and the :attr:`exact` shifts.
+    A NaN estimate reads as ``None``, as it always has.
 
     :meth:`columns` assembles every row in ``(shift, k)`` order;
     :meth:`rows` and :meth:`pi` build per-shift lists from them on first
     use, for callers that read :attr:`ShiftOutcome.history`.
     """
 
-    def __init__(self, m: int):
-        self.m = m
-        # per accepted iteration: (k, shifts, value, rel_err, residual, pi)
+    def __init__(self, z: np.ndarray, lag: int):
+        self.z = z
+        self.lag = lag
+        # the Lanczos stream's (alpha, beta, vnorm2); None for other methods
+        self.stream: Optional[tuple] = None
+        # the shifts whose last value is exact: an invariant subspace
+        self.exact = np.empty(0, np.intp)
+        # per accepted iteration: (k, shifts, value, rel_err, residual, pi,
+        # delta)
         self._accepted: list = []
-        # (iteration index, shifts, mu, nu, g_abs, h_abs)
-        self._estimates: list = []
         self._frozen: list = []  # freeze rows: (k, shifts, value, status)
         # statuses of last rows: (iteration index, shifts, status)
         self._closed: list = []
@@ -301,16 +309,11 @@ class HistoryColumns:
         self._pi: Optional[list] = None
 
     def accept(self, k: int, shifts: np.ndarray, value: np.ndarray,
-               rel_err=None, residual=None, pi=None) -> None:
+               rel_err=None, residual=None, pi=None, delta=None) -> None:
         """Record iteration ``k`` of ``shifts``; the arrays are kept, not
         copied, so a driver hands in arrays it no longer writes to."""
-        self._accepted.append((k, shifts, value, rel_err, residual, pi))
-
-    def estimates(self, k: int, shifts: np.ndarray, mu, nu, g_abs,
-                  h_abs) -> None:
-        """Fill the estimates of iteration ``k`` for ``shifts``, which were
-        all accepted at ``k``; ``None`` leaves a column empty."""
-        self._estimates.append((k - 1, shifts, mu, nu, g_abs, h_abs))
+        self._accepted.append((k, shifts, value, rel_err, residual, pi,
+                               delta))
 
     def freeze(self, k: int, shifts: np.ndarray, value: Optional[np.ndarray],
                status: SolveStatus, row: bool) -> None:
@@ -330,7 +333,7 @@ class HistoryColumns:
         ``has_*`` mask of the cells that hold a number (``None`` in a
         :class:`HistoryEntry`).
         """
-        blocks = self._accepted + [(k, shifts, value, None, None, None)
+        blocks = self._accepted + [(k, shifts, value, None, None, None, None)
                                    for k, shifts, value, _ in self._frozen]
         sizes = [b[1].size for b in blocks]
         starts = np.cumsum([0] + sizes)
@@ -350,24 +353,27 @@ class HistoryColumns:
         status = np.repeat([active] * len(self._accepted)
                            + [_STATUS_CODE[f[3]] for f in self._frozen],
                            sizes).astype(np.int8)
-        for name in _ESTIMATES:
-            cols[name] = np.full(starts[-1], np.nan)
-
-        def cells(j, shifts):  # rows of ``shifts`` in accepted iteration j
-            return starts[j] + np.searchsorted(blocks[j][1], shifts)
-
-        for j, shifts, *estimates in self._estimates:
-            at = cells(j, shifts)
-            for name, est in zip(_ESTIMATES, estimates):
-                if est is not None:
-                    cols[name][at] = est
         for j, shifts, code in self._closed:
-            status[cells(j, shifts)] = _STATUS_CODE[code]
+            status[starts[j] + np.searchsorted(blocks[j][1], shifts)] = (
+                _STATUS_CODE[code])
         cols["status"] = status
-        for name in _ESTIMATES:
-            cols["has_" + name] = ~np.isnan(cols[name])
         order = np.lexsort((cols["k"], cols["shift"]))
-        return {name: col[order] for name, col in cols.items()}
+        cols = {name: col[order] for name, col in cols.items()}
+
+        # the accepted cells, which precede the freeze rows before sorting
+        acc = np.flatnonzero(order < starts[len(self._accepted)])
+        lanczos = None
+        if self.stream is not None:
+            delta = _concat([b[6] for b in self._accepted], np.complex128)
+            lanczos = (self.z, delta[order[acc]], *self.stream)
+        estimates = history_estimates(
+            self.lag, cols["shift"][acc], cols["k"][acc], cols["value"][acc],
+            self.exact, lanczos)
+        for name, est in zip(_ESTIMATES, estimates):
+            cols[name] = np.full(order.size, np.nan)
+            cols[name][acc] = est
+            cols["has_" + name] = ~np.isnan(cols[name])
+        return cols
 
     def rows(self, i: int) -> list:
         """Shift ``i``'s :class:`HistoryEntry` rows, in iteration order."""
@@ -379,7 +385,7 @@ class HistoryColumns:
             fields += [_or_none(cols, name) for name in
                        ("mu", "nu", "rel_err", "g_abs", "h_abs", "residual")]
             self._rows = [list(map(HistoryEntry, *(f[a:b] for f in fields)))
-                          for a, b in _bounds(cols["shift"], self.m)]
+                          for a, b in _bounds(cols["shift"], self.z.size)]
         return self._rows[i]
 
     def pi(self) -> list:
@@ -389,7 +395,7 @@ class HistoryColumns:
             has = cols["has_pi"]
             values = cols["pi"][has].tolist()
             self._pi = [values[a:b] for a, b in _bounds(cols["shift"][has],
-                                                        self.m)]
+                                                        self.z.size)]
         return self._pi
 
 
@@ -450,11 +456,3 @@ class MethodResult:
             return None
         return max(s.iterations for s in self.shifts)
 
-
-def isfinite_scalar(x) -> bool:
-    """Finite check that also works for duck-typed instrumented scalars."""
-    try:
-        c = complex(x)
-    except (TypeError, ValueError):
-        return False
-    return math.isfinite(c.real) and math.isfinite(c.imag)

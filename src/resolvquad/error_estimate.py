@@ -24,17 +24,17 @@ entries; printed closed forms that carry ``(-1)^k`` factors correspond to
 the opposite off-diagonal sign convention and agree in modulus, which is
 all the estimates use.
 
-:class:`LagWindow` keeps the last ``d + 1`` iterations of a whole batch of
-shifts that advance in lockstep, as rings of shape ``(m, d + 1)`` indexed by
-the global iteration.  ``nu`` is always reported, because the stopping rule
-reads it; ``mu`` and the corner/bridge entries are computed, vectorised over
-the ring, only when the window is given the ``mu`` scale ``||v||^2``.  After
-an invariant subspace :meth:`LagWindow.flush_exact` reports the iterations
-still pending against the exact final value.  The scalar
-:class:`EstimatorState` is that window over a batch of one shift,
-:class:`DelayedDifferenceWindow` its ``nu`` half over one shift (no driver
-uses it), and :func:`corner_update` and :func:`bridge_entry` run the same
-elementwise arithmetic the window runs on arrays.
+The two estimates have different readers.  The stopping rule reads ``nu``
+while a run goes: :class:`LagWindow` keeps the last ``d + 1`` values of a
+batch of shifts that advance in lockstep, as a ring of shape ``(m, d + 1)``,
+and reports ``nu`` with the scale ``|L_k|``.  Only recorded history reads
+``mu`` and the corner and bridge magnitudes: :func:`history_estimates`
+derives all four from the recorded columns after the run, so the solve loop
+computes no corner or bridge entry.  The scalar :class:`EstimatorState`
+computes them for one shift as the run goes, the reference the history is
+tested against; :class:`DelayedDifferenceWindow` is its ``nu`` half (no
+driver uses it); :func:`corner_update` and :func:`bridge_entry` run the
+elementwise arithmetic :func:`history_estimates` runs on arrays.
 
 Estimator failures (vanished pivots, non-finite products) degrade to
 "estimate not available" and never touch the solver itself.
@@ -42,12 +42,13 @@ Estimator failures (vanished pivots, non-finite products) degrade to
 
 from __future__ import annotations
 
+import cmath
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .core import isfinite_scalar
 
 __all__ = [
     "DEFAULT_LAG",
@@ -60,6 +61,7 @@ __all__ = [
     "cabs",
     "corner_update",
     "bridge_entry",
+    "history_estimates",
 ]
 
 DEFAULT_LAG = 5
@@ -90,17 +92,18 @@ def corner_update(g, beta, delta_next):
     return g * (beta / delta_next)
 
 
-def _bridge(z, g_k, beta_k, alpha_tail, beta_tail, delta_tail):
+def _bridge(z, g_k, beta_k, alpha_tail, beta_sq_tail, delta_tail):
     """The bridge entry's arithmetic, elementwise over ``z``, ``g_k`` and
-    the ``delta_tail`` entries.  On Python scalars a vanished pivot raises
-    ``ZeroDivisionError``; on arrays it leaves a non-finite entry."""
+    the tail entries, with the squares ``beta_sq_tail[j-1] = beta_{k+j}**2``.
+    On Python scalars a vanished pivot raises ``ZeroDivisionError``; on
+    arrays it leaves a non-finite entry."""
     d = len(delta_tail)
     phi_prod = 1.0 + 0.0j
     if d >= 2:
         phi = z - alpha_tail[d - 1]
         phi_prod = phi
         for j in range(d - 1, 1, -1):
-            phi = z - alpha_tail[j - 1] - beta_tail[j - 1] ** 2 / phi
+            phi = z - alpha_tail[j - 1] - beta_sq_tail[j - 1] / phi
             phi_prod = phi_prod * phi
     denom = 1.0 + 0.0j
     for delta in delta_tail:
@@ -123,11 +126,12 @@ def bridge_entry(z: complex, g_k: complex, beta_k: float,
     if len(alpha_tail) != d or len(beta_tail) < d - 1:
         raise ValueError("tail lengths inconsistent with the lag")
     try:
-        h = _bridge(z, g_k, beta_k, alpha_tail, beta_tail, delta_tail)
+        h = _bridge(z, g_k, beta_k, alpha_tail, [b ** 2 for b in beta_tail],
+                    delta_tail)
     except ZeroDivisionError as exc:
         raise EstimatorUnavailable(
             "a backward pivot or the delta product vanished") from exc
-    if not isfinite_scalar(h):
+    if not cmath.isfinite(h):
         raise EstimatorUnavailable("bridge entry overflowed")
     return h
 
@@ -143,7 +147,6 @@ class EstimateReport:
 
     k: int
     nu: float
-    value_abs: float = 0.0  # |L_k|, the scale the nu stopping rule uses
     mu: Optional[float] = None
     g_abs: Optional[float] = None
     h_abs: Optional[float] = None
@@ -151,148 +154,50 @@ class EstimateReport:
 
 @dataclass
 class LagReport:
-    """Estimates for iteration ``k`` of every shift in a window.
-
-    Arrays over the window's shifts; ``mu``, ``g_abs`` and ``h_abs`` are
-    ``None`` when the window computes no ``mu``, and NaN where an entry is
-    unavailable.
-    """
+    """``nu`` of iteration ``k`` for every shift of a window, and the scale
+    ``|L_k|`` the stopping rule compares it with; arrays over the shifts."""
 
     k: int
     nu: np.ndarray
-    scale: np.ndarray  # |L_k|, the scale the nu stopping rule uses
-    mu: Optional[np.ndarray] = None
-    g_abs: Optional[np.ndarray] = None
-    h_abs: Optional[np.ndarray] = None
-
-    def shift(self, i: int) -> EstimateReport:
-        """Shift ``i``'s estimates, ``None`` where an entry is NaN."""
-        def at(col):
-            x = None if col is None else float(col[i])
-            return None if x != x else x
-
-        return EstimateReport(k=self.k, nu=at(self.nu),
-                              value_abs=float(self.scale[i]), mu=at(self.mu),
-                              g_abs=at(self.g_abs), h_abs=at(self.h_abs))
+    scale: np.ndarray
 
 
 class LagWindow:
-    """Ring of the last ``d + 1`` iterations of shifts advancing in lockstep.
+    """Ring of the last ``d + 1`` values of shifts advancing in lockstep.
 
-    Feed it once per iteration via :meth:`push` with the iterates of every
-    shift; the report for the lagged iteration comes back as soon as the
-    ring is full.  With ``mu_scale`` set (``||v||^2``), the corner entries
-    ``g`` ride along in a second ring; once one turns non-finite that
-    shift's ``mu`` side is abandoned while ``nu`` keeps flowing.  The ring's
+    Feed it once per iteration via :meth:`push` with the value of every
+    shift (``z`` gives the shifts, one ring row each); the ``nu`` report for
+    the lagged iteration comes back as soon as the ring is full.  The ring's
     rows follow the batch: :meth:`compact` drops the shifts that froze.
     """
 
-    def __init__(self, z, lag: int, mu_scale: Optional[float] = None):
+    def __init__(self, z, lag: int):
         if lag < 1:
             raise ValueError("estimator lag must be a positive integer")
         self.lag = lag
         self.k = 0
-        z = np.asarray(z, dtype=np.complex128)
-        self.values = np.zeros((z.size, lag + 1), dtype=np.complex128)
-        self.mu_scale = mu_scale
-        if mu_scale is not None:
-            self.z = z
-            self.g = np.zeros_like(self.values)
-            self.delta = np.zeros_like(self.values)
-            self.alpha: list = [None] * (lag + 1)
-            self.beta_prev: list = [None] * (lag + 1)
+        self.values = np.zeros((np.size(z), lag + 1), dtype=np.complex128)
 
     def slot(self, k: int) -> int:
         return k % (self.lag + 1)
 
     def compact(self, keep: np.ndarray) -> None:
         self.values = self.values[keep]
-        if self.mu_scale is not None:
-            self.z = self.z[keep]
-            self.g = self.g[keep]
-            self.delta = self.delta[keep]
 
-    def push(self, value: np.ndarray, alpha: Optional[float] = None,
-             beta_prev: Optional[float] = None,
-             delta: Optional[np.ndarray] = None) -> Optional[LagReport]:
-        """Record iteration ``k``; return the report for ``k - d`` if due.
-
-        ``alpha``/``delta``/``value`` belong to iteration ``k``;
-        ``beta_prev`` is the off-diagonal ``beta_{k-1}`` that produced it.
-        Only the ``mu`` side reads ``alpha``, ``beta_prev`` and ``delta``.
-        """
+    def push(self, value: np.ndarray) -> Optional[LagReport]:
+        """Record iteration ``k``; return the report for ``k - d`` if due."""
         self.k += 1
-        s = self.slot(self.k)
-        self.values[:, s] = value
-        if self.mu_scale is not None:
-            with np.errstate(all="ignore"):
-                if self.k == 1:
-                    g = 1.0 / delta
-                elif beta_prev is None:
-                    g = np.full_like(delta, np.nan)
-                else:
-                    g = corner_update(self.g[:, self.slot(self.k - 1)],
-                                      beta_prev, delta)
-            self.g[:, s] = np.where(np.isfinite(g), g, np.nan)
-            self.delta[:, s] = delta
-            self.alpha[s] = alpha
-            self.beta_prev[s] = beta_prev
+        self.values[:, self.slot(self.k)] = value
         if self.k <= self.lag:
             return None
         base = self.values[:, self.slot(self.k + 1)]
-        report = LagReport(k=self.k - self.lag, nu=cabs(base - value),
-                           scale=cabs(base))
-        if self.mu_scale is not None:
-            self._mu(report)
-        return report
-
-    def _mu(self, report: LagReport) -> None:
-        k0 = report.k
-        base = self.slot(k0)
-        tail = [self.slot(k0 + j) for j in range(1, self.lag + 1)]
-        g_abs = cabs(self.g[:, base])
-        beta_k = self.beta_prev[tail[0]]
-        if beta_k is None:
-            h_abs = mu = np.full_like(g_abs, np.nan)
-        else:
-            with np.errstate(all="ignore"):
-                h = _bridge(self.z, self.g[:, base], beta_k,
-                            [self.alpha[s] for s in tail],
-                            [self.beta_prev[s] for s in tail[1:]],
-                            [self.delta[:, s] for s in tail])
-                h_abs = cabs(h)
-                mu = beta_k * self.mu_scale * g_abs * h_abs
-        ok = np.isfinite(mu)
-        report.mu = np.where(ok, mu, np.nan)
-        report.g_abs = g_abs
-        report.h_abs = np.where(ok, h_abs, np.nan)
-
-    def flush_exact(self, value_final: np.ndarray) -> list[LagReport]:
-        """Close out pending iterations after an invariant subspace.
-
-        The iteration stopped at ``k_last`` with an exact value, so
-        ``L_j = value_final`` for every virtual ``j > k_last`` and
-        ``nu_{k,d} = |L_k - value_final|`` for the pending ``k``.  ``mu`` is
-        only defined for the terminal iteration itself, where the vanished
-        off-diagonal makes it exactly zero.
-        """
-        reports = []
-        for k in range(max(1, self.k - self.lag + 1), self.k + 1):
-            values = self.values[:, self.slot(k)]
-            report = LagReport(k=k, nu=cabs(values - value_final),
-                               scale=cabs(values))
-            if self.mu_scale is not None:
-                report.mu = np.full(values.shape,
-                                    0.0 if k == self.k else np.nan)
-                report.g_abs = cabs(self.g[:, self.slot(k)])
-                report.h_abs = np.full(values.shape, np.nan)
-            reports.append(report)
-        return reports
+        return LagReport(k=self.k - self.lag, nu=cabs(base - value),
+                         scale=cabs(base))
 
 
 class DelayedDifferenceWindow:
     """The ``nu`` half alone over one iterate sequence: a :class:`LagWindow`
-    of one shift without ``mu``.
+    of one shift.
 
     Reports ``nu_{k,d} = |x_k - x_{k+d}|`` with the scale ``|x_k|`` once the
     lag window fills.
@@ -309,41 +214,28 @@ class DelayedDifferenceWindow:
         return report.k, float(report.nu[0]), float(report.scale[0])
 
 
-@dataclass
-class _Entry:
-    k: int
-    alpha: float
-    beta_prev: Optional[float]  # beta_{k-1}, None at k = 1
-    delta: complex
-    value: complex
-    g: Optional[complex]
+# one retained iteration of EstimatorState; g is NaN once the corner failed
+_Entry = namedtuple("_Entry", "k alpha beta_prev delta value g")
 
 
 class EstimatorState:
-    """The lag window of one shift: a :class:`LagWindow` over a batch of one.
+    """Both estimates of one shift, on Python scalars, as the run goes.
 
     Feed it once per iteration via :meth:`push`; a report for the lagged
-    iteration comes back as soon as the window is full.
+    iteration comes back as soon as the window of the last ``d + 1``
+    iterations (:attr:`window`, oldest first) is full.  Once a corner entry
+    fails (a vanished pivot or a non-finite product) the ``mu`` side of the
+    shift is abandoned while ``nu`` keeps flowing.
     """
 
     def __init__(self, z: complex, lag: int, vnorm2: float):
+        if lag < 1:
+            raise ValueError("estimator lag must be a positive integer")
         self.z = z
         self.lag = lag
         self.vnorm2 = vnorm2
-        self._ring = LagWindow([z], lag, mu_scale=vnorm2)
-
-    @property
-    def window(self) -> list[_Entry]:
-        """The retained iterations, oldest first."""
-        ring = self._ring
-        entries = []
-        for k in range(max(1, ring.k - self.lag), ring.k + 1):
-            s = ring.slot(k)
-            g = complex(ring.g[0, s])
-            entries.append(_Entry(
-                k, ring.alpha[s], ring.beta_prev[s], complex(ring.delta[0, s]),
-                complex(ring.values[0, s]), None if g != g else g))
-        return entries
+        self.k = 0
+        self.window: list = []
 
     def push(self, alpha: float, beta_prev: Optional[float], delta: complex,
              value: complex) -> Optional[EstimateReport]:
@@ -352,7 +244,99 @@ class EstimatorState:
         ``alpha``/``delta``/``value`` belong to iteration ``k``;
         ``beta_prev`` is the off-diagonal ``beta_{k-1}`` that produced it.
         """
-        report = self._ring.push(np.array([value], dtype=np.complex128),
-                                 alpha, beta_prev,
-                                 np.array([delta], dtype=np.complex128))
-        return None if report is None else report.shift(0)
+        self.k += 1
+        try:
+            g = (1.0 / delta if self.k == 1
+                 else corner_update(self.window[-1].g, beta_prev, delta))
+        except (ZeroDivisionError, EstimatorUnavailable):
+            g = math.nan
+        self.window = self.window[-self.lag:] + [
+            _Entry(self.k, alpha, beta_prev, delta, value, g)]
+        if self.k <= self.lag:
+            return None
+        base, *tail = self.window
+        report = EstimateReport(k=base.k, nu=abs(base.value - value))
+        if not cmath.isfinite(base.g):
+            return report
+        report.g_abs = abs(base.g)
+        beta_k = tail[0].beta_prev
+        try:
+            h = bridge_entry(self.z, base.g, beta_k, [e.alpha for e in tail],
+                             [e.beta_prev for e in tail[1:]],
+                             [e.delta for e in tail])
+        except EstimatorUnavailable:
+            return report
+        mu = beta_k * self.vnorm2 * report.g_abs * abs(h)
+        if math.isfinite(mu):
+            report.mu, report.h_abs = mu, abs(h)
+        return report
+
+
+def history_estimates(lag: int, shift: np.ndarray, k: np.ndarray,
+                      value: np.ndarray, exact: np.ndarray = (),
+                      lanczos: Optional[tuple] = None) -> tuple:
+    """``(nu, mu, g_abs, h_abs)`` of a run's recorded iterations.
+
+    ``shift``, ``k`` and ``value`` are the accepted cells of one run in
+    ``(shift, k)`` order; every shift's cells run ``k = 1, 2, ...`` without
+    a gap.  A cell ``(i, k)`` has estimates where shift ``i`` was accepted
+    at ``k + lag`` too, the iteration whose push reported them.  The shifts
+    in ``exact`` ended on an invariant subspace with an exact last value
+    ``L_K``: their last ``lag`` cells take ``nu_{k,d} = |L_k - L_K|``, the
+    corner magnitude and ``mu = 0`` at ``K``, where the vanished
+    off-diagonal makes it exact.
+
+    ``lanczos`` is ``(z, delta, alpha, beta, vnorm2)``: the run's shifts, the
+    pivot ``delta`` of each cell and the stream's coefficients.  Without it
+    only ``nu`` is computed.  The arrays are NaN where no estimate exists.
+    """
+    nu, mu, g_abs, h_abs = (np.full(k.size, np.nan) for _ in range(4))
+    n = max(k.size - lag, 0)  # the cells with a cell lag places later
+    base = np.flatnonzero((shift[lag:] == shift[:n])
+                          & (k[lag:] == k[:n] + lag))
+    nu[base] = cabs(value[base] - value[base + lag])
+    last = np.searchsorted(shift, exact, side="right") - 1
+    for j in range(lag):
+        to = last[k[last] > j]  # the shifts with an iteration K - j
+        nu[to - j] = cabs(value[to - j] - value[to])
+    if lanczos is None:
+        return nu, mu, g_abs, h_abs
+    z, delta, alpha, beta, vnorm2 = lanczos
+    kb = k[base]
+    alpha = np.asarray(alpha)
+    beta_sq = np.array([b ** 2 for b in beta])  # as bridge_entry squares
+    beta_k = np.asarray(beta)[kb - 1]
+    with np.errstate(all="ignore"):
+        g = _corners(k, delta, beta)
+        h = _bridge(z[shift[base]], g[base], beta_k,
+                    [alpha[kb + j - 1] for j in range(1, lag + 1)],
+                    [beta_sq[kb + j - 1] for j in range(1, lag)],
+                    [delta[base + j] for j in range(1, lag + 1)])
+        h_abs[base] = cabs(h)
+        reported = ~np.isnan(nu)  # the values, hence nu, are finite
+        g_abs[reported] = cabs(g[reported])
+        mu[base] = beta_k * vnorm2 * g_abs[base] * h_abs[base]
+    unavailable = base[~np.isfinite(mu[base])]
+    mu[unavailable] = h_abs[unavailable] = np.nan
+    mu[last] = 0.0
+    return nu, mu, g_abs, h_abs
+
+
+def _corners(k: np.ndarray, delta: np.ndarray, beta) -> np.ndarray:
+    """The corner entry of every cell, NaN from where it turns non-finite;
+    ``(shift, k)``-ordered cells, one recursion per shift, all shifts at
+    once.  A non-finite entry keeps every later product non-finite, so one
+    replacement at the end equals one per step."""
+    g = np.empty_like(delta)
+    first = np.flatnonzero(k == 1)
+    g[first] = 1.0 / delta[first]
+    # shifts by descending length: those still going at k are a prefix
+    length = np.diff(np.append(first, k.size))
+    order = np.argsort(-length, kind="stable")
+    first, length = first[order], length[order]
+    going = np.searchsorted(-length, -np.arange(2, length.max(initial=1) + 1),
+                            side="right")
+    for step, count in enumerate(going.tolist(), start=1):
+        cells = first[:count] + step  # iteration step + 1
+        g[cells] = corner_update(g[cells - 1], beta[step - 1], delta[cells])
+    return np.where(np.isfinite(g), g, np.nan)

@@ -14,7 +14,9 @@ shifts and each iteration is a handful of array operations.  A
 * the convergence history, recorded as columns
   (:class:`~resolvquad.core.HistoryColumns`): each iteration appends its
   arrays over the active shifts, and nothing is created per shift per
-  iteration.
+  iteration.  The lag-``d`` estimates of the history, ``mu`` among them,
+  are derived from those columns after the run; the solve loop computes
+  only the ``nu`` that stopping reads.
 
 The active shifts are an index array into the shift list.  Whenever shifts
 freeze, it is compacted together with every array in :attr:`ShiftBatch.state`,
@@ -36,15 +38,11 @@ __all__ = ["ShiftBatch"]
 
 
 class ShiftBatch:
-    """Lockstep per-shift state, stopping and history of one driver run.
-
-    ``mu_scale`` (``||v||^2``) makes the lag window compute ``mu`` and the
-    corner/bridge entries; only recorded history reads them.
-    """
+    """Lockstep per-shift state, stopping and history of one driver run."""
 
     def __init__(self, shifts: Sequence[complex], *, rtol: Optional[float],
                  lag: int, reference: Optional[Sequence[complex]],
-                 keep_history: bool, mu_scale: Optional[float] = None):
+                 keep_history: bool):
         self.z = np.array([complex(z) for z in shifts], dtype=np.complex128)
         if self.z.size == 0:
             raise ValueError("at least one shift is required")
@@ -62,8 +60,8 @@ class ShiftBatch:
         self.state = SimpleNamespace(z=self.z)
         self.value: Optional[np.ndarray] = None  # last accepted, per active
         self.residual: Optional[np.ndarray] = None
-        self.window = LagWindow(self.z, lag, mu_scale)
-        self.history = HistoryColumns(self.z.size) if keep_history else None
+        self.window = LagWindow(self.z, lag)
+        self.history = HistoryColumns(self.z, lag) if keep_history else None
         self._outcomes: list = [None] * self.z.size
 
     @property
@@ -123,12 +121,13 @@ class ShiftBatch:
 
     def accept(self, k: int, value: np.ndarray,
                residual: Optional[np.ndarray] = None,
-               pi: Optional[np.ndarray] = None, **coefficients) -> None:
+               pi: Optional[np.ndarray] = None,
+               delta: Optional[np.ndarray] = None) -> None:
         """Take iteration ``k``'s values of every active shift.
 
-        Records history (with the COCG/COCR ``pi`` when given), feeds the
-        lag window (``coefficients`` are its ``alpha``, ``beta_prev`` and
-        ``delta``) and freezes the shifts that meet the stopping rule.
+        Records history (with the COCG/COCR ``pi`` or the Lanczos pivot
+        ``delta`` when given), feeds the lag window and freezes the shifts
+        that meet the stopping rule.
         """
         self.value = value
         self.residual = residual
@@ -137,10 +136,9 @@ class ShiftBatch:
             ref = self.reference[self.active]
             err = cabs(value - ref) / self._ref_scale[self.active]
         if self.history is not None:
-            self.history.accept(k, self.active, value, err, residual, pi)
-        report = self.window.push(value, **coefficients)
-        if report is not None and self.history is not None:
-            self._attach([report])
+            self.history.accept(k, self.active, value, err, residual, pi,
+                                delta)
+        report = self.window.push(value)
         if self.rtol is None:
             return
         if err is not None:
@@ -149,16 +147,11 @@ class ShiftBatch:
             self.freeze(k, (SolveStatus.CONVERGED,
                             report.nu <= self.rtol * report.scale))
 
-    def _attach(self, reports) -> None:
-        for r in reports:
-            self.history.estimates(r.k, self.active, r.mu, r.nu, r.g_abs,
-                                   r.h_abs)
-
-    def flush_exact(self) -> None:
-        """Fill the pending estimates after an invariant subspace: every
-        active value is exact from here on (history only)."""
+    def mark_exact(self) -> None:
+        """Record an invariant subspace: every active value is exact, which
+        fills the history's pending estimates."""
         if self.history is not None:
-            self._attach(self.window.flush_exact(self.value))
+            self.history.exact = self.active
 
     def finish(self, k: int) -> list:
         """Freeze the shifts still active as ``MAX_ITER``; every outcome."""

@@ -34,6 +34,7 @@ over the batch and branches on a scalar.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,7 +45,6 @@ from .core import (
     NonFiniteError,
     SolveStatus,
     SparseHermitianMatrix,
-    isfinite_scalar,
 )
 from .error_estimate import DEFAULT_LAG
 from .lanczos import LanczosState, lanczos_init, lanczos_step
@@ -118,7 +118,7 @@ def shift_state_init(z: complex, vnorm2: float, alpha1: float) -> ShiftState:
     if L1 is None or abs(delta1) <= TOL_DELTA:
         return ShiftState(z=z, c=c1, delta=delta1, pi=0j, L=None,
                           status=SolveStatus.BREAKDOWN, k=1)
-    if not isfinite_scalar(L1):
+    if not cmath.isfinite(L1):
         return ShiftState(z=z, c=c1, delta=delta1, pi=pi1, L=None,
                           status=SolveStatus.OVERFLOW, k=1)
     return ShiftState(z=z, c=c1, delta=delta1, pi=pi1, L=L1,
@@ -147,8 +147,8 @@ def shift_state_update(state: ShiftState, alpha_next: float, beta: float,
     if abs(delta_next) <= TOL_DELTA:
         state.status = SolveStatus.BREAKDOWN
         return state
-    if not (isfinite_scalar(L_next) and isfinite_scalar(c_next)
-            and isfinite_scalar(pi_next)):
+    if not (cmath.isfinite(L_next) and cmath.isfinite(c_next)
+            and cmath.isfinite(pi_next)):
         state.status = SolveStatus.OVERFLOW
         return state
     state.c = c_next
@@ -211,10 +211,8 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
         stream = lanczos_init(a, v)
     except NonFiniteError:
         stream = None
-    # mu is only ever read from recorded history
-    mu_scale = stream.vnorm2 if keep_history and stream is not None else None
     batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
-                       keep_history=keep_history, mu_scale=mu_scale)
+                       keep_history=keep_history)
     if stream is None:
         batch.freeze_all(0, SolveStatus.OVERFLOW)
         return stream_result("lanczos", batch, 0, None)
@@ -231,7 +229,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
         breakdown = np.abs(s.delta) <= TOL_DELTA
         batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
                      (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True)
-        batch.accept(k, s.L, alpha=alpha1, beta_prev=None, delta=s.delta)
+        batch.accept(k, s.L, delta=s.delta)
 
         while k < max_iter and batch.running:
             try:
@@ -241,7 +239,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                 break
             if outcome.invariant_subspace:
                 # exhausted Krylov space: every surviving value is exact
-                batch.flush_exact()
+                batch.mark_exact()
                 batch.freeze_all(k, SolveStatus.CONVERGED)
                 break
             beta, alpha_next = outcome.beta, outcome.alpha_next
@@ -253,10 +251,13 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                          & np.isfinite(s.pi))
             batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
                          (SolveStatus.OVERFLOW, overflow), row=True)
-            batch.accept(k, s.L, alpha=alpha_next, beta_prev=beta,
-                         delta=s.delta)
+            batch.accept(k, s.L, delta=s.delta)
 
-    return stream_result("lanczos", batch, k, stream)
+    result = stream_result("lanczos", batch, k, stream)
+    if result.history is not None:
+        # mu is derived from the recorded history, with the pivots above
+        result.history.stream = (result.alpha, result.beta, result.vnorm2)
+    return result
 
 
 @dataclass

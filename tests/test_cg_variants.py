@@ -102,6 +102,24 @@ def test_exhausted_krylov_space_at_any_scale(runner, scale):
     assert abs(out.value - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_seed_guards_hold_at_any_scale_of_v(runner):
+    """The seed products are compared with the norms of their own factors.
+    With ``v`` scaled by ``2**-490`` they are near 1e-295, below an absolute
+    1e-290 guard, yet the run is the unscaled run with every value scaled
+    by exactly ``2**-980``."""
+    rng = np.random.default_rng(31)
+    a = random_hermitian(rng, 8, real=True)
+    v = random_vector(rng, 8)
+    shifts = generate_unit_circle_shifts(4)
+    base = runner(a, v, shifts, rtol=None, max_iter=5)
+    tiny = runner(a, 2.0 ** -490 * v, shifts, rtol=None, max_iter=5)
+    assert tiny.iterations == base.iterations == 5
+    for b, t in zip(base.shifts, tiny.shifts):
+        assert (t.status, t.iterations) == (b.status, b.iterations)
+        assert t.value == b.value * 2.0 ** -980
+
+
 def test_cocg_pi_zero_freezes_shift():
     # diag(1,2), v=(1,1)/sqrt 2, z_s=0: alpha_0 = -2/3, so the shift
     # z = z_s - 1/alpha_0 = 1.5 makes pi_1 = 0 exactly

@@ -24,7 +24,8 @@ from resolvquad import (
     shifted_lanczos,
     shifted_minres,
 )
-from resolvquad.core import SparseHermitianMatrix
+from resolvquad.core import SolveStatus, SparseHermitianMatrix
+from resolvquad.error_estimate import EstimatorState
 from resolvquad.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -32,9 +33,16 @@ from resolvquad.harness import (
     run_experiment,
     write_report,
 )
+from resolvquad.lanczos import lanczos_init
 from resolvquad.mmio import write_matrix_market
+from resolvquad.shifted_lanczos import (
+    run_quadratic_forms,
+    shift_state_init,
+    shift_state_update,
+)
+from resolvquad.shifted_minres import minres_run
 
-from conftest import random_hermitian_dense
+from conftest import random_hermitian_dense, random_vector
 
 DATA = Path(__file__).parent / "data"
 ALL_METHODS = ("lanczos", "minres", "cocg", "cocr")
@@ -220,3 +228,127 @@ def test_history_off_and_empty(tmp_path, history):
         assert res.history is None
         assert all(s.history is None for s in res.shifts)
         assert "history" not in paths
+
+
+ESTIMATE_RTOL = 1e-12
+FREEZE_ROWS = (SolveStatus.BREAKDOWN, SolveStatus.OVERFLOW)
+
+
+def estimate_problem(seed, n, real, spectrum):
+    """A Hermitian problem whose ``dense`` spectrum or three distinct
+    eigenvalues (an invariant subspace at k = 3); off-axis shifts, the exact
+    Rayleigh quotient ``alpha_1`` (a breakdown at k = 1) and a shift 1e-3
+    above an eigenvalue."""
+    rng = np.random.default_rng(seed)
+    dense = random_hermitian_dense(rng, n, real=real)
+    if spectrum == "three":
+        q = np.linalg.eigh(dense)[1]
+        lam = rng.choice([-1.5, 0.25, 2.0], size=n)
+        dense = (q * lam) @ q.conj().T
+        dense = (dense + dense.conj().T) / 2
+    a = SparseHermitianMatrix.from_dense(dense)
+    v = random_vector(rng, n, real=real)
+    shifts = [complex(3 * rng.standard_normal(),
+                      (0.05 + 2 * rng.random()) * rng.choice([-1, 1]))
+              for _ in range(3)]
+    shifts.append(complex(lanczos_init(a, v).coeffs.alpha[0]))
+    lam = np.linalg.eigvalsh(dense)
+    shifts.append(complex(lam[rng.integers(n)], 1e-3))
+    return a, v, shifts
+
+
+def close(got, want):
+    if want is None:
+        return got is None
+    return got is not None and abs(got - want) <= ESTIMATE_RTOL * abs(want)
+
+
+def scalar_reference(res, z, lag, iterations):
+    """:class:`EstimatorState` driven by the scalar recursion over the
+    run's own coefficients for ``iterations`` iterations: its reports by
+    ``k`` and its final window."""
+    est = EstimatorState(z, lag, res.vnorm2)
+    state = shift_state_init(z, res.vnorm2, res.alpha[0])
+    reports = {}
+    for j in range(iterations):
+        if j:
+            shift_state_update(state, res.alpha[j], res.beta[j - 1])
+        assert state.status is SolveStatus.ACTIVE
+        report = est.push(res.alpha[j], res.beta[j - 1] if j else None,
+                          state.delta, state.L)
+        if report is not None:
+            reports[report.k] = report
+    return reports, est.window
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 16),
+       real=st.booleans(), spectrum=st.sampled_from(["dense", "three"]),
+       lag=st.integers(1, 6), max_iter=st.sampled_from([None, 4, 11]))
+def test_history_estimates_match_the_scalar_estimator(seed, n, real, spectrum,
+                                                      lag, max_iter):
+    """The recorded ``nu`` is ``|L_k - L_{k+d}|`` of the recorded values,
+    bit for bit, or ``|L_k - L_K|`` after an invariant subspace at ``K``;
+    ``mu``, ``g_abs`` and ``h_abs`` are the scalar estimator's, with the
+    same cells empty.  MINRES records ``nu`` alone."""
+    a, v, shifts = estimate_problem(seed, n, real, spectrum)
+    kw = dict(rtol=None, lag=lag, max_iter=max_iter, keep_history=True)
+    res = run_quadratic_forms(a, v, shifts, **kw)
+    assert res.shifts[-2].status is SolveStatus.BREAKDOWN
+    for out in res.shifts:
+        rows = [r for r in out.history if r.status not in FREEZE_ROWS]
+        assert [r.k for r in rows] == list(range(1, len(rows) + 1))
+        assert all(r.nu is r.mu is r.g_abs is r.h_abs is None
+                   for r in out.history if r.status in FREEZE_ROWS)
+        # with rtol=None only an invariant subspace ends a shift converged
+        exact = out.status is SolveStatus.CONVERGED
+        assert not exact or res.invariant_subspace_at == out.iterations
+        reports, window = scalar_reference(res, out.z, lag, len(rows))
+        tail = {e.k: e for e in window}
+        for i, row in enumerate(rows):
+            if i + lag < len(rows):
+                assert row.nu == abs(row.value - rows[i + lag].value)
+                want = reports[row.k]
+                got = (row.mu, row.g_abs, row.h_abs)
+                assert all(map(close, got, (want.mu, want.g_abs, want.h_abs)))
+            elif exact:
+                assert row.nu == abs(row.value - rows[-1].value)
+                g = tail[row.k].g
+                assert close(row.g_abs, None if g is None else abs(g))
+                assert row.mu == (0.0 if row is rows[-1] else None)
+                assert row.h_abs is None
+            else:
+                assert row.nu is row.mu is row.g_abs is row.h_abs is None
+
+    res = minres_run(a, v, shifts, **kw)
+    for out in res.shifts:
+        values = [r.value for r in out.history]
+        for i, row in enumerate(out.history):
+            want = (abs(values[i] - values[i + lag])
+                    if i + lag < len(values) else None)
+            assert row.nu == want
+            assert row.mu is row.g_abs is row.h_abs is None
+
+
+def test_design_solve_loop_computes_no_corner_or_bridge(monkeypatch):
+    """The Lanczos solve computes only ``nu``; the corner and bridge entries
+    behind ``mu`` are computed when the history columns are built."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_bridge", "corner_update"):
+        monkeypatch.setattr(error_estimate, name,
+                            counting(getattr(error_estimate, name)))
+    rng = np.random.default_rng(3)
+    a = SparseHermitianMatrix.from_dense(random_hermitian_dense(rng, 12))
+    res = run_quadratic_forms(a, random_vector(rng, 12),
+                              [0.3 + 1j, -1 - 0.5j], rtol=None,
+                              keep_history=True)
+    assert calls == []
+    assert res.shifts[0].history[0].mu is not None
+    assert {"_bridge", "corner_update"} <= set(calls)
