@@ -8,7 +8,10 @@ projections ``v^H r_k`` and per-shift scalars are kept, so the output is
 the quadratic-form sequence, never a solution vector.  The seed products
 ``x^T y`` are ``numpy.dot`` and the projections ``x^H y`` are
 ``numpy.vdot``, each cast to Python ``complex`` before the scalar
-recursions use it.
+recursions use it.  A seed product whose factors' norms multiply past the
+overflow threshold is formed from factors scaled by powers of two, and the
+seed scalars from its mantissa and exponent; a product in range is formed
+as it is.
 
 The drivers are called like the Lanczos and MINRES drivers,
 ``(a, v, shifts, *, rtol, lag, max_iter, reference, keep_history)``, with
@@ -200,12 +203,53 @@ def _exhausted(a: SparseHermitianMatrix, rnorm: float, rnorm_prev: float,
                      * abs(alpha_prev) * rnorm_prev)
 
 
-def _vanished(product: complex, x_norm: float, y_norm: float) -> bool:
-    """Whether the seed product ``x^T y`` vanished at the scale of its own
-    factors, ``|x^T y| <= TOL_SEED ||x|| ||y||``, which holds at any scale
-    of ``v``.  A scale that overflowed is left to the overflow checks."""
+def _vanished(product: tuple, x_norm: float, y_norm: float) -> bool:
+    """Whether the seed product ``x^T y``, given as :func:`_seed_dot`
+    returns it, vanished at the scale of its own factors,
+    ``|x^T y| <= TOL_SEED ||x|| ||y||``, which holds at any scale of ``v``.
+    A scale that overflowed is left to the overflow checks."""
+    m, e = product
+    if e:  # compare at the scale _seed_dot took the factors to
+        x_norm, y_norm = math.frexp(x_norm)[0], math.frexp(y_norm)[0]
     scale = TOL_SEED * x_norm * y_norm
-    return abs(product) <= scale < math.inf
+    return abs(m) <= scale < math.inf
+
+
+def _seed_dot(x: np.ndarray, y: np.ndarray, x_norm: float,
+              y_norm: float) -> tuple:
+    """The seed product ``x^T y`` as ``(m, e)``, ``x^T y = m 2**e``.
+
+    While ``||x|| ||y||`` is finite, or a factor is not, this is
+    ``(x^T y, 0)``.  Otherwise each factor is first divided by the power of
+    two of its norm, which is exact, so the product does not overflow.
+    """
+    if x_norm * y_norm < math.inf or not math.isfinite(x_norm + y_norm):
+        with np.errstate(over="ignore"):  # overflow freezes every shift
+            return complex(np.dot(x, y)), 0
+    ex, ey = math.frexp(x_norm)[1], math.frexp(y_norm)[1]
+    xs = x * 2.0 ** -ex
+    ys = xs if y is x else y * 2.0 ** -ey
+    return complex(np.dot(xs, ys)), ex + ey
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    """``z 2**e``, infinite where it overflows."""
+    try:
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
+def _quotient(num: tuple, den: tuple) -> complex:
+    """``num / den`` of two :func:`_seed_dot` products: Python's complex
+    division when neither was scaled, else the division of the two
+    mantissas brought near 1, scaled back."""
+    (a, ea), (b, eb) = num, den
+    if not (ea or eb):
+        return a / b
+    fa = math.frexp(max(abs(a.real), abs(a.imag)))[1]
+    fb = math.frexp(max(abs(b.real), abs(b.imag)))[1]
+    return _ldexp(_ldexp(a, -fa) / _ldexp(b, -fb), ea + fa - eb - fb)
 
 
 def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
@@ -246,7 +290,8 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
 
     r = v.copy()
     p = r.copy()
-    rr_prev = complex(np.dot(r, r))  # r_0^T r_0
+    rnorm = stable_norm(r)
+    rr_prev = _seed_dot(r, r, rnorm, rnorm)  # r_0^T r_0
     alpha_prev = 1.0 + 0j  # alpha_{-1}
     beta_prev = 0j  # beta_{-1}
     p0 = complex(np.vdot(v, r))  # p_0^{(i)} = v^H r_0
@@ -258,7 +303,6 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     k = 0
     rnorm_prev = 0.0  # ||r_{k-1}||
     while k < max_iter and batch.running:
-        rnorm = stable_norm(r)
         if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
             # the collinear residual of every surviving shift vanished too
             batch.freeze_all(k, SolveStatus.CONVERGED)
@@ -266,15 +310,17 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         rnorm_prev = rnorm
         k += 1
         w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
-        pap = complex(np.dot(p, w))
-        if (_vanished(pap, stable_norm(p), stable_norm(w))
-                or _vanished(rr_prev, rnorm, rnorm)):
+        pnorm, wnorm = stable_norm(p), stable_norm(w)
+        pap = _seed_dot(p, w, pnorm, wnorm)
+        if (_vanished(pap, pnorm, wnorm)
+                or _vanished(rr_prev, rnorm_prev, rnorm_prev)):
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
-        alpha_seed = rr_prev / pap  # alpha_{k-1}
+        alpha_seed = _quotient(rr_prev, pap)  # alpha_{k-1}
         r = r - alpha_seed * w
-        rr = complex(np.dot(r, r))
-        beta_seed = rr / rr_prev  # beta_{k-1}
+        rnorm = stable_norm(r)
+        rr = _seed_dot(r, r, rnorm, rnorm)
+        beta_seed = _quotient(rr, rr_prev)  # beta_{k-1}
         r_scalar = complex(np.vdot(v, r))  # v^H r_k
         if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
                 and cmath.isfinite(r_scalar)):
@@ -325,8 +371,8 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     r = v.copy()
     q = np.zeros_like(r)
     w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
-    e_prev = complex(np.dot(r, w))  # r_0^T (z_s I - A) r_0
-    wnorm_prev = stable_norm(w)
+    rnorm, wnorm_prev = stable_norm(r), stable_norm(w)
+    e_prev = _seed_dot(r, w, rnorm, wnorm_prev)  # r_0^T (z_s I - A) r_0
     alpha_prev = 1.0 + 0j
     beta_prev = 0j
     r_scalar_prev = complex(np.vdot(v, r))  # v^H r_0
@@ -337,7 +383,6 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     k = 0
     rnorm_prev = 0.0  # ||r_{k-1}||
     while k < max_iter and batch.running:
-        rnorm = stable_norm(r)
         if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
             # the collinear residual of every surviving shift vanished too
             batch.freeze_all(k, SolveStatus.CONVERGED)
@@ -345,14 +390,13 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         rnorm_prev = rnorm
         k += 1
         q = w + beta_prev * q  # q_{k-1}
-        with np.errstate(over="ignore"):  # overflow freezes every shift below
-            qq = complex(np.dot(q, q))
         qnorm = stable_norm(q)
+        qq = _seed_dot(q, q, qnorm, qnorm)
         if _vanished(qq, qnorm, qnorm):
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
-        alpha_seed = e_prev / qq  # alpha_{k-1}
-        if not (cmath.isfinite(alpha_seed) and cmath.isfinite(qq)):
+        alpha_seed = _quotient(e_prev, qq)  # alpha_{k-1}
+        if not (cmath.isfinite(alpha_seed) and cmath.isfinite(qq[0])):
             batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_alpha.append(alpha_seed)
@@ -370,18 +414,19 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         r = r - alpha_seed * q
         r_scalar = complex(np.vdot(v, r))
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
-        e = complex(np.dot(r, w))
-        if _vanished(e_prev, rnorm, wnorm_prev):
+        rnorm, wnorm = stable_norm(r), stable_norm(w)
+        e = _seed_dot(r, w, rnorm, wnorm)
+        if _vanished(e_prev, rnorm_prev, wnorm_prev):
             batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
             break
-        beta_seed = e / e_prev  # beta_{k-1}
+        beta_seed = _quotient(e, e_prev)  # beta_{k-1}
         if not (cmath.isfinite(beta_seed) and cmath.isfinite(r_scalar)):
             batch.freeze_all(k, SolveStatus.OVERFLOW)
             break
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
         alpha_prev, beta_prev = alpha_seed, beta_seed
-        e_prev, wnorm_prev = e, stable_norm(w)
+        e_prev, wnorm_prev = e, wnorm
         r_scalar_prev = r_scalar
 
     return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars)

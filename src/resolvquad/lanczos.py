@@ -9,9 +9,18 @@ wrong limit for the quadratic-form recursions built on top).
 
 The stream's dtype follows the data: ``float64`` when the matrix and the
 starting vector are both real, ``complex128`` otherwise; the same code runs
-for both.  A step updates two basis buffers that trade places and one
-scratch buffer in place, so the matrix-vector product is the only array a
-step allocates.
+for both.  A step writes into two basis buffers that trade places and one
+block-sized scratch, so the matrix-vector product is the only array a step
+allocates.
+
+Each update ``u <- fl(u - fl(c x))`` runs over blocks of :data:`BLOCK`
+``float64`` values through one block-sized scratch buffer, which stays in
+cache between the product and the subtraction; elementwise ufuncs round on
+a slice exactly as on the whole array, so the blocks change no bit.  A
+complex vector is updated and scaled through its ``float64`` view, where
+the real coefficient multiplies both parts at once.  The reductions
+(``numpy.linalg.norm``, ``numpy.vdot``) and the matrix-vector product stay
+whole-vector calls: blocking a reduction would change its summation order.
 
 ``alpha`` is stored as ``real(u^H v)``: for complex Hermitian matrices the
 numerically computed Rayleigh quotient picks up a spurious imaginary part
@@ -33,6 +42,7 @@ import numpy as np
 from .core import NonFiniteError, SparseHermitianMatrix
 
 __all__ = [
+    "BLOCK",
     "HAPPY_BREAKDOWN_RTOL",
     "LanczosCoefficients",
     "LanczosState",
@@ -45,6 +55,9 @@ __all__ = [
 # beta_k below this times ||A||_F terminates with an invariant subspace;
 # an exact beta_k = 0 test never fires in floating point.
 HAPPY_BREAKDOWN_RTOL = 1e-14
+# float64 values per block of the vector updates: the block's scratch stays
+# in cache between the product and the subtraction.
+BLOCK = 16384
 
 
 @dataclass
@@ -73,6 +86,8 @@ class LanczosState:
 
     ``v_prev`` and ``v_curr`` are ``v_{k-1}`` and ``v_k``; their buffers are
     overwritten by later steps, so copy a basis vector to keep it.
+    ``scratch`` holds one block of a vector update: ``min(BLOCK, m)``
+    ``float64`` values, ``m`` the length of the stream's ``float64`` view.
     """
 
     a: SparseHermitianMatrix
@@ -114,8 +129,8 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
         raise NonFiniteError("alpha_1 is not finite")
     coeffs = LanczosCoefficients(alpha=[alpha1], beta=[])
     return LanczosState(a=a, k=1, v_prev=np.zeros_like(v1), v_curr=v1, u=u,
-                        scratch=np.empty_like(v1), coeffs=coeffs,
-                        vnorm2=vn * vn)
+                        scratch=np.empty(min(BLOCK, v1.view(np.float64).size)),
+                        coeffs=coeffs, vnorm2=vn * vn)
 
 
 def lanczos_step(state: LanczosState) -> StepOutcome:
@@ -135,17 +150,23 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     u, v_curr, scratch = state.u, state.v_curr, state.scratch
     with np.errstate(all="ignore"):
         # u <- u - alpha_k v_k, rounded as fl(u - fl(alpha_k v_k))
-        np.subtract(u, np.multiply(alpha_k, v_curr, out=scratch), out=u)
+        _subtract_scaled(u, alpha_k, v_curr, scratch)
         beta_k = float(np.linalg.norm(u))
         if not math.isfinite(beta_k):
             raise NonFiniteError(f"beta_{k} is not finite")
         if beta_k <= HAPPY_BREAKDOWN_RTOL * state.a.frobenius_norm:
             state.exhausted = True
             return StepOutcome(invariant_subspace=True, k=k)
-        v_next = np.divide(u, beta_k, out=state.v_prev)
+        v_next = state.v_prev
+        if u.dtype == np.float64:
+            np.divide(u, beta_k, out=v_next)
+        else:
+            # numpy divides a complex by a real as the product with
+            # 1 / beta_k (Smith's algorithm with a zero ratio)
+            np.multiply(u.view(np.float64), 1.0 / beta_k,
+                        out=v_next.view(np.float64))
         u_next = state.a.matvec(v_next)
-        np.subtract(u_next, np.multiply(beta_k, v_curr, out=scratch),
-                    out=u_next)
+        _subtract_scaled(u_next, beta_k, v_curr, scratch)
         alpha_next = float(np.vdot(u_next, v_next).real)
     if not math.isfinite(alpha_next):
         raise NonFiniteError(f"alpha_{k + 1} is not finite")
@@ -157,3 +178,23 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     state.k = k + 1
     return StepOutcome(invariant_subspace=False, k=k, beta=beta_k,
                        alpha_next=alpha_next)
+
+
+def _subtract_scaled(u: np.ndarray, c: float, x: np.ndarray,
+                     scratch: np.ndarray) -> None:
+    """``u <- fl(u - fl(c x))`` in place, one block of ``scratch`` at a time.
+
+    Runs on the ``float64`` views: for a complex ``x`` the real ``c`` scales
+    both parts, which rounds as numpy's complex product does wherever ``u``
+    holds no ``-0.0`` (a matrix-vector product never does).
+    """
+    if u.dtype != np.float64:
+        u, x = u.view(np.float64), x.view(np.float64)
+    n = u.size
+    if n == scratch.size:  # one block: whole-array calls, no slicing
+        np.subtract(u, np.multiply(c, x, out=scratch), out=u)
+        return
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        part = np.multiply(c, x[start:stop], out=scratch[:stop - start])
+        np.subtract(u[start:stop], part, out=u[start:stop])

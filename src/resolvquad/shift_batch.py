@@ -59,7 +59,10 @@ class ShiftBatch:
         # the driver's per-shift arrays, compacted along with ``active``
         self.state = SimpleNamespace(z=self.z)
         self.value: Optional[np.ndarray] = None  # last accepted, per active
+        # MINRES: per active shift, the residual factor f of the last
+        # accepted iteration; a residual norm is residual_scale * |f|
         self.residual: Optional[np.ndarray] = None
+        self.residual_scale = 1.0
         self.window = LagWindow(self.z, lag)
         self.history = HistoryColumns(self.z, lag) if keep_history else None
         self._outcomes: list = [None] * self.z.size
@@ -101,7 +104,7 @@ class ShiftBatch:
         n = pos.size
         values = [None] * n if value is None else value.tolist()
         residuals = ([None] * n if self.residual is None
-                     else self.residual[pos].tolist())
+                     else self._residual_norm(self.residual[pos]).tolist())
         for i, x, r in zip(shifts.tolist(), values, residuals):
             self._outcomes[i] = ShiftOutcome(
                 z=complex(self.z[i]), value=x, iterations=k, status=status,
@@ -119,6 +122,9 @@ class ShiftBatch:
 
     # -- one iteration ----------------------------------------------------------
 
+    def _residual_norm(self, factor: np.ndarray) -> np.ndarray:
+        return self.residual_scale * cabs(factor)
+
     def accept(self, k: int, value: np.ndarray,
                residual: Optional[np.ndarray] = None,
                pi: Optional[np.ndarray] = None,
@@ -127,7 +133,9 @@ class ShiftBatch:
 
         Records history (with the COCG/COCR ``pi`` or the Lanczos pivot
         ``delta`` when given), feeds the lag window and freezes the shifts
-        that meet the stopping rule.
+        that meet the stopping rule.  ``residual`` holds MINRES's residual
+        factors; their norms are formed only for the shifts that freeze, or
+        for all of them when history is kept.
         """
         self.value = value
         self.residual = residual
@@ -136,8 +144,10 @@ class ShiftBatch:
             ref = self.reference[self.active]
             err = cabs(value - ref) / self._ref_scale[self.active]
         if self.history is not None:
-            self.history.accept(k, self.active, value, err, residual, pi,
-                                delta)
+            self.history.accept(
+                k, self.active, value, err,
+                None if residual is None else self._residual_norm(residual),
+                pi, delta)
         report = self.window.push(value)
         if self.rtol is None:
             return

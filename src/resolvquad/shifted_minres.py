@@ -14,8 +14,12 @@ as a diagnostic.  The iterate itself is never formed.
 Every shift advances in lockstep, so the two retained rotations ``(c, s)``,
 ``f``, ``p_{k-1}``, ``p_{k-2}`` and ``M_k`` are numpy arrays over the active
 shifts (:class:`~resolvquad.shift_batch.ShiftBatch`) and one iteration is a
-handful of array operations.  :func:`givens` and :func:`apply_rotation` run
-the same elementwise arithmetic on Python scalars.
+handful of array operations: the rotation that meets the known zero above
+row ``k - 1`` is two products, the breakdown mask is formed only at an
+invariant subspace, and ``||r_0|| |f_{k+1}|`` only for the shifts that
+freeze, or for all of them when history is kept.  :func:`givens` and
+:func:`apply_rotation` run the same elementwise arithmetic on Python
+scalars.
 
 The rotations operate on the tridiagonal with *positive* off-diagonals
 (rotation input pair ``(r_kk, beta_k)`` with real ``beta_k >= 0``), which is
@@ -112,6 +116,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     if max_iter is None:
         max_iter = 2 * a.n
     rnorm = math.sqrt(stream.vnorm2)  # ||r_0|| = ||v||
+    batch.residual_scale = rnorm  # the residual norms are rnorm |f|
 
     s = batch.state
     zeros = np.zeros(s.z.shape, dtype=np.complex128)
@@ -140,13 +145,18 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             beta_k = 0.0 if exhausting else outcome.beta
             k += 1
 
-            # column k of the tridiagonal: rows k-2, k-1 and the diagonal
-            r2, r1 = apply_rotation(s.c2, s.s2, 0j, beta_prev)
-            r1, r0 = apply_rotation(s.c1, s.s1, r1, s.z - alpha_k)
+            # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
+            # G_{k-2} meets a zero in row k-2: apply_rotation(c2, s2, 0,
+            # beta_prev) is (s2 beta_prev, c2 beta_prev) up to the sign of a
+            # zero part of r2, which only scales p_{k-2} in a sum
+            r2 = s.s2 * beta_prev
+            r1, r0 = apply_rotation(s.c1, s.s1, s.c2 * beta_prev,
+                                    s.z - alpha_k)
             r0_abs = cabs(r0)
-            swap = r0_abs == 0
             c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
-            if swap.any():
+            swap = None
+            if not r0_abs.all():
+                swap = r0_abs == 0
                 c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
             p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
             value_new = s.value + rnorm * c * s.f * p_new
@@ -154,12 +164,15 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             s.c2, s.s2, s.c1, s.s1 = s.c1, s.s1, c, sn
             s.p2, s.p1 = s.p1, p_new
             s.f, s.value = f_new, value_new
-            overflow = ~(np.isfinite(value_new) & np.isfinite(p_new)
-                         & np.isfinite(f_new))
-            # zI - A singular on the Krylov space: cannot divide
-            batch.freeze(k, (SolveStatus.BREAKDOWN, swap & (beta_k == 0.0)),
-                         (SolveStatus.OVERFLOW, overflow))
-            batch.accept(k, s.value, residual=rnorm * cabs(s.f))
+            # a non-finite p_new or f_new leaves value_new non-finite too
+            overflow = ~np.isfinite(value_new)
+            if swap is not None and beta_k == 0.0:
+                # zI - A singular on the Krylov space: cannot divide
+                batch.freeze(k, (SolveStatus.BREAKDOWN, swap),
+                             (SolveStatus.OVERFLOW, overflow))
+            else:
+                batch.freeze(k, (SolveStatus.OVERFLOW, overflow))
+            batch.accept(k, s.value, residual=s.f)
 
             if exhausting:
                 # Krylov space exhausted: surviving values are exact

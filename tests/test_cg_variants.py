@@ -237,24 +237,21 @@ def test_reference_stopping(runner, rng):
 
 
 def test_near_overflow_matrix_against_dense_oracle():
-    """The 1e305 matrix of ``test_cli_overflowing_stream_is_exit_2``: COCG's
-    ``converged`` values match the dense oracle; COCR's ``q^T q`` overflows
-    on the first iteration, so every shift is an overflow with no value."""
+    """The 1e305 matrix of ``test_cli_overflowing_stream_is_exit_2``: the
+    ``converged`` values of COCG and of COCR match the dense oracle.  COCR's
+    ``q^T q`` would overflow unscaled, so it is formed from factors scaled
+    by powers of two."""
     rng = np.random.default_rng(5)
     b = rng.standard_normal((6, 6))
     a = SparseHermitianMatrix.from_dense((b + b.T) * 1e305)
     v = np.full(6, 1.0 / np.sqrt(6.0))
     shifts = generate_unit_circle_shifts(16)
-    cocg = cocg_run(a, v, shifts)
-    for out, z in zip(cocg.shifts, shifts):
-        want = dense_resolvent_quadform(a.to_dense(), v, z)
-        assert out.status is SolveStatus.CONVERGED
-        assert abs(out.value - want) <= 1e-13 * abs(want)
-    cocr = cocr_run(a, v, shifts)
-    assert cocr.iterations == 1
-    for out in cocr.shifts:
-        assert out.status is SolveStatus.OVERFLOW
-        assert out.value is None and out.iterations == 1
+    for run in (cocg_run, cocr_run):
+        res = run(a, v, shifts)
+        for out, z in zip(res.shifts, shifts):
+            want = dense_resolvent_quadform(a.to_dense(), v, z)
+            assert out.status is SolveStatus.CONVERGED
+            assert abs(out.value - want) <= 1e-13 * abs(want)
 
 
 def scalar_replay(res, z):

@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvquad.core import SparseHermitianMatrix
-from resolvquad.lanczos import lanczos_init, lanczos_step
+from resolvquad.lanczos import (
+    BLOCK,
+    HAPPY_BREAKDOWN_RTOL,
+    lanczos_init,
+    lanczos_step,
+)
 from resolvquad.oracle import tridiagonal_matrix
 
 from conftest import random_hermitian, random_hermitian_dense, random_vector
@@ -187,3 +197,107 @@ def test_non_finite_start_norm_raises(entry):
     a = SparseHermitianMatrix.diagonal([1.0, 2.0, 3.0])
     with pytest.raises(NonFiniteError, match="v"):
         lanczos_init(a, np.array([entry, 1e200, 1.0]))
+
+
+def two_pass_step(state):
+    """The step before the vector updates were blocked: every update is a
+    whole-vector product into an n-vector scratch, then a subtraction, and
+    ``v_{k+1}`` is ``numpy.divide(u, beta_k)``.  The reference for
+    :func:`lanczos_step`, which must match it bit for bit."""
+    k = state.k
+    alpha_k = state.coeffs.alpha[-1]
+    u, v_curr, scratch = state.u, state.v_curr, state.scratch
+    with np.errstate(all="ignore"):
+        np.subtract(u, np.multiply(alpha_k, v_curr, out=scratch), out=u)
+        beta_k = float(np.linalg.norm(u))
+        if beta_k <= HAPPY_BREAKDOWN_RTOL * state.a.frobenius_norm:
+            state.exhausted = True
+            return True
+        v_next = np.divide(u, beta_k, out=state.v_prev)
+        u_next = state.a.matvec(v_next)
+        np.subtract(u_next, np.multiply(beta_k, v_curr, out=scratch),
+                    out=u_next)
+        alpha_next = float(np.vdot(u_next, v_next).real)
+    state.coeffs.beta.append(beta_k)
+    state.coeffs.alpha.append(alpha_next)
+    state.v_prev, state.v_curr, state.u = v_curr, v_next, u_next
+    state.k = k + 1
+    return False
+
+
+def sparse_problem(seed, n, real, real_vector, zeros):
+    """A sparse Hermitian tridiagonal with a few far entries, and a start
+    vector; with ``zeros``, some matrix entries and some entries of ``v``
+    are exact zeros, half of the latter ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal(n)
+    off = rng.standard_normal(n - 1)
+    far = rng.integers(0, n, size=(2, min(n, 8)))
+    far_values = rng.standard_normal(far.shape[1])
+    if not real:
+        off = off + 1j * rng.standard_normal(n - 1)
+        far_values = far_values + 1j * rng.standard_normal(far.shape[1])
+    v = rng.standard_normal(n)
+    if not real_vector:
+        v = v + 1j * rng.standard_normal(n)
+    if zeros:
+        diag[rng.random(n) < 0.2] = 0.0
+        off[rng.random(n - 1) < 0.2] = 0.0
+        hit = rng.random(n) < 0.2
+        v[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+        if not v.any():
+            v[0] = 1.0
+    lower = sp.coo_matrix((np.concatenate([off, far_values]),
+                           (np.concatenate([np.arange(1, n), far[0]]),
+                            np.concatenate([np.arange(n - 1), far[1]]))),
+                          shape=(n, n)).tocsr()
+    lower = sp.tril(lower, -1)
+    csr = (sp.diags(diag) + lower + lower.conj().T).tocsr()
+    return SparseHermitianMatrix.from_csr(csr), v
+
+
+def bits(array):
+    return np.ascontiguousarray(array).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([1, 2, BLOCK // 2 - 1, BLOCK // 2 + 1, BLOCK - 1,
+                          BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
+       real=st.booleans(), real_vector=st.booleans(), zeros=st.booleans())
+def test_blocked_step_equals_two_pass_step(seed, n, real, real_vector, zeros):
+    """``alpha``, ``beta``, ``v_k``, ``v_{k-1}`` and ``u`` equal the two-pass
+    step's bit for bit over 6 steps, for real and complex streams whose
+    length is one block, a block and a bit, or several blocks and a tail."""
+    a, v = sparse_problem(seed, n, real, real_vector, zeros)
+    state = lanczos_init(a, v)
+    ref = lanczos_init(a, v)
+    ref.scratch = np.empty_like(ref.v_curr)
+    assert state.scratch.size <= BLOCK
+    for _ in range(6):
+        exhausted = two_pass_step(ref)
+        assert lanczos_step(state).invariant_subspace is exhausted
+        assert bits(state.coeffs.alpha) == bits(ref.coeffs.alpha)
+        assert bits(state.coeffs.beta) == bits(ref.coeffs.beta)
+        for name in ("v_prev", "v_curr", "u"):
+            assert bits(getattr(state, name)) == bits(getattr(ref, name))
+        if exhausted:
+            break
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_step_allocates_only_the_matvec_result(real):
+    """One step at n = 4 BLOCK: its peak allocation is the matrix-vector
+    product plus at most a block, and the scratch is one block."""
+    n = 4 * BLOCK
+    a, v = sparse_problem(3, n, real, real, zeros=False)
+    state = lanczos_init(a, v)
+    lanczos_step(state)  # the first step builds nothing lazily either
+    assert state.scratch.nbytes == 8 * BLOCK
+    tracemalloc.start()
+    try:
+        assert not lanczos_step(state).invariant_subspace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.u.nbytes + 8 * BLOCK

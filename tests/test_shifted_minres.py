@@ -1,13 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvquad.core import SolveStatus, SparseHermitianMatrix
-from resolvquad.lanczos import lanczos_init, lanczos_step
+from resolvquad.core import NonFiniteError, SolveStatus, SparseHermitianMatrix
+from resolvquad.error_estimate import DEFAULT_LAG, cabs
+from resolvquad.lanczos import lanczos_init, lanczos_step, stream_vector
 from resolvquad.oracle import dense_resolvent_quadform
-from resolvquad.shifted_lanczos import run_quadratic_forms
-from resolvquad.shifted_minres import apply_rotation, givens, minres_run
+from resolvquad.shift_batch import ShiftBatch
+from resolvquad.shifted_lanczos import run_quadratic_forms, stream_result
+from resolvquad.shifted_minres import (
+    _rotation,
+    apply_rotation,
+    givens,
+    minres_run,
+)
 
 from conftest import random_hermitian, random_hermitian_dense, random_vector
 
@@ -146,3 +155,164 @@ def test_empty_shifts_rejected(rng):
     a = random_hermitian(rng, 5)
     with pytest.raises(ValueError):
         minres_run(a, random_vector(rng, 5), [])
+
+
+def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
+                         max_iter=None, reference=None, keep_history=False):
+    """The MINRES iteration before it was trimmed: both column rotations
+    through :func:`apply_rotation`, the breakdown mask and all three
+    finiteness masks every iteration, and ``rnorm |f|`` for every shift.
+    :func:`minres_run` must reproduce it bit for bit.  The residual norms go
+    to the batch as factors of scale 1.0, whose modulus is themselves."""
+    batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
+                       keep_history=keep_history)
+    v = stream_vector(a, v)
+    try:
+        stream = lanczos_init(a, v)
+    except NonFiniteError:
+        batch.freeze_all(0, SolveStatus.OVERFLOW)
+        return stream_result("minres", batch, 0, None)
+    if max_iter is None:
+        max_iter = 2 * a.n
+    rnorm = math.sqrt(stream.vnorm2)
+    s = batch.state
+    zeros = np.zeros(s.z.shape, dtype=np.complex128)
+    s.f = zeros + 1.0
+    s.value = zeros
+    s.p1 = s.p2 = zeros
+    s.c1 = s.c2 = np.ones(s.z.shape)
+    s.s1 = s.s2 = zeros
+    k = 0
+    alpha_k = stream.coeffs.alpha[0]
+    beta_prev = 0.0
+    qsign = 1.0
+    q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
+    with np.errstate(all="ignore"):
+        while k < max_iter and batch.running:
+            try:
+                outcome = lanczos_step(stream)
+            except NonFiniteError:
+                batch.freeze_all(k, SolveStatus.OVERFLOW)
+                break
+            exhausting = outcome.invariant_subspace
+            beta_k = 0.0 if exhausting else outcome.beta
+            k += 1
+            r2, r1 = apply_rotation(s.c2, s.s2, 0j, beta_prev)
+            r1, r0 = apply_rotation(s.c1, s.s1, r1, s.z - alpha_k)
+            r0_abs = cabs(r0)
+            swap = r0_abs == 0
+            c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
+            if swap.any():
+                c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
+            p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
+            value_new = s.value + rnorm * c * s.f * p_new
+            f_new = -sn.conjugate() * s.f
+            s.c2, s.s2, s.c1, s.s1 = s.c1, s.s1, c, sn
+            s.p2, s.p1 = s.p1, p_new
+            s.f, s.value = f_new, value_new
+            overflow = ~(np.isfinite(value_new) & np.isfinite(p_new)
+                         & np.isfinite(f_new))
+            batch.freeze(k, (SolveStatus.BREAKDOWN, swap & (beta_k == 0.0)),
+                         (SolveStatus.OVERFLOW, overflow))
+            batch.accept(k, s.value, residual=rnorm * cabs(s.f))
+            if exhausting:
+                batch.freeze_all(k, SolveStatus.CONVERGED)
+                break
+            alpha_k = outcome.alpha_next
+            beta_prev = beta_k
+            qsign = -qsign
+            q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
+    return stream_result("minres", batch, k, stream)
+
+
+def minres_problem(seed, n, real, kind, scale):
+    """A Hermitian problem and its shifts: off-axis ones, the exact Rayleigh
+    quotient ``alpha_1`` and shifts 1e-3 and 1e-12 off eigenvalues.
+
+    ``kind="three"`` has three distinct eigenvalues (an invariant subspace
+    at k = 3); for ``"eigvec"`` ``v`` is an eigenvector of a diagonal matrix
+    and one more shift its exact eigenvalue (a breakdown at k = 1);
+    ``"bipartite"`` has a zero diagonal, integer entries and shifts on the
+    imaginary axis, so values with zero parts occur.  ``v`` is multiplied
+    by ``scale``: at 1e150 the shifts 1e-12 off an eigenvalue overflow.
+    """
+    rng = np.random.default_rng(seed)
+    cplx = float if real else complex
+    if kind == "eigvec":
+        dense = np.diag(rng.integers(-4, 5, size=n) / 4.0).astype(cplx)
+        v = np.zeros(n, dtype=cplx)
+        j = rng.integers(n)
+        v[j] = 1.0 if real else 0.6 - 0.8j
+    elif kind == "bipartite":
+        m = max(n // 2, 1)
+        b = rng.integers(-2, 3, size=(m, n - m)).astype(cplx)
+        if not real:
+            b += 1j * rng.integers(-2, 3, size=b.shape)
+        dense = np.zeros((n, n), dtype=cplx)
+        dense[:m, m:], dense[m:, :m] = b, b.conj().T
+        v = np.zeros(n, dtype=cplx)
+        v[rng.integers(n)] = 1.0
+    else:
+        dense = random_hermitian_dense(rng, n, real=real)
+        if kind == "three":
+            q = np.linalg.eigh(dense)[1]
+            dense = (q * rng.choice([-1.5, 0.25, 2.0], size=n)) @ q.conj().T
+            dense = (dense + dense.conj().T) / 2
+        v = random_vector(rng, n, real=real)
+    a = SparseHermitianMatrix.from_dense(dense)
+    lam = np.linalg.eigvalsh(dense)
+    shifts = [complex(3 * rng.standard_normal(),
+                      (0.05 + 2 * rng.random()) * rng.choice([-1, 1]))
+              for _ in range(3)]
+    shifts.append(complex(lanczos_init(a, v).coeffs.alpha[0]))
+    shifts.append(complex(lam[rng.integers(n)], 1e-3))
+    shifts.append(complex(lam[rng.integers(n)], -1e-12))
+    if kind == "eigvec":
+        shifts.append(complex(dense[j, j].real))
+    if kind == "bipartite":
+        shifts += [1j, -0.5j, 2j]
+    return a, v * scale, shifts
+
+
+def minres_bits(res):
+    """Every output of a MINRES run as bytes, statuses and counts."""
+    def b(x, dtype):
+        return None if x is None else np.array(x, dtype=dtype).tobytes()
+
+    out = [(o.status, o.iterations, b(o.value, complex),
+            b(o.residual_norm, float)) for o in res.shifts]
+    if res.history is not None:
+        out.append({name: (col.dtype, col.tobytes())
+                    for name, col in res.history.columns().items()})
+    return res.iterations, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+       real=st.booleans(),
+       kind=st.sampled_from(["dense", "three", "eigvec", "bipartite"]),
+       scale=st.sampled_from([1.0, 1e150]),
+       max_iter=st.sampled_from([None, 1, 2, 3, 7, 25]),
+       rtol=st.sampled_from([None, 1e-10, 1e-4]),
+       keep_history=st.booleans())
+def test_minres_equals_reference_iteration(seed, n, real, kind, scale,
+                                           max_iter, rtol, keep_history):
+    """Values, statuses, iterations and ``residual_norm`` (and the history
+    columns when kept) equal the untrimmed iteration's bit for bit."""
+    a, v, shifts = minres_problem(seed, n, real, kind, scale)
+    kw = dict(rtol=rtol, max_iter=max_iter, keep_history=keep_history)
+    got = minres_run(a, v, shifts, **kw)
+    assert minres_bits(got) == minres_bits(reference_minres_run(a, v, shifts,
+                                                                **kw))
+
+
+def test_breakdown_and_overflow_occur_in_the_reference_problems():
+    """The breakdown and overflow cases the bitwise test relies on occur."""
+    a, v, shifts = minres_problem(4, 6, True, "eigvec", 1.0)
+    res = minres_run(a, v, shifts, rtol=None)
+    assert res.shifts[-1].status is SolveStatus.BREAKDOWN
+    assert res.shifts[0].status is SolveStatus.CONVERGED
+    a, v, shifts = minres_problem(4, 12, False, "dense", 1e150)
+    res = minres_run(a, v, shifts, rtol=None)
+    assert res.shifts[5].status is SolveStatus.OVERFLOW
+    assert res.shifts[4].status is SolveStatus.MAX_ITER
