@@ -188,12 +188,8 @@ def _subtract_scaled(u: np.ndarray, c: float, x: np.ndarray,
     both parts, which rounds as numpy's complex product does wherever ``u``
     holds no ``-0.0`` (a matrix-vector product never does).
     """
-    if u.dtype != np.float64:
-        u, x = u.view(np.float64), x.view(np.float64)
+    u, x = u.view(np.float64), x.view(np.float64)
     n = u.size
-    if n == scratch.size:  # one block: whole-array calls, no slicing
-        np.subtract(u, np.multiply(c, x, out=scratch), out=u)
-        return
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         part = np.multiply(c, x[start:stop], out=scratch[:stop - start])

@@ -59,10 +59,9 @@ class ShiftBatch:
         # the driver's per-shift arrays, compacted along with ``active``
         self.state = SimpleNamespace(z=self.z)
         self.value: Optional[np.ndarray] = None  # last accepted, per active
-        # MINRES: per active shift, the residual factor f of the last
-        # accepted iteration; a residual norm is residual_scale * |f|
-        self.residual: Optional[np.ndarray] = None
-        self.residual_scale = 1.0
+        # MINRES: ``(scale, f)`` of the last accepted iteration, f per
+        # active shift; the residual norms are scale * |f|
+        self.residual: Optional[tuple] = None
         self.window = LagWindow(self.z, lag)
         self.history = HistoryColumns(self.z, lag) if keep_history else None
         self._outcomes: list = [None] * self.z.size
@@ -104,7 +103,7 @@ class ShiftBatch:
         n = pos.size
         values = [None] * n if value is None else value.tolist()
         residuals = ([None] * n if self.residual is None
-                     else self._residual_norm(self.residual[pos]).tolist())
+                     else _residual_norm(self.residual, pos).tolist())
         for i, x, r in zip(shifts.tolist(), values, residuals):
             self._outcomes[i] = ShiftOutcome(
                 z=complex(self.z[i]), value=x, iterations=k, status=status,
@@ -117,25 +116,24 @@ class ShiftBatch:
         if self.value is not None:
             self.value = self.value[keep]
         if self.residual is not None:
-            self.residual = self.residual[keep]
+            scale, f = self.residual
+            self.residual = (scale, f[keep])
         self.window.compact(keep)
 
     # -- one iteration ----------------------------------------------------------
 
-    def _residual_norm(self, factor: np.ndarray) -> np.ndarray:
-        return self.residual_scale * cabs(factor)
-
     def accept(self, k: int, value: np.ndarray,
-               residual: Optional[np.ndarray] = None,
+               residual: Optional[tuple] = None,
                pi: Optional[np.ndarray] = None,
                delta: Optional[np.ndarray] = None) -> None:
         """Take iteration ``k``'s values of every active shift.
 
         Records history (with the COCG/COCR ``pi`` or the Lanczos pivot
         ``delta`` when given), feeds the lag window and freezes the shifts
-        that meet the stopping rule.  ``residual`` holds MINRES's residual
-        factors; their norms are formed only for the shifts that freeze, or
-        for all of them when history is kept.
+        that meet the stopping rule.  ``residual`` is MINRES's ``(scale, f)``,
+        ``f`` the residual factor of each active shift; the residual norms
+        ``scale * |f|`` are formed only for the shifts that freeze, or for all
+        of them when history is kept.
         """
         self.value = value
         self.residual = residual
@@ -146,7 +144,7 @@ class ShiftBatch:
         if self.history is not None:
             self.history.accept(
                 k, self.active, value, err,
-                None if residual is None else self._residual_norm(residual),
+                None if residual is None else _residual_norm(residual),
                 pi, delta)
         report = self.window.push(value)
         if self.rtol is None:
@@ -168,3 +166,10 @@ class ShiftBatch:
         if self.running:
             self.freeze_all(k, SolveStatus.MAX_ITER)
         return self._outcomes
+
+
+def _residual_norm(residual: tuple, pos=slice(None)) -> np.ndarray:
+    """MINRES's residual norms ``scale * |f|`` from ``(scale, f)``, at the
+    active positions ``pos``."""
+    scale, f = residual
+    return scale * cabs(f[pos])

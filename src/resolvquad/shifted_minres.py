@@ -116,7 +116,6 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     if max_iter is None:
         max_iter = 2 * a.n
     rnorm = math.sqrt(stream.vnorm2)  # ||r_0|| = ||v||
-    batch.residual_scale = rnorm  # the residual norms are rnorm |f|
 
     s = batch.state
     zeros = np.zeros(s.z.shape, dtype=np.complex128)
@@ -172,7 +171,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
                              (SolveStatus.OVERFLOW, overflow))
             else:
                 batch.freeze(k, (SolveStatus.OVERFLOW, overflow))
-            batch.accept(k, s.value, residual=s.f)
+            batch.accept(k, s.value, residual=(rnorm, s.f))
 
             if exhausting:
                 # Krylov space exhausted: surviving values are exact

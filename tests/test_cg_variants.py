@@ -238,20 +238,27 @@ def test_reference_stopping(runner, rng):
 
 def test_near_overflow_matrix_against_dense_oracle():
     """The 1e305 matrix of ``test_cli_overflowing_stream_is_exit_2``: the
-    ``converged`` values of COCG and of COCR match the dense oracle.  COCR's
-    ``q^T q`` would overflow unscaled, so it is formed from factors scaled
-    by powers of two."""
+    ``converged`` values of COCG and of COCR match the dense oracle, and
+    each shift's history has one finite row per iteration, the last holding
+    the converged value.  COCR's ``q^T q`` would overflow unscaled, so it
+    is formed from factors scaled by powers of two."""
     rng = np.random.default_rng(5)
     b = rng.standard_normal((6, 6))
     a = SparseHermitianMatrix.from_dense((b + b.T) * 1e305)
     v = np.full(6, 1.0 / np.sqrt(6.0))
     shifts = generate_unit_circle_shifts(16)
     for run in (cocg_run, cocr_run):
-        res = run(a, v, shifts)
+        res = run(a, v, shifts, keep_history=True)
         for out, z in zip(res.shifts, shifts):
             want = dense_resolvent_quadform(a.to_dense(), v, z)
             assert out.status is SolveStatus.CONVERGED
+            assert out.iterations == 6
             assert abs(out.value - want) <= 1e-13 * abs(want)
+            rows = out.history
+            assert [r.k for r in rows] == list(range(1, 7))
+            assert all(np.isfinite(r.value) for r in rows)
+            assert rows[-1].status is SolveStatus.CONVERGED
+            assert rows[-1].value == out.value
 
 
 def scalar_replay(res, z):

@@ -89,9 +89,8 @@ def golden_runs(tmp: Path) -> list:
                                 methods=("lanczos", "minres"))),
         ("diag12-dense", config("diag12", shifts="unit-circle:m=2",
                                 reference="dense")),
-        # COCR overflowed here, with no row, when the golden was written;
-        # it converges since its seed products are scaled, which
-        # test_near_overflow_matrix_against_dense_oracle checks
+        # no COCR: its rows on this matrix are not in the golden file;
+        # test_near_overflow_matrix_against_dense_oracle pins them
         ("huge-overflow", config("huge", shifts="unit-circle:m=4",
                                  methods=("lanczos", "minres"))),
         ("ones-breakdown", config("ones", vector=f"file:{tmp / 'e1.txt'}",

@@ -214,7 +214,7 @@ def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
                          & np.isfinite(f_new))
             batch.freeze(k, (SolveStatus.BREAKDOWN, swap & (beta_k == 0.0)),
                          (SolveStatus.OVERFLOW, overflow))
-            batch.accept(k, s.value, residual=rnorm * cabs(s.f))
+            batch.accept(k, s.value, residual=(1.0, rnorm * cabs(s.f)))
             if exhausting:
                 batch.freeze_all(k, SolveStatus.CONVERGED)
                 break
@@ -298,12 +298,41 @@ def minres_bits(res):
 def test_minres_equals_reference_iteration(seed, n, real, kind, scale,
                                            max_iter, rtol, keep_history):
     """Values, statuses, iterations and ``residual_norm`` (and the history
-    columns when kept) equal the untrimmed iteration's bit for bit."""
+    columns when kept) equal the untrimmed iteration's bit for bit.  Both
+    runs share :class:`ShiftBatch`, so with history each shift's
+    ``residual_norm`` is also checked against its last row's residual,
+    which the batch forms over the active shifts before any freeze."""
     a, v, shifts = minres_problem(seed, n, real, kind, scale)
     kw = dict(rtol=rtol, max_iter=max_iter, keep_history=keep_history)
     got = minres_run(a, v, shifts, **kw)
     assert minres_bits(got) == minres_bits(reference_minres_run(a, v, shifts,
                                                                 **kw))
+    if keep_history:
+        for out in got.shifts:
+            last = out.history[-1].residual if out.history else None
+            assert (out.residual_norm is None) == (last is None)
+            if last is not None:
+                assert (np.float64(out.residual_norm).tobytes()
+                        == np.float64(last).tobytes())
+
+
+def test_residual_norms_of_shifts_frozen_after_a_convergence():
+    """A shift that converges compacts the batch; the shifts frozen right
+    after it, before another iteration is accepted, keep their own
+    residual norms: each equals the residual of the shift's last row."""
+    rng = np.random.default_rng(3)
+    a = random_hermitian(rng, 30, real=True)
+    v = random_vector(rng, 30)
+    shifts = [10.0 + 0j, 0.1j, 0.2j, 0.3j]  # the far shift converges first
+    ref = [dense_resolvent_quadform(a.to_dense(), v, z) for z in shifts]
+    kw = dict(rtol=1e-8, reference=ref, keep_history=True)
+    k = minres_run(a, v, shifts, **kw).shifts[0].iterations
+    res = minres_run(a, v, shifts, max_iter=k, **kw)
+    assert res.shifts[0].status is SolveStatus.CONVERGED
+    assert all(o.status is SolveStatus.MAX_ITER and o.iterations == k
+               for o in res.shifts[1:])
+    for out in res.shifts:
+        assert out.residual_norm == out.history[-1].residual
 
 
 def test_breakdown_and_overflow_occur_in_the_reference_problems():
