@@ -261,9 +261,8 @@ def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
     s = batch.state
     s.pi_m2, s.pi_m1, s.p, s.value = s.pi_m1, pi_new, p_new, value_new
     finite = np.isfinite(value_new) & np.isfinite(p_new)
-    batch.freeze(k, (SolveStatus.PI_ZERO, cabs(pi_new) <= TOL_PI),
-                 (SolveStatus.OVERFLOW, ~finite))
-    batch.accept(k, s.value, pi=s.pi_m1)
+    batch.step(k, value_new, (SolveStatus.PI_ZERO, cabs(pi_new) <= TOL_PI),
+               (SolveStatus.OVERFLOW, ~finite), pi=pi_new)
 
 
 def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,

@@ -55,7 +55,6 @@ __all__ = [
     "EstimatorUnavailable",
     "EstimateReport",
     "EstimatorState",
-    "LagReport",
     "LagWindow",
     "DelayedDifferenceWindow",
     "cabs",
@@ -152,22 +151,13 @@ class EstimateReport:
     h_abs: Optional[float] = None
 
 
-@dataclass
-class LagReport:
-    """``nu`` of iteration ``k`` for every shift of a window, and the scale
-    ``|L_k|`` the stopping rule compares it with; arrays over the shifts."""
-
-    k: int
-    nu: np.ndarray
-    scale: np.ndarray
-
-
 class LagWindow:
     """Ring of the last ``d + 1`` values of shifts advancing in lockstep.
 
     Feed it once per iteration via :meth:`push` with the value of every
-    shift (``z`` gives the shifts, one ring row each); the ``nu`` report for
-    the lagged iteration comes back as soon as the ring is full.  The ring's
+    shift (``z`` gives the shifts, one ring row each); the lagged
+    iteration's ``nu`` and scale come back as soon as the ring is full, as
+    a plain tuple, so an iteration builds no report object.  The ring's
     rows follow the batch: :meth:`compact` drops the shifts that froze.
     """
 
@@ -178,21 +168,20 @@ class LagWindow:
         self.k = 0
         self.values = np.zeros((np.size(z), lag + 1), dtype=np.complex128)
 
-    def slot(self, k: int) -> int:
-        return k % (self.lag + 1)
-
     def compact(self, keep: np.ndarray) -> None:
         self.values = self.values[keep]
 
-    def push(self, value: np.ndarray) -> Optional[LagReport]:
-        """Record iteration ``k``; return the report for ``k - d`` if due."""
-        self.k += 1
-        self.values[:, self.slot(self.k)] = value
-        if self.k <= self.lag:
+    def push(self, value: np.ndarray) -> Optional[tuple]:
+        """Record iteration ``k``; once iteration ``k - d`` is due, return
+        its ``(nu, scale)``: ``nu_{k-d,d}`` and ``|L_{k-d}|`` of every
+        shift."""
+        k = self.k = self.k + 1
+        ring = self.values
+        ring[:, k % (self.lag + 1)] = value
+        if k <= self.lag:
             return None
-        base = self.values[:, self.slot(self.k + 1)]
-        return LagReport(k=self.k - self.lag, nu=cabs(base - value),
-                         scale=cabs(base))
+        base = ring[:, (k + 1) % (self.lag + 1)]
+        return cabs(base - value), cabs(base)
 
 
 class DelayedDifferenceWindow:
@@ -208,10 +197,11 @@ class DelayedDifferenceWindow:
 
     def push(self, value: complex) -> Optional[tuple[int, float, float]]:
         """Return ``(k, nu_{k,d}, |x_k|)`` once iteration ``k + d`` arrives."""
-        report = self._ring.push(np.array([value], dtype=np.complex128))
-        if report is None:
+        due = self._ring.push(np.array([value], dtype=np.complex128))
+        if due is None:
             return None
-        return report.k, float(report.nu[0]), float(report.scale[0])
+        nu, scale = due
+        return self._ring.k - self._ring.lag, float(nu[0]), float(scale[0])
 
 
 # one retained iteration of EstimatorState; g is NaN once the corner failed

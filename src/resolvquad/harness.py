@@ -454,13 +454,30 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
         paths["history"] = csv_path
     json_path = out / "summary.json"
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(summary_text(report))
     paths["summary"] = json_path
     return paths
 
 
 def summary_dict(report: ExperimentReport) -> dict:
+    """The content of ``summary.json`` as plain JSON values."""
+    return _summary(report, _shift_dicts, _pair_lists)
+
+
+def summary_text(report: ExperimentReport) -> str:
+    """The text of ``summary.json``: exactly
+    ``json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\\n"``.
+
+    The per-shift rows and the shift and reference pair lists, which are
+    nearly all of the file, are formatted column by column from templates;
+    the rest of the dict goes through ``json.dumps``.
+    """
+    return _render(_summary(report, _ShiftRows, _Pairs), "") + "\n"
+
+
+def _summary(report: ExperimentReport, rows, pairs) -> dict:
+    """The summary dict, with each method's shift list as ``rows(shifts)``
+    and the shift and reference lists as ``pairs(values)``."""
     methods = {}
     for mrep in report.methods:
         entry: dict = {"applicable": mrep.applicable}
@@ -473,27 +490,16 @@ def summary_dict(report: ExperimentReport) -> dict:
                 "iterations": res.iterations,
                 "converged": res.converged,
                 "iterations_to_convergence": res.iterations_to_convergence,
-                "shifts": [
-                    {
-                        "index": i + 1,
-                        "z": [s.z.real, s.z.imag],
-                        "value": ([s.value.real, s.value.imag]
-                                  if s.value is not None else None),
-                        "iterations": s.iterations,
-                        "status": s.status.value,
-                        "residual_norm": s.residual_norm,
-                    }
-                    for i, s in enumerate(res.shifts)
-                ],
+                "shifts": rows(res.shifts),
             })
         methods[mrep.method] = entry
     return {
         "config": report.config,
         "matrix": report.matrix_info,
-        "shifts": [[z.real, z.imag] for z in report.shifts],
+        "shifts": pairs(report.shifts),
         "shift_meta": report.shift_meta,
         "reference_mode": report.reference_mode,
-        "reference_values": ([[r.real, r.imag] for r in report.reference_values]
+        "reference_values": (pairs(report.reference_values)
                              if report.reference_values is not None else None),
         "methods": methods,
         "environment": {
@@ -505,6 +511,114 @@ def summary_dict(report: ExperimentReport) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         },
     }
+
+
+def _shift_dicts(shifts: list) -> list:
+    return [
+        {
+            "index": i + 1,
+            "z": [s.z.real, s.z.imag],
+            "value": ([s.value.real, s.value.imag]
+                      if s.value is not None else None),
+            "iterations": s.iterations,
+            "status": s.status.value,
+            "residual_norm": s.residual_norm,
+        }
+        for i, s in enumerate(shifts)
+    ]
+
+
+def _pair_lists(values: list) -> list:
+    return [[x.real, x.imag] for x in values]
+
+
+# json's spelling of the floats whose repr is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_STATUS_JSON = {status: json.dumps(status.value) for status in SolveStatus}
+
+
+def _floats(xs) -> list:
+    """Each float as ``json.dumps`` writes it: its ``repr``, or ``NaN``,
+    ``Infinity`` or ``-Infinity``."""
+    return [_NON_FINITE.get(t, t) for t in map(float.__repr__, xs)]
+
+
+def _pair_texts(values: list, pad: str) -> list:
+    """Each ``[x.real, x.imag]``, as ``json.dumps`` nests it at ``pad``."""
+    template = f"[\n{pad}  %s,\n{pad}  %s\n{pad}]"
+    return [template % pair for pair in zip(_floats([x.real for x in values]),
+                                            _floats([x.imag for x in values]))]
+
+
+def _list_text(items: list, pad: str) -> str:
+    """A list of rendered items, as ``json.dumps`` nests it at ``pad``."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+class _Pairs:
+    """``[[x.real, x.imag] for x in values]``, rendered by :func:`_render`
+    column by column."""
+
+    def __init__(self, values: list):
+        self.values = values
+
+    def render(self, pad: str) -> str:
+        return _list_text(_pair_texts(self.values, pad + "  "), pad)
+
+
+class _ShiftRows:
+    """A method's per-shift rows (:func:`_shift_dicts`), rendered by
+    :func:`_render` column by column."""
+
+    def __init__(self, shifts: list):
+        self.shifts = shifts
+
+    def render(self, pad: str) -> str:
+        shifts = self.shifts
+        key = pad + "    "  # the rows' keys; the pairs open at this indent
+        z_text = _pair_texts([s.z for s in shifts], key)
+        has_value = [s.value is not None for s in shifts]
+        value_text = iter(_pair_texts(
+            [s.value for s in shifts if s.value is not None], key))
+        residual = [s.residual_norm for s in shifts]
+        residual_text = iter(_floats([r for r in residual if r is not None]))
+        template = "\n".join((
+            "{",
+            key + '"index": %d,',
+            key + '"iterations": %d,',
+            key + '"residual_norm": %s,',
+            key + '"status": %s,',
+            key + '"value": %s,',
+            key + '"z": %s',
+            pad + "  }"))
+        rows = [
+            template % (
+                i, s.iterations,
+                next(residual_text) if r is not None else "null",
+                _STATUS_JSON[s.status],
+                next(value_text) if has else "null",
+                zt)
+            for i, s, r, has, zt in zip(itertools.count(1), shifts, residual,
+                                        has_value, z_text)]
+        return _list_text(rows, pad)
+
+
+def _render(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as it appears nested at
+    indent ``pad``, with :class:`_Pairs` and :class:`_ShiftRows` values
+    rendered by their own ``render``.  Dicts with string keys are walked to
+    reach those values; anything else goes to ``json.dumps`` whole, whose
+    nested text is its top-level text with ``pad`` after every newline."""
+    if isinstance(obj, (_Pairs, _ShiftRows)):
+        return obj.render(pad)
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        inner = pad + "  "
+        items = [f"{json.dumps(k)}: {_render(obj[k], inner)}"
+                 for k in sorted(obj)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def render_summary_table(report: ExperimentReport) -> str:

@@ -18,10 +18,14 @@ shifts and each iteration is a handful of array operations.  A
   are derived from those columns after the run; the solve loop computes
   only the ``nu`` that stopping reads.
 
-The active shifts are an index array into the shift list.  Whenever shifts
-freeze, it is compacted together with every array in :attr:`ShiftBatch.state`,
-the accepted values and the lag window, so all of them always hold exactly
-the shifts that still iterate.
+An iteration is one :meth:`ShiftBatch.step`: the shifts that failed (a
+breakdown, an overflow, a vanished ``pi``) freeze first, the others take the
+iteration's values, and those that meet the stopping rule freeze as
+converged, in one pass.  The active shifts are an index array into the
+shift list.  Whenever shifts freeze, it is compacted, once per iteration,
+together with every array in :attr:`ShiftBatch.state` (the reference values
+among them), the accepted values and the lag window, so all of them always
+hold exactly the shifts that still iterate.
 """
 
 from __future__ import annotations
@@ -47,17 +51,17 @@ class ShiftBatch:
         if self.z.size == 0:
             raise ValueError("at least one shift is required")
         self.rtol = rtol
-        self.reference = None
-        if reference is not None:
+        self.active = np.arange(self.z.size)
+        # the driver's per-shift arrays, compacted along with ``active``
+        self.state = SimpleNamespace(z=self.z)
+        self.referenced = reference is not None
+        if self.referenced:
             ref = np.array([complex(r) for r in reference],
                            dtype=np.complex128)
             if ref.shape != self.z.shape:
                 raise ValueError("reference values must match the shift list")
-            self.reference = ref
-            self._ref_scale = np.where(ref == 0, 1.0, cabs(ref))
-        self.active = np.arange(self.z.size)
-        # the driver's per-shift arrays, compacted along with ``active``
-        self.state = SimpleNamespace(z=self.z)
+            self.state.reference = ref
+            self.state.reference_scale = np.where(ref == 0, 1.0, cabs(ref))
         self.value: Optional[np.ndarray] = None  # last accepted, per active
         # MINRES: ``(scale, f)`` of the last accepted iteration, f per
         # active shift; the residual norms are scale * |f|
@@ -80,19 +84,25 @@ class ShiftBatch:
         ``row`` a history row for iteration ``k`` records the freeze;
         otherwise the status goes on the shift's last row.
         """
-        gone = None
-        for status, mask in groups:
-            if gone is not None:
-                mask = mask & ~gone
-            if not mask.any():
-                continue
-            self._close(np.flatnonzero(mask), status, k, row)
-            gone = mask if gone is None else gone | mask
+        gone = self._close_groups(k, groups, None, row)
         if gone is not None:
             self._compact(~gone)
 
     def freeze_all(self, k: int, status: SolveStatus) -> None:
         self.freeze(k, (status, np.ones(self.active.size, dtype=bool)))
+
+    def _close_groups(self, k: int, groups, gone: Optional[np.ndarray],
+                      row: bool) -> Optional[np.ndarray]:
+        """Close each group's shifts not in ``gone`` (``None``: none) and
+        return ``gone`` with them added; nothing is compacted."""
+        for status, mask in groups:
+            if gone is not None:
+                mask = mask & ~gone
+            if not np.count_nonzero(mask):
+                continue
+            self._close(np.flatnonzero(mask), status, k, row)
+            gone = mask if gone is None else gone | mask
+        return gone
 
     def _close(self, pos: np.ndarray, status: SolveStatus, k: int,
                row: bool) -> None:
@@ -104,9 +114,10 @@ class ShiftBatch:
         values = [None] * n if value is None else value.tolist()
         residuals = ([None] * n if self.residual is None
                      else _residual_norm(self.residual, pos).tolist())
-        for i, x, r in zip(shifts.tolist(), values, residuals):
+        for i, z, x, r in zip(shifts.tolist(), self.z[shifts].tolist(),
+                              values, residuals):
             self._outcomes[i] = ShiftOutcome(
-                z=complex(self.z[i]), value=x, iterations=k, status=status,
+                z=z, value=x, iterations=k, status=status,
                 residual_norm=r, index=i, recorded=self.history)
 
     def _compact(self, keep: np.ndarray) -> None:
@@ -122,38 +133,49 @@ class ShiftBatch:
 
     # -- one iteration ----------------------------------------------------------
 
-    def accept(self, k: int, value: np.ndarray,
-               residual: Optional[tuple] = None,
-               pi: Optional[np.ndarray] = None,
-               delta: Optional[np.ndarray] = None) -> None:
-        """Take iteration ``k``'s values of every active shift.
+    def step(self, k: int, value: np.ndarray, *failed, row: bool = False,
+             residual: Optional[tuple] = None,
+             pi: Optional[np.ndarray] = None,
+             delta: Optional[np.ndarray] = None) -> None:
+        """Take iteration ``k`` of every active shift, with one compaction.
 
-        Records history (with the COCG/COCR ``pi`` or the Lanczos pivot
-        ``delta`` when given), feeds the lag window and freezes the shifts
-        that meet the stopping rule.  ``residual`` is MINRES's ``(scale, f)``,
-        ``f`` the residual factor of each active shift; the residual norms
-        ``scale * |f|`` are formed only for the shifts that freeze, or for all
-        of them when history is kept.
+        The shifts of the ``(status, mask)`` groups in ``failed`` freeze
+        first, as :meth:`freeze` freezes them, with their last accepted
+        value.  The others take ``value``: history records them (with the
+        COCG/COCR ``pi`` or the Lanczos pivot ``delta`` when given), and
+        those that meet the stopping rule freeze as converged.
+        ``residual`` is MINRES's ``(scale, f)``, ``f`` the residual factor
+        of each active shift; the residual norms ``scale * |f|`` are formed
+        only for the shifts that freeze, or for all of them when history is
+        kept.
         """
+        gone = self._close_groups(k, failed, None, row)
         self.value = value
         self.residual = residual
         err = None
-        if self.reference is not None:
-            ref = self.reference[self.active]
-            err = cabs(value - ref) / self._ref_scale[self.active]
+        if self.referenced:
+            s = self.state
+            err = cabs(value - s.reference) / s.reference_scale
         if self.history is not None:
-            self.history.accept(
-                k, self.active, value, err,
-                None if residual is None else _residual_norm(residual),
-                pi, delta)
-        report = self.window.push(value)
-        if self.rtol is None:
-            return
-        if err is not None:
-            self.freeze(k, (SolveStatus.CONVERGED, err <= self.rtol))
-        elif report is not None:
-            self.freeze(k, (SolveStatus.CONVERGED,
-                            report.nu <= self.rtol * report.scale))
+            cols = [self.active, value, err,
+                    None if residual is None else _residual_norm(residual),
+                    pi, delta]
+            if gone is not None:
+                keep = ~gone
+                cols = [None if c is None else c[keep] for c in cols]
+            self.history.accept(k, *cols)
+        if self.rtol is not None:
+            if err is not None:
+                converged = err <= self.rtol
+            else:
+                due = self.window.push(value)
+                converged = (None if due is None
+                             else due[0] <= self.rtol * due[1])
+            if converged is not None and np.count_nonzero(converged):
+                gone = self._close_groups(
+                    k, ((SolveStatus.CONVERGED, converged),), gone, False)
+        if gone is not None:
+            self._compact(~gone)
 
     def mark_exact(self) -> None:
         """Record an invariant subspace: every active value is exact, which

@@ -225,11 +225,10 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
     # the array kernels leave inf/nan in exactly the shifts they then freeze
     with np.errstate(all="ignore"):
         k = 1
-        s.delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
-        breakdown = np.abs(s.delta) <= TOL_DELTA
-        batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
-                     (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True)
-        batch.accept(k, s.L, delta=s.delta)
+        delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
+        batch.step(k, s.L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
+                   (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True,
+                   delta=delta)
 
         while k < max_iter and batch.running:
             try:
@@ -244,14 +243,14 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                 break
             beta, alpha_next = outcome.beta, outcome.alpha_next
             k += 1
-            s.delta, s.pi, s.c, s.L = shift_update(
+            delta, s.pi, s.c, s.L = shift_update(
                 s.z, alpha_next, beta * beta, s.c, s.pi, s.L)
-            breakdown = np.abs(s.delta) <= TOL_DELTA
-            overflow = ~(np.isfinite(s.L) & np.isfinite(s.c)
-                         & np.isfinite(s.pi))
-            batch.freeze(k, (SolveStatus.BREAKDOWN, breakdown),
-                         (SolveStatus.OVERFLOW, overflow), row=True)
-            batch.accept(k, s.L, delta=s.delta)
+            # L_k is finite for every active shift, so a non-finite c_{k+1}
+            # or pi_{k+1} leaves L_{k+1} non-finite too
+            batch.step(k, s.L,
+                       (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
+                       (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True,
+                       delta=delta)
 
     result = stream_result("lanczos", batch, k, stream)
     if result.history is not None:

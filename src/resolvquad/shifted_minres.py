@@ -15,9 +15,10 @@ Every shift advances in lockstep, so the two retained rotations ``(c, s)``,
 ``f``, ``p_{k-1}``, ``p_{k-2}`` and ``M_k`` are numpy arrays over the active
 shifts (:class:`~resolvquad.shift_batch.ShiftBatch`) and one iteration is a
 handful of array operations: the rotation that meets the known zero above
-row ``k - 1`` is two products, the breakdown mask is formed only at an
-invariant subspace, and ``||r_0|| |f_{k+1}|`` only for the shifts that
-freeze, or for all of them when history is kept.  :func:`givens` and
+row ``k - 1`` is two products, ``-conj(s)`` of the last rotation is formed
+once for both ``f`` and the next column, the breakdown mask is formed only
+at an invariant subspace, and ``||r_0|| |f_{k+1}|`` only for the shifts
+that freeze, or for all of them when history is kept.  :func:`givens` and
 :func:`apply_rotation` run the same elementwise arithmetic on Python
 scalars.
 
@@ -122,9 +123,11 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     s.f = zeros + 1.0
     s.value = zeros
     s.p1 = s.p2 = zeros  # p_{k-1}, p_{k-2}
-    # G_{k-1}, G_{k-2}; the identity until two columns exist
+    # G_{k-1}, G_{k-2}; the identity until two columns exist.  ns1 is
+    # -conj(s1), which both f and the next column's rotation take
     s.c1 = s.c2 = np.ones(s.z.shape)
     s.s1 = s.s2 = zeros
+    s.ns1 = -zeros.conjugate()
 
     k = 0
     alpha_k = stream.coeffs.alpha[0]
@@ -149,29 +152,29 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             # beta_prev) is (s2 beta_prev, c2 beta_prev) up to the sign of a
             # zero part of r2, which only scales p_{k-2} in a sum
             r2 = s.s2 * beta_prev
-            r1, r0 = apply_rotation(s.c1, s.s1, s.c2 * beta_prev,
-                                    s.z - alpha_k)
+            # apply_rotation(c1, s1, c2 beta_prev, z - alpha_k)
+            x, y = s.c2 * beta_prev, s.z - alpha_k
+            r1 = s.c1 * x + s.s1 * y
+            r0 = s.ns1 * x + s.c1 * y
             r0_abs = cabs(r0)
             c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
-            swap = None
-            if not r0_abs.all():
+            failed = ()
+            if np.count_nonzero(r0_abs) < r0_abs.size:
                 swap = r0_abs == 0
                 c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
+                if beta_k == 0.0:
+                    # zI - A singular on the Krylov space: cannot divide
+                    failed = ((SolveStatus.BREAKDOWN, swap),)
             p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
             value_new = s.value + rnorm * c * s.f * p_new
-            f_new = -sn.conjugate() * s.f
-            s.c2, s.s2, s.c1, s.s1 = s.c1, s.s1, c, sn
+            ns = -sn.conjugate()
+            s.c2, s.s2, s.c1, s.s1, s.ns1 = s.c1, s.s1, c, sn, ns
             s.p2, s.p1 = s.p1, p_new
-            s.f, s.value = f_new, value_new
+            s.f, s.value = ns * s.f, value_new
             # a non-finite p_new or f_new leaves value_new non-finite too
-            overflow = ~np.isfinite(value_new)
-            if swap is not None and beta_k == 0.0:
-                # zI - A singular on the Krylov space: cannot divide
-                batch.freeze(k, (SolveStatus.BREAKDOWN, swap),
-                             (SolveStatus.OVERFLOW, overflow))
-            else:
-                batch.freeze(k, (SolveStatus.OVERFLOW, overflow))
-            batch.accept(k, s.value, residual=(rnorm, s.f))
+            batch.step(k, value_new, *failed,
+                       (SolveStatus.OVERFLOW, ~np.isfinite(value_new)),
+                       residual=(rnorm, s.f))
 
             if exhausting:
                 # Krylov space exhausted: surviving values are exact

@@ -173,14 +173,14 @@ def test_delayed_difference_window_is_a_lag_window_of_one_shift(rng):
     windows = [DelayedDifferenceWindow(lag) for _ in range(3)]
     reports = 0
     for column in values.T:
-        report = batch.push(column)
+        due = batch.push(column)
         got = [w.push(complex(x)) for w, x in zip(windows, column)]
-        if report is None:
+        if due is None:
             assert got == [None] * 3
             continue
         reports += 1
         for i, (k, nu, scale) in enumerate(got):
-            assert (k, nu, scale) == (report.k, report.nu[i], report.scale[i])
+            assert (k, nu, scale) == (batch.k - lag, due[0][i], due[1][i])
             assert nu == abs(values[i, k - 1] - values[i, k - 1 + lag])
     assert reports == values.shape[1] - lag
 

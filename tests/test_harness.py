@@ -4,11 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resolvquad.core import SparseHermitianMatrix
+from resolvquad import harness
+from resolvquad.core import (
+    MethodResult,
+    ShiftOutcome,
+    SolveStatus,
+    SparseHermitianMatrix,
+)
 from resolvquad.harness import (
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
+    MethodReport,
     generate_unit_circle_shifts,
     history_rows,
     load_config_file,
@@ -16,6 +26,7 @@ from resolvquad.harness import (
     render_summary_table,
     run_experiment,
     summary_dict,
+    summary_text,
     write_report,
 )
 from resolvquad.mmio import read_matrix_market, write_matrix_market
@@ -272,6 +283,126 @@ def test_summary_contents(tmp_path, random_matrix_path):
     json_path = write_report(report, tmp_path / "out")["summary"]
     parsed = json.loads(json_path.read_text())
     assert parsed["methods"]["lanczos"]["shifts"][0]["status"] == "converged"
+
+
+def json_oracle(report) -> str:
+    """``summary.json`` as ``json.dumps`` writes it; the writer must match
+    it byte for byte."""
+    return json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def pinned_clock(monkeypatch):
+    """The summary's timestamp, fixed, so two renderings agree."""
+    monkeypatch.setattr(harness.time, "strftime",
+                        lambda fmt: "2026-01-02T03:04:05+0000")
+
+
+def overflowing_report(tmp_path):
+    """All four methods on finite entries near 1e305, with non-finite
+    floats put into the outcomes and the reference values, which a
+    summary must spell as json does."""
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((6, 6))
+    path = tmp_path / "huge.mtx"
+    write_matrix_market(SparseHermitianMatrix.from_dense((b + b.T) * 1e305),
+                        path)
+    report = run_experiment(ExperimentConfig(matrix=path,
+                                             shifts="unit-circle:m=3"))
+    lanczos, minres = (m.result.shifts for m in report.methods
+                       if m.method in ("lanczos", "minres"))
+    lanczos[0].value = complex(math.nan, math.inf)
+    lanczos[1].value = complex(-math.inf, -0.0)
+    minres[0].value = complex(1e308, -math.nan)
+    minres[0].residual_norm = math.inf
+    minres[1].residual_norm = math.nan
+    report.reference_values = [complex(math.nan, -math.inf), 0j, -1e-320j]
+    return report
+
+
+@pytest.mark.parametrize("case", ["skipped-dense", "breakdown-k1", "huge",
+                                  "one-shift-odd-path"])
+def test_summary_text_equals_json_dumps(tmp_path, rng, pinned_clock, case):
+    """The column-wise writer gives the bytes of ``json.dumps`` on the same
+    dict: with a skipped method, a ``None`` value (a breakdown at k = 1),
+    NaN and infinite values and residual norms, ``residual_norm`` both
+    ``None`` (Lanczos) and a float (MINRES), reference values absent and
+    present, one shift, and a config echo whose paths hold quotes,
+    backslashes and non-ASCII characters."""
+    if case == "skipped-dense":
+        path = tmp_path / "cplx.mtx"
+        write_matrix_market(random_hermitian(rng, 8), path)
+        report = run_experiment(ExperimentConfig(
+            matrix=path, shifts="unit-circle:m=4", reference="dense"))
+        assert [m.applicable for m in report.methods] == [True, False,
+                                                          False, True]
+    elif case == "breakdown-k1":
+        # alpha_1 = 0 exactly for e_1, so the shift 0 breaks down at k = 1
+        path = tmp_path / "offdiag.mtx"
+        write_matrix_market(
+            SparseHermitianMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]]), path)
+        vector = tmp_path / "e1.txt"
+        vector.write_text("1.0\n0.0\n")
+        report = run_experiment(ExperimentConfig(
+            matrix=path, vector=f"file:{vector}", shifts=[0.0, 1.0 + 1.0j],
+            methods=("lanczos", "minres")))
+        assert report.methods[0].result.shifts[0].value is None
+    elif case == "huge":
+        report = overflowing_report(tmp_path)
+    else:
+        odd = tmp_path / 'q"uo\\te \u00f1 \u221a\U0001d49c'
+        odd.mkdir()
+        path = odd / "m\u00e4trix.mtx"
+        write_matrix_market(random_hermitian(rng, 5, real=True), path)
+        report = run_experiment(ExperimentConfig(
+            matrix=path, shifts="unit-circle:m=1", out=odd / "out"))
+        assert len(report.shifts) == 1
+    want = json_oracle(report)
+    assert summary_text(report) == want
+    written = write_report(report, tmp_path / "out")["summary"]
+    assert written.read_bytes() == want.encode()
+
+
+def float_report(values, residuals, reference):
+    """A report of two methods over ``len(values)`` shifts, built by hand:
+    Lanczos with ``values``, MINRES with ``values`` reversed and the
+    ``residuals``."""
+    shifts = [complex(1.0 + i, -0.5) for i in range(len(values))]
+
+    def result(method, vals, res):
+        outcomes = [ShiftOutcome(z=z, value=x, iterations=i + 1,
+                                 status=SolveStatus.MAX_ITER,
+                                 residual_norm=r, index=i)
+                    for i, (z, x, r) in enumerate(zip(shifts, vals, res))]
+        return MethodReport(method, True, wall_time=0.25,
+                            result=MethodResult(method, outcomes, 7))
+
+    return ExperimentReport(
+        config={"matrix": "a.mtx", "rtol": 1e-10}, matrix_info={"n": 3},
+        shifts=shifts, shift_meta={}, reference_mode="dense",
+        reference_values=reference,
+        methods=[result("lanczos", values, [None] * len(values)),
+                 result("minres", values[::-1], residuals)])
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+complex_or_none = st.one_of(st.none(), st.builds(complex, finite_or_not,
+                                                 finite_or_not))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6))
+def test_summary_text_renders_every_float(data, m):
+    """Any float, signed zeros, subnormals, NaN and infinities among them,
+    is written as ``json.dumps`` writes it."""
+    values = data.draw(st.lists(complex_or_none, min_size=m, max_size=m))
+    residuals = data.draw(st.lists(st.one_of(st.none(), finite_or_not),
+                                   min_size=m, max_size=m))
+    reference = data.draw(st.one_of(st.none(), st.lists(
+        st.builds(complex, finite_or_not, finite_or_not),
+        min_size=m, max_size=m)))
+    report = float_report(values, residuals, reference)
+    assert summary_text(report) == json_oracle(report)
 
 
 # ---------------------------------------------------------------------------

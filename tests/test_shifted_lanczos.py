@@ -4,17 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvquad import shifted_lanczos
-from resolvquad.core import SolveStatus, SparseHermitianMatrix
+from resolvquad.core import NonFiniteError, SolveStatus, SparseHermitianMatrix
+from resolvquad.error_estimate import DEFAULT_LAG
+from resolvquad.lanczos import lanczos_init, lanczos_step
 from resolvquad.oracle import (
     dense_resolvent_quadform,
     shifted_determinant_sequence,
     tridiag_resolvent_entry,
 )
+from resolvquad.shift_batch import ShiftBatch
 from resolvquad.shifted_lanczos import (
+    TOL_DELTA,
     bilinear_form,
     run_quadratic_forms,
+    shift_start,
     shift_state_init,
     shift_state_update,
+    shift_update,
+    stream_result,
 )
 
 from conftest import (
@@ -22,6 +29,8 @@ from conftest import (
     random_hermitian_dense,
     random_jacobi,
     random_vector,
+    result_bits,
+    stream_problem,
 )
 
 
@@ -298,6 +307,103 @@ def test_driver_runs_the_audited_update_kernel(monkeypatch, rng):
     calls.clear()
     shift_state_update(shift_state_init(2.0 + 1.0j, 1.0, 0.3), 0.1, 0.5)
     assert calls == [1]
+
+
+def reference_lanczos_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
+                          max_iter=None, reference=None, keep_history=False):
+    """The Lanczos driver loop before its freezes were fused: a breakdown or
+    an overflow (all three finiteness masks) freezes the shift through
+    :meth:`ShiftBatch.freeze`, and a step with no failed groups, the old
+    ``accept``, then takes the survivors.  :func:`run_quadratic_forms` must
+    reproduce it bit for bit."""
+    try:
+        stream = lanczos_init(a, v)
+    except NonFiniteError:
+        stream = None
+    batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
+                       keep_history=keep_history)
+    if stream is None:
+        batch.freeze_all(0, SolveStatus.OVERFLOW)
+        return stream_result("lanczos", batch, 0, None)
+    if max_iter is None:
+        max_iter = 2 * a.n
+    s = batch.state
+    s.c = np.full(s.z.shape, stream.vnorm2, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        k = 1
+        s.delta, s.pi, s.L = shift_start(s.z, s.c, stream.coeffs.alpha[0])
+        batch.freeze(k, (SolveStatus.BREAKDOWN, np.abs(s.delta) <= TOL_DELTA),
+                     (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True)
+        batch.step(k, s.L, delta=s.delta)
+        while k < max_iter and batch.running:
+            try:
+                outcome = lanczos_step(stream)
+            except NonFiniteError:
+                batch.freeze_all(k, SolveStatus.OVERFLOW)
+                break
+            if outcome.invariant_subspace:
+                batch.mark_exact()
+                batch.freeze_all(k, SolveStatus.CONVERGED)
+                break
+            k += 1
+            s.delta, s.pi, s.c, s.L = shift_update(
+                s.z, outcome.alpha_next, outcome.beta * outcome.beta, s.c,
+                s.pi, s.L)
+            overflow = ~(np.isfinite(s.L) & np.isfinite(s.c)
+                         & np.isfinite(s.pi))
+            batch.freeze(k, (SolveStatus.BREAKDOWN,
+                             np.abs(s.delta) <= TOL_DELTA),
+                         (SolveStatus.OVERFLOW, overflow), row=True)
+            batch.step(k, s.L, delta=s.delta)
+    result = stream_result("lanczos", batch, k, stream)
+    if result.history is not None:
+        result.history.stream = (result.alpha, result.beta, result.vnorm2)
+    return result
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+       real=st.booleans(),
+       kind=st.sampled_from(["dense", "three", "eigvec", "bipartite"]),
+       scale=st.sampled_from([1.0, 1e150]),
+       max_iter=st.sampled_from([None, 1, 2, 3, 7, 25]),
+       rtol=st.sampled_from([None, 1e-10, 1e-4]),
+       lag=st.sampled_from([1, DEFAULT_LAG]),
+       referenced=st.booleans(), keep_history=st.booleans())
+def test_lanczos_equals_reference_iteration(seed, n, real, kind, scale,
+                                            max_iter, rtol, lag, referenced,
+                                            keep_history):
+    """Statuses, iterations, value bits and, when kept, every history
+    column equal the unfused loop's.  The problems break down at
+    ``alpha_1``, overflow at scale 1e150 and reach an invariant subspace
+    (``"three"``, ``"eigvec"``); the reference values for true-error
+    stopping are the values of a capped run."""
+    a, v, shifts = stream_problem(seed, n, real, kind, scale)
+    reference = None
+    if referenced:
+        capped = run_quadratic_forms(a, v, shifts, rtol=None, max_iter=4)
+        reference = [1.0 if x is None else x for x in capped.values]
+    kw = dict(rtol=rtol, lag=lag, max_iter=max_iter, reference=reference,
+              keep_history=keep_history)
+    got = run_quadratic_forms(a, v, shifts, **kw)
+    assert result_bits(got) == result_bits(reference_lanczos_run(a, v, shifts,
+                                                                 **kw))
+
+
+def test_reference_problems_break_down_overflow_and_exhaust():
+    """The cases the bitwise test relies on occur in its problems."""
+    a, v, shifts = stream_problem(4, 12, False, "dense", 1.0)
+    res = run_quadratic_forms(a, v, shifts, rtol=None, max_iter=30)
+    assert res.shifts[3].status is SolveStatus.BREAKDOWN  # z = alpha_1
+    assert res.shifts[3].iterations == 1 and res.shifts[3].value is None
+    a, v, shifts = stream_problem(4, 12, False, "dense", 1e150)
+    res = run_quadratic_forms(a, v, shifts, rtol=None, max_iter=30)
+    # the shift 1e-12 off an eigenvalue overflows inside the loop
+    assert res.shifts[5].status is SolveStatus.OVERFLOW
+    assert res.shifts[5].iterations == 12
+    a, v, shifts = stream_problem(4, 12, True, "three", 1.0)
+    res = run_quadratic_forms(a, v, shifts, rtol=None)
+    assert res.invariant_subspace_at == 3
 
 
 def test_empty_shift_list_rejected():

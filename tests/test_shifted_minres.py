@@ -18,7 +18,13 @@ from resolvquad.shifted_minres import (
     minres_run,
 )
 
-from conftest import random_hermitian, random_hermitian_dense, random_vector
+from conftest import (
+    random_hermitian,
+    random_hermitian_dense,
+    random_vector,
+    result_bits,
+    stream_problem,
+)
 
 
 def test_givens_real_pair():
@@ -214,7 +220,7 @@ def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
                          & np.isfinite(f_new))
             batch.freeze(k, (SolveStatus.BREAKDOWN, swap & (beta_k == 0.0)),
                          (SolveStatus.OVERFLOW, overflow))
-            batch.accept(k, s.value, residual=(1.0, rnorm * cabs(s.f)))
+            batch.step(k, s.value, residual=(1.0, rnorm * cabs(s.f)))
             if exhausting:
                 batch.freeze_all(k, SolveStatus.CONVERGED)
                 break
@@ -223,68 +229,6 @@ def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
             qsign = -qsign
             q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
     return stream_result("minres", batch, k, stream)
-
-
-def minres_problem(seed, n, real, kind, scale):
-    """A Hermitian problem and its shifts: off-axis ones, the exact Rayleigh
-    quotient ``alpha_1`` and shifts 1e-3 and 1e-12 off eigenvalues.
-
-    ``kind="three"`` has three distinct eigenvalues (an invariant subspace
-    at k = 3); for ``"eigvec"`` ``v`` is an eigenvector of a diagonal matrix
-    and one more shift its exact eigenvalue (a breakdown at k = 1);
-    ``"bipartite"`` has a zero diagonal, integer entries and shifts on the
-    imaginary axis, so values with zero parts occur.  ``v`` is multiplied
-    by ``scale``: at 1e150 the shifts 1e-12 off an eigenvalue overflow.
-    """
-    rng = np.random.default_rng(seed)
-    cplx = float if real else complex
-    if kind == "eigvec":
-        dense = np.diag(rng.integers(-4, 5, size=n) / 4.0).astype(cplx)
-        v = np.zeros(n, dtype=cplx)
-        j = rng.integers(n)
-        v[j] = 1.0 if real else 0.6 - 0.8j
-    elif kind == "bipartite":
-        m = max(n // 2, 1)
-        b = rng.integers(-2, 3, size=(m, n - m)).astype(cplx)
-        if not real:
-            b += 1j * rng.integers(-2, 3, size=b.shape)
-        dense = np.zeros((n, n), dtype=cplx)
-        dense[:m, m:], dense[m:, :m] = b, b.conj().T
-        v = np.zeros(n, dtype=cplx)
-        v[rng.integers(n)] = 1.0
-    else:
-        dense = random_hermitian_dense(rng, n, real=real)
-        if kind == "three":
-            q = np.linalg.eigh(dense)[1]
-            dense = (q * rng.choice([-1.5, 0.25, 2.0], size=n)) @ q.conj().T
-            dense = (dense + dense.conj().T) / 2
-        v = random_vector(rng, n, real=real)
-    a = SparseHermitianMatrix.from_dense(dense)
-    lam = np.linalg.eigvalsh(dense)
-    shifts = [complex(3 * rng.standard_normal(),
-                      (0.05 + 2 * rng.random()) * rng.choice([-1, 1]))
-              for _ in range(3)]
-    shifts.append(complex(lanczos_init(a, v).coeffs.alpha[0]))
-    shifts.append(complex(lam[rng.integers(n)], 1e-3))
-    shifts.append(complex(lam[rng.integers(n)], -1e-12))
-    if kind == "eigvec":
-        shifts.append(complex(dense[j, j].real))
-    if kind == "bipartite":
-        shifts += [1j, -0.5j, 2j]
-    return a, v * scale, shifts
-
-
-def minres_bits(res):
-    """Every output of a MINRES run as bytes, statuses and counts."""
-    def b(x, dtype):
-        return None if x is None else np.array(x, dtype=dtype).tobytes()
-
-    out = [(o.status, o.iterations, b(o.value, complex),
-            b(o.residual_norm, float)) for o in res.shifts]
-    if res.history is not None:
-        out.append({name: (col.dtype, col.tobytes())
-                    for name, col in res.history.columns().items()})
-    return res.iterations, out
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,10 +246,10 @@ def test_minres_equals_reference_iteration(seed, n, real, kind, scale,
     runs share :class:`ShiftBatch`, so with history each shift's
     ``residual_norm`` is also checked against its last row's residual,
     which the batch forms over the active shifts before any freeze."""
-    a, v, shifts = minres_problem(seed, n, real, kind, scale)
+    a, v, shifts = stream_problem(seed, n, real, kind, scale)
     kw = dict(rtol=rtol, max_iter=max_iter, keep_history=keep_history)
     got = minres_run(a, v, shifts, **kw)
-    assert minres_bits(got) == minres_bits(reference_minres_run(a, v, shifts,
+    assert result_bits(got) == result_bits(reference_minres_run(a, v, shifts,
                                                                 **kw))
     if keep_history:
         for out in got.shifts:
@@ -337,11 +281,11 @@ def test_residual_norms_of_shifts_frozen_after_a_convergence():
 
 def test_breakdown_and_overflow_occur_in_the_reference_problems():
     """The breakdown and overflow cases the bitwise test relies on occur."""
-    a, v, shifts = minres_problem(4, 6, True, "eigvec", 1.0)
+    a, v, shifts = stream_problem(4, 6, True, "eigvec", 1.0)
     res = minres_run(a, v, shifts, rtol=None)
     assert res.shifts[-1].status is SolveStatus.BREAKDOWN
     assert res.shifts[0].status is SolveStatus.CONVERGED
-    a, v, shifts = minres_problem(4, 12, False, "dense", 1e150)
+    a, v, shifts = stream_problem(4, 12, False, "dense", 1e150)
     res = minres_run(a, v, shifts, rtol=None)
     assert res.shifts[5].status is SolveStatus.OVERFLOW
     assert res.shifts[4].status is SolveStatus.MAX_ITER
