@@ -163,6 +163,23 @@ def test_breakdown_reported_not_raised():
     assert res.shifts[1].value == pytest.approx(0.375, abs=1e-14)
 
 
+def test_breakdown_inside_the_loop_is_not_an_overflow():
+    # on the path graph from e_1 every coefficient is exact (alpha = 0,
+    # beta = 1), so z = 1 gives delta_2 = 1 - 1 / 1 = 0 exactly: pi_2 and
+    # L_2 are not finite, and the breakdown takes precedence
+    a = SparseHermitianMatrix.from_dense([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                          [0.0, 1.0, 0.0]])
+    v = np.array([1.0, 0.0, 0.0])
+    res = run_quadratic_forms(a, v, [1.0, 0.5 + 0.5j], rtol=None,
+                              keep_history=True)
+    out = res.shifts[0]
+    assert (out.status, out.iterations, out.value) == (
+        SolveStatus.BREAKDOWN, 2, 1.0)
+    assert [(row.k, row.status) for row in out.history] == [
+        (1, SolveStatus.ACTIVE), (2, SolveStatus.BREAKDOWN)]
+    assert res.shifts[1].status is SolveStatus.CONVERGED
+
+
 def test_interior_rayleigh_shift_recovers_in_floating_point():
     # z = 1.5 equals alpha_1 only in exact arithmetic; the rounded pivot is
     # ~1e-16, the huge L_1 cancels at the next step, and the run lands on
