@@ -232,13 +232,48 @@ def stable_norm(values: np.ndarray) -> float:
 
 
 def hermitian_check_csr(csr: sp.csr_matrix):
-    """Return ``(verified, max_asymmetry)`` for a scipy CSR matrix."""
+    """Return ``(verified, max_asymmetry)`` for a canonical scipy CSR matrix.
+
+    ``max_asymmetry`` is ``max |a_ij - conj(a_ji)|`` over the stored
+    entries, a missing partner counting as zero, and ``verified`` is
+    ``max_asymmetry <= HERMITIAN_TOL * max |a_ij|``: bit for bit
+    ``max |(A - A^H).data|``, without scipy's temporaries.  ``A^H`` is
+    formed once, as the arrays of ``csr.tocsc()`` read as a CSR and
+    conjugated in place.  When its pattern is ``csr``'s, entry ``k`` of one
+    is the partner of entry ``k`` of the other and both maxima are reduced
+    in chunks, so the check holds one copy of the matrix and chunk-sized
+    temporaries.  Otherwise scipy subtracts the two CSRs.
+    """
     if csr.nnz == 0:
         return True, 0.0
-    diff = (csr - csr.getH()).tocsr()
-    asym = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    scale_ = float(np.abs(csr.data).max())
+    t = csr.tocsc()  # its arrays are the CSR arrays of A^T
+    if np.iscomplexobj(t.data):
+        np.conjugate(t.data, out=t.data)
+    if (np.array_equal(csr.indptr, t.indptr)
+            and np.array_equal(csr.indices, t.indices)):
+        asym = _max_abs(csr.data, t.data)
+    else:
+        herm = sp.csr_matrix((t.data, t.indices, t.indptr), shape=csr.shape)
+        asym = _max_abs((csr - herm).data)
+    scale_ = _max_abs(csr.data)
     return bool(asym <= HERMITIAN_TOL * scale_), asym
+
+
+_CHUNK = 1 << 16  # entries per temporary in _max_abs
+
+
+def _max_abs(values: np.ndarray, minus: Optional[np.ndarray] = None) -> float:
+    """``max |values - minus|`` (``max |values|`` without ``minus``), 0.0
+    for no entries, with temporaries of at most ``_CHUNK`` entries.  A
+    difference or modulus past the overflow threshold is ``inf``."""
+    peaks = [0.0]
+    with np.errstate(over="ignore"):
+        for start in range(0, values.size, _CHUNK):
+            part = values[start:start + _CHUNK]
+            if minus is not None:
+                part = part - minus[start:start + _CHUNK]
+            peaks.append(np.abs(part).max())
+    return float(np.max(peaks))
 
 
 # ---------------------------------------------------------------------------

@@ -476,8 +476,10 @@ def summary_text(report: ExperimentReport) -> str:
 
 
 def _summary(report: ExperimentReport, rows, pairs) -> dict:
-    """The summary dict, with each method's shift list as ``rows(shifts)``
-    and the shift and reference lists as ``pairs(values)``."""
+    """The summary dict, with the shift and reference lists as
+    ``pairs(values)`` and each method's shift list as
+    ``rows(outcomes, shifts)``, ``shifts`` being the shift list's pairs."""
+    shifts = pairs(report.shifts)
     methods = {}
     for mrep in report.methods:
         entry: dict = {"applicable": mrep.applicable}
@@ -490,13 +492,13 @@ def _summary(report: ExperimentReport, rows, pairs) -> dict:
                 "iterations": res.iterations,
                 "converged": res.converged,
                 "iterations_to_convergence": res.iterations_to_convergence,
-                "shifts": rows(res.shifts),
+                "shifts": rows(res.shifts, shifts),
             })
         methods[mrep.method] = entry
     return {
         "config": report.config,
         "matrix": report.matrix_info,
-        "shifts": pairs(report.shifts),
+        "shifts": shifts,
         "shift_meta": report.shift_meta,
         "reference_mode": report.reference_mode,
         "reference_values": (pairs(report.reference_values)
@@ -513,7 +515,7 @@ def _summary(report: ExperimentReport, rows, pairs) -> dict:
     }
 
 
-def _shift_dicts(shifts: list) -> list:
+def _shift_dicts(shifts: list, _pairs: list) -> list:
     return [
         {
             "index": i + 1,
@@ -543,11 +545,17 @@ def _floats(xs) -> list:
     return [_NON_FINITE.get(t, t) for t in map(float.__repr__, xs)]
 
 
-def _pair_texts(values: list, pad: str) -> list:
-    """Each ``[x.real, x.imag]``, as ``json.dumps`` nests it at ``pad``."""
+def _parts(values: list) -> tuple:
+    """The texts of the real parts and of the imaginary parts of ``values``."""
+    return (_floats([x.real for x in values]),
+            _floats([x.imag for x in values]))
+
+
+def _pair_texts(parts: tuple, pad: str) -> list:
+    """Each ``[x.real, x.imag]`` of :func:`_parts`, as ``json.dumps`` nests
+    it at ``pad``."""
     template = f"[\n{pad}  %s,\n{pad}  %s\n{pad}]"
-    return [template % pair for pair in zip(_floats([x.real for x in values]),
-                                            _floats([x.imag for x in values]))]
+    return [template % pair for pair in zip(*parts)]
 
 
 def _list_text(items: list, pad: str) -> str:
@@ -564,25 +572,35 @@ class _Pairs:
     def __init__(self, values: list):
         self.values = values
 
+    @functools.cached_property
+    def parts(self) -> tuple:
+        """:func:`_parts` of the values, formatted once."""
+        return _parts(self.values)
+
     def render(self, pad: str) -> str:
-        return _list_text(_pair_texts(self.values, pad + "  "), pad)
+        return _list_text(_pair_texts(self.parts, pad + "  "), pad)
 
 
 class _ShiftRows:
     """A method's per-shift rows (:func:`_shift_dicts`), rendered by
-    :func:`_render` column by column."""
+    :func:`_render` column by column.  The ``z`` column reuses the texts of
+    the report's shift list (:class:`_Pairs`) when it holds the same bits,
+    as it does for every method of a run."""
 
-    def __init__(self, shifts: list):
+    def __init__(self, outcomes: list, shifts: _Pairs):
+        self.outcomes = outcomes
         self.shifts = shifts
 
     def render(self, pad: str) -> str:
-        shifts = self.shifts
+        outcomes = self.outcomes
         key = pad + "    "  # the rows' keys; the pairs open at this indent
-        z_text = _pair_texts([s.z for s in shifts], key)
-        has_value = [s.value is not None for s in shifts]
-        value_text = iter(_pair_texts(
-            [s.value for s in shifts if s.value is not None], key))
-        residual = [s.residual_norm for s in shifts]
+        z = [s.z for s in outcomes]
+        z_text = _pair_texts(self.shifts.parts if _same_bits(
+            z, self.shifts.values) else _parts(z), key)
+        has_value = [s.value is not None for s in outcomes]
+        value_text = iter(_pair_texts(_parts(
+            [s.value for s in outcomes if s.value is not None]), key))
+        residual = [s.residual_norm for s in outcomes]
         residual_text = iter(_floats([r for r in residual if r is not None]))
         template = "\n".join((
             "{",
@@ -600,9 +618,16 @@ class _ShiftRows:
                 _STATUS_JSON[s.status],
                 next(value_text) if has else "null",
                 zt)
-            for i, s, r, has, zt in zip(itertools.count(1), shifts, residual,
-                                        has_value, z_text)]
+            for i, s, r, has, zt in zip(itertools.count(1), outcomes,
+                                        residual, has_value, z_text)]
         return _list_text(rows, pad)
+
+
+def _same_bits(a: list, b: list) -> bool:
+    """Whether two lists of complex numbers hold the same bits, signed
+    zeros and NaN payloads included."""
+    return len(a) == len(b) and (np.array(a, np.complex128).tobytes()
+                                 == np.array(b, np.complex128).tobytes())
 
 
 def _render(obj, pad: str) -> str:

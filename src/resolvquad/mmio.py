@@ -82,7 +82,14 @@ _SCIPY_ERRORS = (
 
 
 def _mmread(source) -> SparseHermitianMatrix:
-    """Read entries with ``scipy.io.mmread`` once the header has passed."""
+    """Read entries with ``scipy.io.mmread`` once the header has passed.
+
+    The triplets are released as soon as the CSR is built, before
+    :meth:`SparseHermitianMatrix.from_csr` checks it, so that a load holds
+    at most about two copies of the matrix at once: the triplets and the
+    CSR inside ``tocsr``, then the CSR and its conjugate transpose in the
+    Hermitian check.
+    """
     try:
         coo = scipy.io.mmread(source)
     except ValueError as exc:
@@ -95,7 +102,9 @@ def _mmread(source) -> SparseHermitianMatrix:
     nrows, ncols = coo.shape
     if nrows != ncols:
         raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
-    return SparseHermitianMatrix.from_csr(coo.tocsr())
+    csr = coo.tocsr()
+    del coo
+    return SparseHermitianMatrix.from_csr(csr)
 
 
 def parse_matrix_market(stream: TextIO) -> SparseHermitianMatrix:

@@ -405,6 +405,20 @@ def test_summary_text_renders_every_float(data, m):
     assert summary_text(report) == json_oracle(report)
 
 
+def test_summary_text_rows_keep_their_own_shift_bits():
+    """The rows reuse the shift list's texts only for the same bits: a
+    method whose shifts differ from the list in the sign of a zero, or in
+    number, writes its own."""
+    report = float_report([1j, None, 2.0], [0.5, None, math.inf], None)
+    report.shifts = [complex(z.real, 0.0) for z in report.shifts]
+    lanczos, minres = (m.result.shifts for m in report.methods)
+    for s in lanczos:
+        s.z = complex(s.z.real, -0.0)
+    minres.pop()
+    assert summary_text(report) == json_oracle(report)
+    assert '"z": [\n            1.0,\n            -0.0\n' in json_oracle(report)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
