@@ -30,7 +30,11 @@ from resolvquad.harness import (
     write_report,
 )
 from resolvquad.mmio import read_matrix_market, write_matrix_market
-from resolvquad.oracle import spectral_decomposition, spectral_quadform
+from resolvquad.oracle import (
+    MAX_DENSE_N,
+    spectral_decomposition,
+    spectral_quadform,
+)
 
 from conftest import random_hermitian, random_hermitian_dense
 
@@ -564,6 +568,82 @@ def test_cli_unreadable_matrix_is_exit_1(tmp_path, capsys, kind, command):
                        "--matrix", str(path)]}[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: cannot read matrix")
+
+
+REJECTED_INPUTS = {
+    # id: (argv, content of {file} or None); {diag} is diag(1, 2) and
+    # {big} a diagonal matrix one past the dense cap
+    "unit-circle-m0": (["--shifts", "unit-circle:m=0"], None),
+    "unit-circle-item-without-eq": (["--shifts", "unit-circle:m5"], None),
+    "rtol-0": (["--rtol", "0"], None),
+    "lag-0": (["--lag", "0"], None),
+    "max-iter-0": (["--max-iter", "0"], None),
+    "vector-three-columns": (["--vector", "file:{file}"],
+                             "1.0 2.0 3.0\n4.0 5.0 6.0\n"),
+    "vector-wrong-length": (["--vector", "file:{file}"], "1.0\n2.0\n3.0\n"),
+    "shifts-three-columns": (["--shifts", "list:{file}"], "1.0 2.0 3.0\n"),
+    "shifts-empty": (["--shifts", "list:{file}"], ""),
+    "offset-without-zeta": (["--shifts", "spectrum-offset:extremal=largest"],
+                            None),
+    "offset-extremal-middle": (
+        ["--shifts", "spectrum-offset:zeta=1,extremal=middle"], None),
+    "offset-past-dense-cap": (["--matrix", "{big}",
+                               "--shifts", "spectrum-offset:zeta=1"], None),
+    "dense-reference-past-dense-cap": (["--matrix", "{big}",
+                                        "--reference", "dense"], None),
+    "unknown-shift-spec": (["--shifts", "circle:m=4"], None),
+    "seed-shift-0": (["--shifts", "unit-circle:m=4", "--seed-shift", "0"],
+                     None),
+    "seed-shift-past-m": (["--shifts", "unit-circle:m=4",
+                           "--seed-shift", "5"], None),
+    "config-unknown-key": (["--config", "{file}"],
+                           "matrix = {diag}\nfrobnicate = 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_INPUTS))
+def test_cli_rejected_input_is_exit_1(tmp_path, diag_matrix_path, capsys,
+                                      case):
+    """Each input the harness rejects ends in ``error: ...`` and exit 1."""
+    args, content = REJECTED_INPUTS[case]
+    paths = {"diag": diag_matrix_path, "big": tmp_path / "big.mtx",
+             "file": tmp_path / "input.txt"}
+    if "{big}" in args:
+        write_matrix_market(SparseHermitianMatrix.diagonal(
+            np.arange(1.0, MAX_DENSE_N + 2.0)), paths["big"])
+    if content is not None:
+        paths["file"].write_text(content.format(**paths))
+    argv = ["run"] + (["--matrix", "{diag}"] if "--matrix" not in args
+                      and "--config" not in args else []) + args
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_shifts_spectrum_offset_needs_matrix(capsys):
+    assert main(["shifts", "--spec", "spectrum-offset:zeta=1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_empty_explicit_shift_list_rejected(diag_matrix_path):
+    with pytest.raises(ConfigError, match="empty"):
+        run_experiment(ExperimentConfig(matrix=diag_matrix_path, shifts=[]))
+
+
+def test_cli_complex_matrix_skips_cg_methods(tmp_path, rng, capsys):
+    """COCG and COCR are skipped with a warning and a table row."""
+    path = tmp_path / "cplx.mtx"
+    write_matrix_market(random_hermitian(rng, 8), path)
+    assert main(["run", "--matrix", str(path),
+                 "--shifts", "unit-circle:m=2"]) == 0
+    captured = capsys.readouterr()
+    for method in ("cocg", "cocr"):
+        assert (f"warning: {method} skipped: matrix is not real symmetric"
+                in captured.err.splitlines())
+        assert any(line.startswith(method) and line.endswith(
+            "skipped (matrix is not real symmetric)")
+            for line in captured.out.splitlines())
 
 
 def _write_complex_vector(path, v):
