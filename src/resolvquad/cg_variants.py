@@ -224,8 +224,7 @@ def _seed_dot(x: np.ndarray, y: np.ndarray, x_norm: float,
     two of its norm, which is exact, so the product does not overflow.
     """
     if x_norm * y_norm < math.inf or not math.isfinite(x_norm + y_norm):
-        with np.errstate(over="ignore"):  # overflow freezes every shift
-            return complex(np.dot(x, y)), 0
+        return complex(np.dot(x, y)), 0
     ex, ey = math.frexp(x_norm)[1], math.frexp(y_norm)[1]
     xs = x * 2.0 ** -ex
     ys = xs if y is x else y * 2.0 ** -ey
@@ -265,6 +264,9 @@ def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
                (SolveStatus.OVERFLOW, ~finite), pi=pi_new)
 
 
+# a vanished pi leaves inf/nan in exactly the shifts _commit freezes, and a
+# non-finite seed scalar or projection ends the run at one of its guards
+@np.errstate(all="ignore")
 def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
              shifts: Sequence[complex], *,
              rtol: Optional[float] = 1e-10,
@@ -330,13 +332,10 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         r_scalars.append(r_scalar)
         shared = (beta_prev / alpha_prev) * alpha_seed  # shift-independent
 
-        # a vanished pi leaves inf/nan in exactly the shifts _commit freezes
-        with np.errstate(all="ignore"):
-            pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed,
-                                         shared, s.sigma)
-            value_new, p_new = cocg_scalar_update(
-                s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_seed,
-                r_scalar)
+        pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
+                                     s.sigma)
+        value_new, p_new = cocg_scalar_update(
+            s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_seed, r_scalar)
         _commit(batch, k, pi_new, value_new, p_new)
 
         p = r + beta_seed * p
@@ -345,6 +344,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     return _result("cocg", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 
+@np.errstate(all="ignore")
 def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
              shifts: Sequence[complex], *,
              rtol: Optional[float] = 1e-10,
@@ -401,13 +401,11 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         seed_alpha.append(alpha_seed)
         shared = (beta_prev / alpha_prev) * alpha_seed
 
-        # a vanished pi leaves inf/nan in exactly the shifts _commit freezes
-        with np.errstate(all="ignore"):
-            pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed,
-                                         shared, s.sigma)
-            value_new, p_new = cocr_scalar_update(
-                s.pi_m2, s.pi_m1, pi_new, s.p, s.value, alpha_seed,
-                beta_prev, r_scalar_prev)
+        pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
+                                     s.sigma)
+        value_new, p_new = cocr_scalar_update(
+            s.pi_m2, s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_prev,
+            r_scalar_prev)
         _commit(batch, k, pi_new, value_new, p_new)
 
         r = r - alpha_seed * q

@@ -31,6 +31,7 @@ import math
 import platform
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -45,6 +46,7 @@ from .error_estimate import DEFAULT_LAG
 from .mmio import read_matrix_market
 from .oracle import (
     MAX_DENSE_N,
+    SingularShiftError,
     SpectralDecomposition,
     condition_number,
     dense_resolvent_quadform,
@@ -161,27 +163,35 @@ def _number(cast, text: str, what: str):
         raise ConfigError(f"bad value for {what}: {text!r}") from exc
 
 
+def _read_entries(path: str, what: str) -> np.ndarray:
+    """The entries of a ``what`` file, one per line: a real number, or its
+    real and imaginary parts.  Each part is kept as read, signed zeros
+    included."""
+    try:
+        with warnings.catch_warnings():  # the caller rejects an empty file
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from exc
+    if data.shape[1] > 2:
+        raise ConfigError(f"{what} file must have one or two columns")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{what} file {path!r} has a non-finite entry")
+    entries = data[:, 0].astype(np.complex128)
+    entries.imag = data[:, 1] if data.shape[1] == 2 else 0.0
+    return entries
+
+
 def _resolve_vector(spec: str, n: int) -> np.ndarray:
     if spec == "uniform":
         return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        try:
-            data = np.loadtxt(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read vector file {path!r}: {exc}") from exc
-        if not np.all(np.isfinite(data)):
-            raise ConfigError(f"vector file {path!r} has a non-finite entry")
-        if data.ndim == 1:
-            vec = data.astype(np.complex128)
-        elif data.ndim == 2 and data.shape[1] == 2:
-            vec = data[:, 0] + 1j * data[:, 1]
-        else:
-            raise ConfigError("vector file must have one or two columns")
+        vec = _read_entries(path, "vector")
         if vec.shape != (n,):
             raise ConfigError(f"vector length {vec.shape} does not match n={n}")
-        if not np.any(vec):
-            raise ConfigError(f"vector file {path!r} is the zero vector")
+        if not np.linalg.norm(vec):  # zero, or every square underflows
+            raise ConfigError(f"vector file {path!r} has a zero norm")
         return vec
     if spec.startswith("random:"):
         seed = _number(int, spec[len("random:"):], "the vector seed")
@@ -203,40 +213,34 @@ def _parse_kv(spec: str) -> dict:
     return out
 
 
+def _dense(a: SparseHermitianMatrix) -> np.ndarray:
+    """The dense ``A``, within the oracle's size cap."""
+    if a.n > MAX_DENSE_N:
+        raise ConfigError(f"--reference and spectrum-offset shifts need a "
+                          f"dense copy, n <= {MAX_DENSE_N}; n = {a.n} here")
+    return a.to_dense()
+
+
 def _lazy_eigenpairs(a: SparseHermitianMatrix):
     """A call that returns ``eigenpairs`` of the dense ``A``, computed on the
     first call only, so ``spectrum-offset:`` shifts and the spectral
     reference of one run share one ``eigh``."""
-    return functools.cache(lambda: eigenpairs(a.to_dense()))
+    return functools.cache(lambda: eigenpairs(_dense(a)))
 
 
-def _resolve_shifts(spec, a: SparseHermitianMatrix, spectrum):
+def _resolve_shifts(spec, spectrum):
     """Return ``(shifts, meta)``; meta records spectrum data when computed.
 
-    ``spectrum`` is a :func:`_lazy_eigenpairs` of ``a``."""
+    ``spectrum`` is a :func:`_lazy_eigenpairs` of the matrix."""
     meta: dict = {}
     if not isinstance(spec, str):
         shifts = [complex(z) for z in spec]
-        if not shifts:
-            raise ConfigError("explicit shift list must not be empty")
     elif spec.startswith("unit-circle:"):
         kv = _parse_kv(spec[len("unit-circle:"):])
         m = _number(int, kv.get("m", "16"), "the shift count m")
         shifts = generate_unit_circle_shifts(m)
     elif spec.startswith("list:"):
-        path = spec[len("list:"):]
-        try:
-            data = np.loadtxt(path, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read shift file {path!r}: {exc}") from exc
-        if data.shape[1] == 1:
-            shifts = [complex(x, 0.0) for x in data[:, 0]]
-        elif data.shape[1] == 2:
-            shifts = [complex(re, im) for re, im in data]
-        else:
-            raise ConfigError("shift file must have one or two columns")
-        if not shifts:
-            raise ConfigError("shift file is empty")
+        shifts = _read_entries(spec[len("list:"):], "shift").tolist()
     elif spec.startswith("spectrum-offset:"):
         kv = _parse_kv(spec[len("spectrum-offset:"):])
         if "zeta" not in kv:
@@ -245,10 +249,6 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix, spectrum):
         extremal = kv.get("extremal", "smallest")
         if extremal not in ("smallest", "largest"):
             raise ConfigError("extremal must be smallest or largest")
-        if a.n > MAX_DENSE_N:
-            raise ConfigError(
-                f"spectrum-offset shifts need a dense eigendecomposition "
-                f"(n <= {MAX_DENSE_N})")
         eigenvalues, _ = spectrum()
         lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
         lam = lam_min if extremal == "smallest" else lam_max
@@ -264,6 +264,8 @@ def _resolve_shifts(spec, a: SparseHermitianMatrix, spectrum):
         shifts = [z]
     else:
         raise ConfigError(f"unknown shift spec {spec!r}")
+    if not shifts:
+        raise ConfigError("the shift list is empty")
     if not all(cmath.isfinite(z) for z in shifts):
         raise ConfigError("every shift must be finite")
     return shifts, meta
@@ -275,11 +277,8 @@ def _compute_reference(mode: str, a: SparseHermitianMatrix, v: np.ndarray,
     ``spectrum`` is a :func:`_lazy_eigenpairs` of ``a``."""
     if mode == "none":
         return None
-    if a.n > MAX_DENSE_N:
-        raise ConfigError(
-            f"reference mode {mode!r} needs a dense solve (n <= {MAX_DENSE_N})")
     if mode == "dense":
-        dense = a.to_dense()
+        dense = _dense(a)
         return [dense_resolvent_quadform(dense, v, z) for z in shifts]
     lam, u = spectrum()
     spec_dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=u,
@@ -306,7 +305,7 @@ def _matrix_info(a: SparseHermitianMatrix, path) -> dict:
         "path": str(path),
         "n": a.n,
         "nnz": a.nnz,
-        "density_percent": 100.0 * a.nnz / (a.n * a.n) if a.n else 0.0,
+        "density_percent": 100.0 * a.nnz / (a.n * a.n),
         "is_real": a.is_real,
         "hermitian_verified": a.hermitian_verified,
         "max_asymmetry": a.max_asymmetry,
@@ -319,7 +318,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     a = _load_matrix(config.matrix)
     v = _resolve_vector(config.vector, a.n)
     spectrum = _lazy_eigenpairs(a)
-    shifts, shift_meta = _resolve_shifts(config.shifts, a, spectrum)
+    shifts, shift_meta = _resolve_shifts(config.shifts, spectrum)
     if config.seed_shift is not None and not (
             1 <= config.seed_shift <= len(shifts)):
         raise ConfigError(f"seed_shift index {config.seed_shift} outside "
@@ -327,18 +326,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     reference = _compute_reference(config.reference, a, v, shifts, spectrum)
     del spectrum  # drop the cached eigenvectors before the methods run
 
-    real_symmetric = a.is_real and a.hermitian_verified
     reports = []
     for method in config.methods:
-        if method in ("lanczos", "minres") and not a.hermitian_verified:
-            reports.append(MethodReport(
-                method, False,
-                skip_reason="matrix failed the Hermitian check"))
-            continue
-        if method in ("cocg", "cocr") and not real_symmetric:
-            reports.append(MethodReport(
-                method, False,
-                skip_reason="matrix is not real symmetric"))
+        reason = _skip_reason(method, a)
+        if reason is not None:
+            reports.append(MethodReport(method, False, skip_reason=reason))
             continue
         start = time.perf_counter()
         result = _dispatch(method, a, v, shifts, reference, config)
@@ -359,6 +351,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         reference_values=reference,
         methods=reports,
     )
+
+
+def _skip_reason(method: str, a: SparseHermitianMatrix) -> Optional[str]:
+    """Why ``method`` cannot run on ``a``, or ``None`` when it can."""
+    if method in ("cocg", "cocr") and not (a.is_real and a.hermitian_verified):
+        return "matrix is not real symmetric"
+    if not a.hermitian_verified:
+        return "matrix failed the Hermitian check"
+    return None
 
 
 def _dispatch(method, a, v, shifts, reference, config: ExperimentConfig):
@@ -757,18 +758,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_run(args)
-    except ConfigError as exc:
+    except (ConfigError, SingularShiftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def _cmd_shifts(args) -> int:
-    a = _load_matrix(args.matrix) if args.matrix else None
-    if isinstance(args.spec, str) and args.spec.startswith("spectrum-offset") \
-            and a is None:
-        raise ConfigError("spectrum-offset shifts need --matrix")
-    dummy = a if a is not None else SparseHermitianMatrix.diagonal([1.0])
-    shifts, meta = _resolve_shifts(args.spec, dummy, _lazy_eigenpairs(dummy))
+    if args.matrix:
+        spectrum = _lazy_eigenpairs(_load_matrix(args.matrix))
+    else:
+        def spectrum():
+            raise ConfigError("spectrum-offset shifts need --matrix")
+    shifts, meta = _resolve_shifts(args.spec, spectrum)
     for z in shifts:
         print(f"{z.real!r} {z.imag!r}")
     if meta:
@@ -778,12 +779,10 @@ def _cmd_shifts(args) -> int:
 
 def _cmd_check(args) -> int:
     a = _load_matrix(args.matrix)
-    info = _matrix_info(a, args.matrix)
-    for key, val in info.items():
+    for key, val in _matrix_info(a, args.matrix).items():
         print(f"{key}: {val}")
-    applicable = ["lanczos", "minres"] if a.hermitian_verified else []
-    if a.is_real and a.hermitian_verified:
-        applicable += ["cocg", "cocr"]
+    applicable = [m for m in ("lanczos", "minres", "cocg", "cocr")
+                  if _skip_reason(m, a) is None]
     print(f"applicable_methods: {','.join(applicable) if applicable else 'none'}")
     return 0
 

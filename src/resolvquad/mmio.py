@@ -100,8 +100,9 @@ def _mmread(source) -> SparseHermitianMatrix:
                 break
         raise MatrixMarketError(message) from exc
     nrows, ncols = coo.shape
-    if nrows != ncols:
-        raise MatrixMarketError(f"matrix must be square, got {nrows}x{ncols}")
+    if nrows != ncols or not nrows:
+        raise MatrixMarketError(
+            f"matrix must be square with n >= 1, got {nrows}x{ncols}")
     csr = coo.tocsr()
     del coo
     return SparseHermitianMatrix.from_csr(csr)

@@ -88,6 +88,45 @@ def test_cocr_seed_breakdown_on_isotropic_direction():
     assert res.shifts[0].status is SolveStatus.SEED_BREAKDOWN
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("runner, v, seed_shift", [
+    # (z_s I - A) v overflows in the first matvec
+    (cocg_run, [1e308, 1e308], None),
+    (cocr_run, [1e308, 1e308], None),
+    # ||w_0|| underflows to 0, so p^T w_0 = 1e-310 i passes as not
+    # vanished; alpha_0 = -inf i, and alpha_0 w_0 multiplies inf by 0
+    (cocg_run, [1.0, 1e-200], 1 + 1e-310j),
+], ids=["cocg-huge-v", "cocr-huge-v", "cocg-subnormal-seed"])
+def test_overflow_ends_the_run_without_a_warning(runner, v, seed_shift):
+    a = SparseHermitianMatrix.diagonal([1.0, 2.0])
+    res = runner(a, np.array(v), [3 + 1j, 1.5 + 1j], seed_shift=seed_shift)
+    assert res.iterations == 1
+    assert [(s.status, s.iterations) for s in res.shifts] == [
+        (SolveStatus.OVERFLOW, 1)] * 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("diag, v, seed_shift, status, alphas", [
+    # w_0 = 1e-160 i: q^T q = -1e-320 has not vanished, alpha_0 = 1e310 i
+    ([1.0, 2.0], [1e150, 0.0], 1 + 1e-310j, SolveStatus.OVERFLOW, 0),
+    # z_s is the Rayleigh quotient of v, so r_0^T (z_s I - A) r_0 = 0
+    ([1.0, 2.0], [1.0, 1.0], 1.5 + 0j, SolveStatus.SEED_BREAKDOWN, 1),
+    # (z_s - 0)^2 and (z_s - 2)^2 nearly cancel in q^T q, so alpha_0 is
+    # about 5e9 and the projection v^H r_1 overflows
+    ([0.0, 2.0], [1e152, 1e152 * (1 + 1e-10)], 1 + 1j, SolveStatus.OVERFLOW,
+     1),
+], ids=["alpha-overflow", "e-vanished", "projection-overflow"])
+def test_cocr_seed_guards(diag, v, seed_shift, status, alphas):
+    """Each COCR guard after the q^T q test ends the run at k = 1; the
+    number of accepted ``alpha`` tells which guard did."""
+    a = SparseHermitianMatrix.diagonal(diag)
+    res = cocr_run(a, np.array(v, dtype=complex), [3 + 1j],
+                   seed_shift=seed_shift)
+    assert res.iterations == 1
+    assert (res.shifts[0].status, res.shifts[0].iterations) == (status, 1)
+    assert (len(res.seed_alpha), res.seed_beta) == (alphas, [])
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 @pytest.mark.parametrize("scale", [1.0, 3.7, 1e150])
 def test_exhausted_krylov_space_at_any_scale(runner, scale):

@@ -170,11 +170,12 @@ def test_vector_specs(tmp_path, random_matrix_path):
 
 def test_shift_list_file(tmp_path, diag_matrix_path):
     shift_path = tmp_path / "shifts.txt"
-    shift_path.write_text("3.0 0.0\n4.0 1.0\n")
+    shift_path.write_text("3.0 -0.0\n4.0 1.0\n")
     report = run_experiment(ExperimentConfig(
         matrix=diag_matrix_path, shifts=f"list:{shift_path}",
         methods=("lanczos",)))
     assert report.shifts == [3.0 + 0j, 4.0 + 1.0j]
+    assert math.copysign(1.0, report.shifts[0].imag) == -1.0  # as read
 
 
 def test_spectrum_offset_spec(diag_matrix_path):
@@ -485,8 +486,9 @@ def test_cli_overflowing_stream_is_exit_2(tmp_path):
 
 @pytest.mark.parametrize("content", ["nan\n1.0\n", "1.0\ninf\n",
                                      "1.0 -inf\n0.0 1.0\n", "0.0\n0.0\n",
-                                     "1.0\nabc\n"],
-                         ids=["nan", "inf", "complex-inf", "zero", "text"])
+                                     "1e-170\n1e-170\n", "1.0\nabc\n"],
+                         ids=["nan", "inf", "complex-inf", "zero",
+                              "norm-underflows", "text"])
 def test_cli_bad_vector_file_is_exit_1(tmp_path, diag_matrix_path, content,
                                        capsys):
     vec_path = tmp_path / "v.txt"
@@ -544,6 +546,7 @@ UNREADABLE_MATRICES = {
     "nan": "%%MatrixMarket matrix coordinate real general\n"
            "2 2 2\n1 1 nan\n2 2 1.0\n",
     "truncated-gz": None,
+    "empty": "%%MatrixMarket matrix coordinate real general\n0 0 0\n",
 }
 
 
@@ -619,6 +622,56 @@ def test_cli_rejected_input_is_exit_1(tmp_path, diag_matrix_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("what", ["--vector", "--shifts"])
+def test_cli_empty_input_file_is_exit_1_without_a_warning(
+        tmp_path, diag_matrix_path, capsys, recwarn, what):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no entries\n")
+    spec = ("file:" if what == "--vector" else "list:") + str(path)
+    assert main(["run", "--matrix", str(diag_matrix_path), what, spec]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--shifts", "spectrum-offset:zeta=0"],
+    ["shifts", "--spec", "spectrum-offset:zeta=0"],
+    ["run", "--shifts", "list:{file}", "--reference", "dense"],
+    ["run", "--shifts", "list:{file}", "--reference", "spectral"],
+], ids=["run-zeta-0", "shifts-zeta-0", "dense-reference", "spectral-reference"])
+def test_cli_shift_on_the_spectrum_is_exit_1(tmp_path, diag_matrix_path,
+                                             capsys, argv):
+    """No resolvent exists at an eigenvalue: the shift is an input error."""
+    shift_path = tmp_path / "shifts.txt"
+    shift_path.write_text("0.5 1.0\n2.0 0.0\n")  # 2 is an eigenvalue
+    argv = argv + ["--matrix", str(diag_matrix_path)]
+    assert main([arg.format(file=shift_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "z=" in err
+
+
+@pytest.mark.parametrize("content, n, vnorm2", [
+    ("3.0\n", 1, 9.0),
+    ("1.0 2.0\n", 1, 5.0),
+    ("1.0 2.0\n", 2, None),
+], ids=["one-real-entry", "one-complex-entry", "one-line-is-one-entry"])
+def test_vector_file_has_one_entry_per_line(tmp_path, content, n, vnorm2):
+    """Each line is one entry, real or complex, whatever ``n`` is."""
+    mat_path = tmp_path / "diag.mtx"
+    write_matrix_market(SparseHermitianMatrix.diagonal(np.arange(1.0, n + 1)),
+                        mat_path)
+    vec_path = tmp_path / "v.txt"
+    vec_path.write_text(content)
+    config = ExperimentConfig(matrix=mat_path, vector=f"file:{vec_path}",
+                              shifts=[1 + 1j], methods=("lanczos",))
+    if vnorm2 is None:
+        with pytest.raises(ConfigError, match="length"):
+            run_experiment(config)
+    else:
+        report = run_experiment(config)
+        assert report.methods[0].result.vnorm2 == pytest.approx(vnorm2)
 
 
 def test_cli_shifts_spectrum_offset_needs_matrix(capsys):
