@@ -231,7 +231,7 @@ def _lazy_eigenpairs(a: SparseHermitianMatrix):
 def _resolve_shifts(spec, spectrum):
     """Return ``(shifts, meta)``; meta records spectrum data when computed.
 
-    ``spectrum`` is a :func:`_lazy_eigenpairs` of the matrix."""
+    Only ``spectrum-offset:`` calls ``spectrum`` (:func:`_lazy_eigenpairs`)."""
     meta: dict = {}
     if not isinstance(spec, str):
         shifts = [complex(z) for z in spec]

@@ -584,6 +584,7 @@ REJECTED_INPUTS = {
     "vector-three-columns": (["--vector", "file:{file}"],
                              "1.0 2.0 3.0\n4.0 5.0 6.0\n"),
     "vector-wrong-length": (["--vector", "file:{file}"], "1.0\n2.0\n3.0\n"),
+    "vector-empty": (["--vector", "file:{file}"], "# no entries\n"),
     "shifts-three-columns": (["--shifts", "list:{file}"], "1.0 2.0 3.0\n"),
     "shifts-empty": (["--shifts", "list:{file}"], ""),
     "offset-without-zeta": (["--shifts", "spectrum-offset:extremal=largest"],
@@ -606,8 +607,9 @@ REJECTED_INPUTS = {
 
 @pytest.mark.parametrize("case", list(REJECTED_INPUTS))
 def test_cli_rejected_input_is_exit_1(tmp_path, diag_matrix_path, capsys,
-                                      case):
-    """Each input the harness rejects ends in ``error: ...`` and exit 1."""
+                                      recwarn, case):
+    """Each input the harness rejects ends in ``error: ...`` and exit 1,
+    with no warning before it."""
     args, content = REJECTED_INPUTS[case]
     paths = {"diag": diag_matrix_path, "big": tmp_path / "big.mtx",
              "file": tmp_path / "input.txt"}
@@ -622,16 +624,6 @@ def test_cli_rejected_input_is_exit_1(tmp_path, diag_matrix_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("what", ["--vector", "--shifts"])
-def test_cli_empty_input_file_is_exit_1_without_a_warning(
-        tmp_path, diag_matrix_path, capsys, recwarn, what):
-    path = tmp_path / "empty.txt"
-    path.write_text("# no entries\n")
-    spec = ("file:" if what == "--vector" else "list:") + str(path)
-    assert main(["run", "--matrix", str(diag_matrix_path), what, spec]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
     assert not recwarn.list
 
 
