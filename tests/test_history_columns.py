@@ -143,6 +143,67 @@ def test_history_csv_matches_golden(tmp_path):
     assert golden_csv(tmp_path) == (DATA / "history_golden.csv").read_text()
 
 
+FAILURE_RUNS = {
+    # shift 1 overflows at k = 3 (its value passes 1e308 on the eigenvalue 2
+    # at k = 3); the status goes on its last accepted row, k = 2
+    "minres-overflow": (
+        [1.0, 2.0, 3.0], 1e153 * np.ones(3), [2 + 1e-3j, 10 + 1j], "minres",
+        None,
+        [(1, 1, True, "active"), (1, 2, True, "overflow"),
+         (2, 1, True, "active"), (2, 2, True, "active"),
+         (2, 3, True, "converged")]),
+    # pi_1 = 0 for z = 1.5 with the seed z = 0: shift 1 freezes before its
+    # first accepted row and has none
+    "cocg-pi-zero": (
+        [1.0, 2.0], np.ones(2) / np.sqrt(2.0), [1.5, 3.0, 0.0], "cocg", 3,
+        [(2, 1, True, "active"), (2, 2, True, "converged"),
+         (3, 1, True, "active"), (3, 2, True, "converged")]),
+    # the same problem scaled by 1e150 with z = 1.5 + 1e-20 i: the update
+    # of shift 1 overflows at k = 1, so it has no row either
+    "cocg-overflow": (
+        [1.0, 2.0], 1e150 * np.ones(2) / np.sqrt(2.0),
+        [1.5 + 1e-20j, 3.0, 0.0], "cocg", 3,
+        [(2, 1, True, "active"), (2, 2, True, "converged"),
+         (3, 1, True, "active"), (3, 2, True, "converged")]),
+    # z_s = 1.5 is the Rayleigh quotient of v, so r_0^T (z_s I - A) r_0 = 0
+    # is found after iteration 1 is accepted: the status goes on that row
+    "cocr-seed-breakdown": (
+        [1.0, 2.0], np.ones(2), [3 + 1j, 1.5], "cocr", 2,
+        [(1, 1, True, "seed_breakdown"), (2, 1, True, "seed_breakdown")]),
+    # L_3 of z = 1 + 1e-12 i passes 1e308 while the stream stays finite:
+    # Lanczos gives the overflow a row of its own at k = 3, holding L_2.
+    # z = 2 + 1e-12 i is 1e-12 i off alpha_1 = 2, so L_1 overflows: a row
+    # of its own at k = 1 with no value
+    "lanczos-overflow": (
+        [1.0, 2.0, 3.0], 1e149 * np.ones(3),
+        [1 + 1e-12j, 2 + 1e-12j, 10 + 1j], "lanczos", None,
+        [(1, 1, True, "active"), (1, 2, True, "active"),
+         (1, 3, True, "overflow"), (2, 1, False, "overflow"),
+         (3, 1, True, "active"), (3, 2, True, "active"),
+         (3, 3, True, "converged")]),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURE_RUNS))
+def test_failure_status_placement_in_history_csv(tmp_path, case):
+    """Where ``history.csv`` puts a per-shift failure: on the shift's last
+    accepted row, no row when it failed before its first, and a row of its
+    own for a Lanczos shift that fails after an accepted row.  Pinned as
+    ``(shift_index, iteration, has value, status)`` of every row."""
+    diag, v, shifts, method, seed, want = FAILURE_RUNS[case]
+    matrix, vector = tmp_path / "a.mtx", tmp_path / "v.txt"
+    write_matrix_market(SparseHermitianMatrix.diagonal(diag), matrix)
+    vector.write_text("".join(f"{float(x)!r}\n" for x in v))
+    report = run_experiment(ExperimentConfig(
+        matrix=matrix, vector=f"file:{vector}", shifts=shifts,
+        methods=(method,), seed_shift=seed, history=True))
+    text = write_report(report, tmp_path / "out")["history"].read_text()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(int(r[1]), int(r[2]), r[3] != "", r[8]) for r in rows] == want
+    if method == "lanczos":  # the overflow row at k = 3 holds L_2
+        assert rows[2][3:5] == rows[1][3:5]
+
+
 def test_design_records_no_row_objects(tmp_path, monkeypatch):
     """No ``HistoryEntry`` is created by the drivers or the writer; the rows
     read afterwards are the rows the eager recorder produced."""
