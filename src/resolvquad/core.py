@@ -314,13 +314,13 @@ class HistoryColumns:
 
     Each accepted iteration adds whole arrays over the shifts it advanced:
     ``value`` and, when the run has them, ``rel_err``, ``residual``, the
-    COCG/COCR ``pi`` and the Lanczos pivot ``delta``.  Freezing adds one
-    event per group of shifts: a row of its own, or the status of each
-    shift's last row.  The lag-``d`` estimates ``nu``, ``mu``, ``g_abs`` and
-    ``h_abs`` are not recorded: :meth:`columns` derives them from the
-    recorded values (:func:`~resolvquad.error_estimate.history_estimates`),
-    with the Lanczos :attr:`stream` for ``mu`` and the :attr:`exact` shifts.
-    A NaN estimate reads as ``None``, as it always has.
+    COCG/COCR ``pi`` and the Lanczos pivot ``delta``.  How each shift ended
+    is only in its :class:`ShiftOutcome`: :meth:`columns` derives the status
+    cells from the finished :attr:`outcomes`.  It derives the lag-``d``
+    estimates ``nu``, ``mu``, ``g_abs`` and ``h_abs`` from the recorded
+    values too (:func:`~resolvquad.error_estimate.history_estimates`), with
+    the Lanczos :attr:`stream` for ``mu`` and the :attr:`exact` shifts.  A
+    NaN estimate reads as ``None``, as it always has.
 
     :meth:`columns` assembles every row in ``(shift, k)`` order;
     :meth:`rows` and :meth:`pi` build per-shift lists from them on first
@@ -334,12 +334,10 @@ class HistoryColumns:
         self.stream: Optional[tuple] = None
         # the shifts whose last value is exact: an invariant subspace
         self.exact = np.empty(0, np.intp)
+        self.outcomes: list = []  # every shift's ShiftOutcome, when finished
         # per accepted iteration: (k, shifts, value, rel_err, residual, pi,
         # delta)
         self._accepted: list = []
-        self._frozen: list = []  # freeze rows: (k, shifts, value, status)
-        # statuses of last rows: (iteration index, shifts, status)
-        self._closed: list = []
         self._rows: Optional[list] = None
         self._pi: Optional[list] = None
 
@@ -350,28 +348,19 @@ class HistoryColumns:
         self._accepted.append((k, shifts, value, rel_err, residual, pi,
                                delta))
 
-    def freeze(self, k: int, shifts: np.ndarray, value: Optional[np.ndarray],
-               status: SolveStatus, row: bool) -> None:
-        """Freeze ``shifts`` at iteration ``k`` with their last accepted
-        ``value`` (``None``: none yet): with ``row`` on a row of its own,
-        otherwise on each shift's last row, if it has one."""
-        if row:
-            self._frozen.append((k, shifts, value, status))
-        elif self._accepted:
-            self._closed.append((len(self._accepted) - 1, shifts, status))
-
     def columns(self) -> dict:
         """Every row as arrays in ``(shift, k)`` order.
 
         ``shift`` is 0-based; ``status`` holds codes into
         ``tuple(SolveStatus)``; ``value`` and each float column carry a
         ``has_*`` mask of the cells that hold a number (``None`` in a
-        :class:`HistoryEntry`).
+        :class:`HistoryEntry`).  Each shift's final status goes on its last
+        row.  A Lanczos shift whose outcome iteration is past its last
+        accepted row (a breakdown or an overflow) first gets a row of its
+        own: that iteration, the last accepted value and no estimate.
         """
-        blocks = self._accepted + [(k, shifts, value, None, None, None, None)
-                                   for k, shifts, value, _ in self._frozen]
+        blocks = self._accepted
         sizes = [b[1].size for b in blocks]
-        starts = np.cumsum([0] + sizes)
         cols = {"k": np.repeat(np.array([b[0] for b in blocks], np.int64),
                                sizes),
                 "shift": _concat([b[1] for b in blocks], np.intp)}
@@ -384,30 +373,35 @@ class HistoryColumns:
                                   for p, n in zip(parts, sizes)], dtype)
             cols["has_" + name] = np.repeat([p is not None for p in parts],
                                             sizes).astype(bool)
-        active = _STATUS_CODE[SolveStatus.ACTIVE]
-        status = np.repeat([active] * len(self._accepted)
-                           + [_STATUS_CODE[f[3]] for f in self._frozen],
-                           sizes).astype(np.int8)
-        for j, shifts, code in self._closed:
-            status[starts[j] + np.searchsorted(blocks[j][1], shifts)] = (
-                _STATUS_CODE[code])
-        cols["status"] = status
         order = np.lexsort((cols["k"], cols["shift"]))
         cols = {name: col[order] for name, col in cols.items()}
-
-        # the accepted cells, which precede the freeze rows before sorting
-        acc = np.flatnonzero(order < starts[len(self._accepted)])
         lanczos = None
         if self.stream is not None:
-            delta = _concat([b[6] for b in self._accepted], np.complex128)
-            lanczos = (self.z, delta[order[acc]], *self.stream)
+            delta = _concat([b[6] for b in blocks], np.complex128)
+            lanczos = (self.z, delta[order], *self.stream)
         estimates = history_estimates(
-            self.lag, cols["shift"][acc], cols["k"][acc], cols["value"][acc],
-            self.exact, lanczos)
+            self.lag, cols["shift"], cols["k"], cols["value"], self.exact,
+            lanczos)
         for name, est in zip(_ESTIMATES, estimates):
-            cols[name] = np.full(order.size, np.nan)
-            cols[name][acc] = est
-            cols["has_" + name] = ~np.isnan(cols[name])
+            cols[name] = est
+            cols["has_" + name] = ~np.isnan(est)
+        out = self.outcomes
+        # rows run k = 1, 2, ...: a shift's row count is its last k
+        count = np.bincount(cols["shift"], minlength=len(out))
+        own = ([i for i, o in enumerate(out) if o.iterations > count[i]]
+               if self.stream is not None else [])
+        if own:
+            new = {"k": [out[i].iterations for i in own], "shift": own,
+                   "value": [out[i].value or 0j for i in own],
+                   "has_value": [out[i].value is not None for i in own]}
+            at = np.cumsum(count)[own]
+            cols = {name: np.insert(col, at, new.get(name, 0))
+                    for name, col in cols.items()}
+        last = np.flatnonzero(np.diff(cols["shift"], append=-1))
+        cols["status"] = status = np.full(
+            cols["k"].size, _STATUS_CODE[SolveStatus.ACTIVE], np.int8)
+        status[last] = np.array([_STATUS_CODE[o.status] for o in out],
+                                np.int8)[cols["shift"][last]]
         return cols
 
     def rows(self, i: int) -> list:

@@ -6,17 +6,17 @@ time, so their per-shift state is a set of numpy arrays over the *active*
 shifts and each iteration is a handful of array operations.  A
 :class:`ShiftBatch` holds what the drivers share around their kernels:
 
-* freezing shifts with a status (breakdown, overflow, a vanished ``pi``,
-  convergence, ``MAX_ITER``, invariant subspace) and their last accepted
-  value,
+* freezing shifts into their :class:`~resolvquad.core.ShiftOutcome`, the
+  one record of how each ended: its status (breakdown, overflow, a vanished
+  ``pi``, convergence, ``MAX_ITER``, invariant subspace) and last value,
 * the two stopping rules: true relative error against a reference, or the
   delayed difference ``nu`` of a :class:`~resolvquad.error_estimate.LagWindow`,
 * the convergence history, recorded as columns
   (:class:`~resolvquad.core.HistoryColumns`): each iteration appends its
   arrays over the active shifts, and nothing is created per shift per
-  iteration.  The lag-``d`` estimates of the history, ``mu`` among them,
-  are derived from those columns after the run; the solve loop computes
-  only the ``nu`` that stopping reads.
+  iteration.  Its status cells and its lag-``d`` estimates, ``mu`` among
+  them, are derived after the run from the outcomes and those columns; the
+  solve loop computes only the ``nu`` that stopping reads.
 
 An iteration is one :meth:`ShiftBatch.step`: the shifts that failed (a
 breakdown, an overflow, a vanished ``pi``) freeze first, the others take the
@@ -42,7 +42,8 @@ __all__ = ["ShiftBatch"]
 
 
 class ShiftBatch:
-    """Lockstep per-shift state, stopping and history of one driver run."""
+    """Lockstep per-shift state, stopping and history of one driver run;
+    :meth:`finish` hands the outcomes to the history."""
 
     def __init__(self, shifts: Sequence[complex], *, rtol: Optional[float],
                  lag: int, reference: Optional[Sequence[complex]],
@@ -76,23 +77,20 @@ class ShiftBatch:
 
     # -- freezing ---------------------------------------------------------------
 
-    def freeze(self, k: int, *groups, row: bool = False) -> None:
+    def freeze(self, k: int, *groups) -> None:
         """Freeze the shifts of each ``(status, mask)`` group at iteration ``k``.
 
         Masks run over the active shifts; a shift in two groups takes the
-        first status.  A frozen shift keeps its last accepted value.  With
-        ``row`` a history row for iteration ``k`` records the freeze;
-        otherwise the status goes on the shift's last row.
+        first status.  A frozen shift keeps its last accepted value.
         """
-        gone = self._close_groups(k, groups, None, row)
+        gone = self._close_groups(k, groups)
         if gone is not None:
             self._compact(~gone)
 
     def freeze_all(self, k: int, status: SolveStatus) -> None:
         self.freeze(k, (status, np.ones(self.active.size, dtype=bool)))
 
-    def _close_groups(self, k: int, groups, gone: Optional[np.ndarray],
-                      row: bool) -> Optional[np.ndarray]:
+    def _close_groups(self, k: int, groups, gone=None):
         """Close each group's shifts not in ``gone`` (``None``: none) and
         return ``gone`` with them added; nothing is compacted."""
         for status, mask in groups:
@@ -100,18 +98,14 @@ class ShiftBatch:
                 mask = mask & ~gone
             if not np.count_nonzero(mask):
                 continue
-            self._close(np.flatnonzero(mask), status, k, row)
+            self._close(np.flatnonzero(mask), status, k)
             gone = mask if gone is None else gone | mask
         return gone
 
-    def _close(self, pos: np.ndarray, status: SolveStatus, k: int,
-               row: bool) -> None:
+    def _close(self, pos: np.ndarray, status: SolveStatus, k: int) -> None:
         shifts = self.active[pos]
-        value = None if self.value is None else self.value[pos]
-        if self.history is not None:
-            self.history.freeze(k, shifts, value, status, row)
         n = pos.size
-        values = [None] * n if value is None else value.tolist()
+        values = [None] * n if self.value is None else self.value[pos].tolist()
         residuals = ([None] * n if self.residual is None
                      else _residual_norm(self.residual, pos).tolist())
         for i, z, x, r in zip(shifts.tolist(), self.z[shifts].tolist(),
@@ -133,7 +127,7 @@ class ShiftBatch:
 
     # -- one iteration ----------------------------------------------------------
 
-    def step(self, k: int, value: np.ndarray, *failed, row: bool = False,
+    def step(self, k: int, value: np.ndarray, *failed,
              residual: Optional[tuple] = None,
              pi: Optional[np.ndarray] = None,
              delta: Optional[np.ndarray] = None) -> None:
@@ -149,7 +143,7 @@ class ShiftBatch:
         only for the shifts that freeze, or for all of them when history is
         kept.
         """
-        gone = self._close_groups(k, failed, None, row)
+        gone = self._close_groups(k, failed)
         self.value = value
         self.residual = residual
         err = None
@@ -173,7 +167,7 @@ class ShiftBatch:
                              else due[0] <= self.rtol * due[1])
             if converged is not None and np.count_nonzero(converged):
                 gone = self._close_groups(
-                    k, ((SolveStatus.CONVERGED, converged),), gone, False)
+                    k, ((SolveStatus.CONVERGED, converged),), gone)
         if gone is not None:
             self._compact(~gone)
 
@@ -184,9 +178,12 @@ class ShiftBatch:
             self.history.exact = self.active
 
     def finish(self, k: int) -> list:
-        """Freeze the shifts still active as ``MAX_ITER``; every outcome."""
+        """Freeze the shifts still active as ``MAX_ITER``; every outcome,
+        which the history's status cells are derived from."""
         if self.running:
             self.freeze_all(k, SolveStatus.MAX_ITER)
+        if self.history is not None:
+            self.history.outcomes = self._outcomes
         return self._outcomes
 
 

@@ -227,8 +227,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
         k = 1
         delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
         batch.step(k, s.L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                   (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True,
-                   delta=delta)
+                   (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), delta=delta)
 
         while k < max_iter and batch.running:
             try:
@@ -249,7 +248,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
             # or pi_{k+1} leaves L_{k+1} non-finite too
             batch.step(k, s.L,
                        (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                       (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True,
+                       (SolveStatus.OVERFLOW, ~np.isfinite(s.L)),
                        delta=delta)
 
     result = stream_result("lanczos", batch, k, stream)

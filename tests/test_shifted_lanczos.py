@@ -350,7 +350,7 @@ def reference_lanczos_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
         k = 1
         s.delta, s.pi, s.L = shift_start(s.z, s.c, stream.coeffs.alpha[0])
         batch.freeze(k, (SolveStatus.BREAKDOWN, np.abs(s.delta) <= TOL_DELTA),
-                     (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), row=True)
+                     (SolveStatus.OVERFLOW, ~np.isfinite(s.L)))
         batch.step(k, s.L, delta=s.delta)
         while k < max_iter and batch.running:
             try:
@@ -370,7 +370,7 @@ def reference_lanczos_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
                          & np.isfinite(s.pi))
             batch.freeze(k, (SolveStatus.BREAKDOWN,
                              np.abs(s.delta) <= TOL_DELTA),
-                         (SolveStatus.OVERFLOW, overflow), row=True)
+                         (SolveStatus.OVERFLOW, overflow))
             batch.step(k, s.L, delta=s.delta)
     result = stream_result("lanczos", batch, k, stream)
     if result.history is not None:
