@@ -61,7 +61,6 @@ from .core import (
     stable_norm,
 )
 from .error_estimate import DEFAULT_LAG, cabs
-from .lanczos import HAPPY_BREAKDOWN_RTOL
 from .shift_batch import ShiftBatch
 
 __all__ = [
@@ -196,11 +195,11 @@ def _exhausted(a: SparseHermitianMatrix, rnorm: float, rnorm_prev: float,
 
     The test is the one :func:`~resolvquad.lanczos.lanczos_step` applies to
     its ``beta_k``, on the Lanczos ``beta_k`` that two seed residuals imply,
-    ``||r_k|| / (|alpha_{k-1}| ||r_{k-1}||)``; it does not depend on the
-    scale of ``v``.  ``rnorm_prev = 0`` (at ``k = 0``) tests ``r_k = 0``.
+    ``||r_k|| / (|alpha_{k-1}| ||r_{k-1}||)``, against ``a.breakdown_floor``,
+    finite for every finite matrix; it does not depend on the scale of ``v``.
+    ``rnorm_prev = 0`` (at ``k = 0``) tests ``r_k = 0``.
     """
-    return rnorm <= (HAPPY_BREAKDOWN_RTOL * a.frobenius_norm
-                     * abs(alpha_prev) * rnorm_prev)
+    return rnorm <= a.breakdown_floor * abs(alpha_prev) * rnorm_prev
 
 
 def _vanished(product: tuple, x_norm: float, y_norm: float) -> bool:

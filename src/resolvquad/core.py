@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from .error_estimate import history_estimates
 
 __all__ = [
+    "HAPPY_BREAKDOWN_RTOL",
     "HERMITIAN_TOL",
     "SolveStatus",
     "NonFiniteError",
@@ -46,6 +47,9 @@ __all__ = [
 
 # Relative asymmetry tolerance: unit round-off headroom.
 HERMITIAN_TOL = 1e-12
+# beta_k below this times ||A||_F terminates with an invariant subspace;
+# an exact beta_k = 0 test never fires in floating point.
+HAPPY_BREAKDOWN_RTOL = 1e-14
 
 
 class NonFiniteError(ArithmeticError):
@@ -176,6 +180,15 @@ class SparseHermitianMatrix:
     @property
     def frobenius_norm(self) -> float:
         return self._fro_norm
+
+    @functools.cached_property
+    def breakdown_floor(self) -> float:
+        """``HAPPY_BREAKDOWN_RTOL ||A||_F``: a Lanczos ``beta_k`` this small
+        has vanished.  Finite for every finite matrix: where ``||A||_F``
+        overflows it is the :func:`stable_norm` of ``RTOL A``."""
+        if math.isfinite(self._fro_norm):
+            return HAPPY_BREAKDOWN_RTOL * self._fro_norm
+        return stable_norm(HAPPY_BREAKDOWN_RTOL * self.values)
 
     @functools.cached_property
     def _complex_csr(self) -> sp.csr_matrix:

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteError, SparseHermitianMatrix
+from .core import HAPPY_BREAKDOWN_RTOL, NonFiniteError, SparseHermitianMatrix
 
 __all__ = [
     "BLOCK",
@@ -52,9 +52,6 @@ __all__ = [
     "stream_vector",
 ]
 
-# beta_k below this times ||A||_F terminates with an invariant subspace;
-# an exact beta_k = 0 test never fires in floating point.
-HAPPY_BREAKDOWN_RTOL = 1e-14
 # float64 values per block of the vector updates: the block's scratch stays
 # in cache between the product and the subtraction.
 BLOCK = 16384
@@ -136,9 +133,9 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
 def lanczos_step(state: LanczosState) -> StepOutcome:
     """Advance by one iteration: emit ``beta_k`` and ``alpha_{k+1}``.
 
-    Returns an invariant-subspace outcome when ``beta_k`` falls below the
-    happy-breakdown threshold; every quadratic-form value computed from the
-    coefficients is exact from that point on.
+    Returns an invariant-subspace outcome when ``beta_k`` falls to the
+    matrix's ``breakdown_floor`` (finite for every finite matrix); every
+    quadratic-form value computed from the coefficients is exact from then on.
 
     ``v_{k+1}`` is written into the buffer of ``v_{k-1}``; afterwards
     ``v_prev`` is ``v_k``'s buffer and ``v_curr`` the one just written.
@@ -154,7 +151,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
         beta_k = float(np.linalg.norm(u))
         if not math.isfinite(beta_k):
             raise NonFiniteError(f"beta_{k} is not finite")
-        if beta_k <= HAPPY_BREAKDOWN_RTOL * state.a.frobenius_norm:
+        if beta_k <= state.a.breakdown_floor:
             state.exhausted = True
             return StepOutcome(invariant_subspace=True, k=k)
         v_next = state.v_prev

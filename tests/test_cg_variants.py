@@ -16,6 +16,7 @@ from resolvquad.core import SolveStatus, SparseHermitianMatrix
 from resolvquad.harness import generate_unit_circle_shifts
 from resolvquad.oracle import dense_resolvent_quadform
 from resolvquad.shifted_lanczos import run_quadratic_forms
+from resolvquad.shifted_minres import minres_run
 
 from conftest import random_hermitian, random_hermitian_dense, random_vector
 
@@ -298,6 +299,29 @@ def test_near_overflow_matrix_against_dense_oracle():
             assert all(np.isfinite(r.value) for r in rows)
             assert rows[-1].status is SolveStatus.CONVERGED
             assert rows[-1].value == out.value
+
+
+def overflowing_norm_problem():
+    """The 3 x 3 tridiagonal with diagonal 1e308 and off-diagonal -1e308,
+    whose ``||A||_F = sqrt(7) 1e308`` overflows, and the uniform ``v``."""
+    t = 1e308 * (np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1))
+    return SparseHermitianMatrix.from_dense(t), np.full(3, 1 / np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("runner", [run_quadratic_forms, minres_run, cocg_run,
+                                    cocr_run])
+def test_overflowing_norm_is_no_exhausted_krylov_space(runner):
+    """With ``||A||_F`` infinite, an exhausted Krylov space was found at
+    k = 1 under an infinite floor, and COCG and COCR reported ``converged``
+    values 29% and 57% off the oracle.  Every ``converged`` value must be
+    the oracle's to ``rtol``."""
+    a, v = overflowing_norm_problem()
+    shifts = generate_unit_circle_shifts(4)
+    res = runner(a, v, shifts, rtol=1e-10)
+    for out, z in zip(res.shifts, shifts):
+        if out.status is SolveStatus.CONVERGED:
+            want = dense_resolvent_quadform(a.to_dense(), v, z)
+            assert abs(out.value - want) <= 1e-10 * abs(want)
 
 
 def scalar_replay(res, z):

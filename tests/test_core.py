@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from resolvquad.core import SparseHermitianMatrix
+from resolvquad.core import HAPPY_BREAKDOWN_RTOL, SparseHermitianMatrix
 from resolvquad.mmio import read_matrix_market, write_matrix_market
 
 from conftest import random_hermitian_dense, random_vector
@@ -166,3 +166,22 @@ def test_real_matrix_products(rng):
 def test_frobenius_norm_near_overflow():
     a = SparseHermitianMatrix.diagonal([1e308, -1e308])
     assert a.frobenius_norm == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_breakdown_floor_is_the_norm_product_while_it_is_finite(rng, scale):
+    a = SparseHermitianMatrix.from_dense(
+        scale * random_hermitian_dense(rng, 12))
+    assert a.breakdown_floor == HAPPY_BREAKDOWN_RTOL * a.frobenius_norm
+
+
+@pytest.mark.parametrize("dense, norm", [
+    (1e308 * (np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)), np.sqrt(7.0)),
+    ([[0, 1e308 + 1e308j], [1e308 - 1e308j, 0]], 2.0),
+], ids=["real", "complex"])
+def test_breakdown_floor_is_finite_where_the_norm_overflows(dense, norm):
+    # ||A||_F is norm * 1e308, past the overflow threshold
+    a = SparseHermitianMatrix.from_dense(dense)
+    assert a.hermitian_verified and a.frobenius_norm == np.inf
+    assert a.breakdown_floor == pytest.approx(
+        HAPPY_BREAKDOWN_RTOL * 1e308 * norm, rel=1e-14)

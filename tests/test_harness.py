@@ -484,6 +484,23 @@ def test_cli_overflowing_stream_is_exit_2(tmp_path):
         assert statuses == {"overflow"}
 
 
+def test_cli_overflowing_frobenius_norm_is_exit_2(tmp_path):
+    # ||A||_F = sqrt(7) 1e308 overflows; every method ends in an overflow,
+    # where COCG and COCR reported a false convergence at k = 1
+    mat_path = tmp_path / "big.mtx"
+    mat_path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+        "1 1 1e308\n2 1 -1e308\n2 2 1e308\n3 2 -1e308\n3 3 1e308\n")
+    out = tmp_path / "out"
+    code = main(["run", "--matrix", str(mat_path), "--shifts",
+                 "unit-circle:m=4", "--out", str(out)])
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    for method in ("lanczos", "minres", "cocg", "cocr"):
+        statuses = {s["status"] for s in summary["methods"][method]["shifts"]}
+        assert statuses == {"overflow"}
+
+
 @pytest.mark.parametrize("content", ["nan\n1.0\n", "1.0\ninf\n",
                                      "1.0 -inf\n0.0 1.0\n", "0.0\n0.0\n",
                                      "1e-170\n1e-170\n", "1.0\nabc\n"],
