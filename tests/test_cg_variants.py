@@ -301,21 +301,17 @@ def test_near_overflow_matrix_against_dense_oracle():
             assert rows[-1].value == out.value
 
 
-def overflowing_norm_problem():
-    """The 3 x 3 tridiagonal with diagonal 1e308 and off-diagonal -1e308,
-    whose ``||A||_F = sqrt(7) 1e308`` overflows, and the uniform ``v``."""
-    t = 1e308 * (np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1))
-    return SparseHermitianMatrix.from_dense(t), np.full(3, 1 / np.sqrt(3.0))
-
-
 @pytest.mark.parametrize("runner", [run_quadratic_forms, minres_run, cocg_run,
                                     cocr_run])
 def test_overflowing_norm_is_no_exhausted_krylov_space(runner):
-    """With ``||A||_F`` infinite, an exhausted Krylov space was found at
-    k = 1 under an infinite floor, and COCG and COCR reported ``converged``
-    values 29% and 57% off the oracle.  Every ``converged`` value must be
-    the oracle's to ``rtol``."""
-    a, v = overflowing_norm_problem()
+    """On the 3 x 3 tridiagonal with 1e308 on the diagonal and -1e308
+    beside it, ``||A||_F = sqrt(7) 1e308`` overflows.  Under an infinite
+    floor an exhausted Krylov space was found at k = 1, and COCG and COCR
+    reported ``converged`` values 29% and 57% off the oracle.  Every
+    ``converged`` value must be the oracle's to ``rtol``."""
+    a = SparseHermitianMatrix.from_dense(
+        1e308 * (np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)))
+    v = np.full(3, 1 / np.sqrt(3.0))
     shifts = generate_unit_circle_shifts(4)
     res = runner(a, v, shifts, rtol=1e-10)
     for out, z in zip(res.shifts, shifts):
