@@ -9,9 +9,9 @@ the quadratic-form sequence, never a solution vector.  The seed products
 ``x^T y`` are ``numpy.dot`` and the projections ``x^H y`` are
 ``numpy.vdot``, each cast to Python ``complex`` before the scalar
 recursions use it.  A seed product whose factors' norms multiply past the
-overflow threshold is formed from factors scaled by powers of two, and the
-seed scalars from its mantissa and exponent; a product in range is formed
-as it is.
+overflow threshold, or below ``SEED_SCALE_MIN``, is formed from factors
+scaled by powers of two, and the seed scalars from its mantissa and
+exponent; a product in range is formed as it is.
 
 The drivers are called like the Lanczos and MINRES drivers,
 ``(a, v, shifts, *, rtol, lag, max_iter, reference, keep_history)``, with
@@ -78,6 +78,9 @@ TOL_PI = 1e-290
 # A seed product x^T y at most this times ||x|| ||y|| has vanished: the
 # unit round-off, below which no digit of the computed product is correct.
 TOL_SEED = 2.0 ** -53
+# _seed_dot scales the factors of a product whose ||x|| ||y|| overflows or
+# is below this, where TOL_SEED ||x|| ||y|| nears the subnormal range.
+SEED_SCALE_MIN = 2.0 ** -900
 
 
 @dataclass
@@ -91,11 +94,10 @@ class CollinearResult(MethodResult):
 
     @property
     def pi_history(self) -> list:
-        """Per shift, ``pi`` after each accepted iteration (``None`` per
-        shift without history), built from the history columns."""
-        if self.history is None:
-            return [None] * len(self.shifts)
-        return self.history.pi()
+        """Per shift, ``pi`` after each accepted iteration, read from its
+        history rows (``None`` per shift without history)."""
+        return [None if s.history is None else [row.pi for row in s.history]
+                for s in self.shifts]
 
 
 def _require_real_symmetric(a: SparseHermitianMatrix) -> None:
@@ -218,24 +220,24 @@ def _seed_dot(x: np.ndarray, y: np.ndarray, x_norm: float,
               y_norm: float) -> tuple:
     """The seed product ``x^T y`` as ``(m, e)``, ``x^T y = m 2**e``.
 
-    While ``||x|| ||y||`` is finite, or a factor is not, this is
-    ``(x^T y, 0)``.  Otherwise each factor is first divided by the power of
-    two of its norm, which is exact, so the product does not overflow.
+    While ``SEED_SCALE_MIN <= ||x|| ||y|| < inf``, or a factor is not
+    finite, this is ``(x^T y, 0)``.  Otherwise each factor (a contiguous
+    ``complex128`` vector) is first divided by the power of two of its norm,
+    which is exact, so the product neither overflows nor underflows.
     """
-    if x_norm * y_norm < math.inf or not math.isfinite(x_norm + y_norm):
+    if (SEED_SCALE_MIN <= x_norm * y_norm < math.inf
+            or not math.isfinite(x_norm + y_norm)):
         return complex(np.dot(x, y)), 0
     ex, ey = math.frexp(x_norm)[1], math.frexp(y_norm)[1]
-    xs = x * 2.0 ** -ex
-    ys = xs if y is x else y * 2.0 ** -ey
+    # ldexp on the parts: 2**-ex need not be a double
+    xs = np.ldexp(x.view(np.float64), -ex).view(x.dtype)
+    ys = xs if y is x else np.ldexp(y.view(np.float64), -ey).view(y.dtype)
     return complex(np.dot(xs, ys)), ex + ey
 
 
 def _ldexp(z: complex, e: int) -> complex:
-    """``z 2**e``, infinite where it overflows."""
-    try:
-        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-    except OverflowError:
-        return complex(math.inf, math.inf)
+    """``z 2**e``; each part is infinite where it overflows."""
+    return complex(*np.ldexp((z.real, z.imag), e))
 
 
 def _quotient(num: tuple, den: tuple) -> complex:
@@ -253,14 +255,14 @@ def _quotient(num: tuple, den: tuple) -> complex:
 def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
     """Take iteration ``k`` of every active shift.
 
-    A vanished ``pi`` or a non-finite update freezes the shift with the
-    value of iteration ``k - 1``; the others are accepted with their ``pi``.
+    A vanished ``pi``, a non-finite direction or (in the batch) value
+    freezes the shift with the value of iteration ``k - 1``; the others are
+    accepted with their ``pi``.
     """
     s = batch.state
     s.pi_m2, s.pi_m1, s.p, s.value = s.pi_m1, pi_new, p_new, value_new
-    finite = np.isfinite(value_new) & np.isfinite(p_new)
     batch.step(k, value_new, (SolveStatus.PI_ZERO, cabs(pi_new) <= TOL_PI),
-               (SolveStatus.OVERFLOW, ~finite), pi=pi_new)
+               (SolveStatus.OVERFLOW, ~np.isfinite(p_new)), pi=pi_new)
 
 
 # a vanished pi leaves inf/nan in exactly the shifts _commit freezes, and a

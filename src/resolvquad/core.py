@@ -25,10 +25,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .error_estimate import history_estimates
@@ -230,18 +231,10 @@ def _real_or_complex(values: np.ndarray) -> np.ndarray:
 
 
 def stable_norm(values: np.ndarray) -> float:
-    """``||values||_2`` that stays finite for entries near the overflow
-    threshold: the plain sum of squares, rescaled by the largest magnitude
-    only when it overflows.  The matrix's Frobenius norm, and the COCG/COCR
-    residual norms."""
-    if not values.size:
-        return 0.0
-    with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(values))
-    if math.isinf(fro):
-        big = float(np.abs(values).max())
-        fro = big * float(np.linalg.norm(values / big))
-    return fro
+    """``||values||_2`` by BLAS ``nrm2``, which scales as it sums, so it is
+    finite and nonzero wherever the norm is, at both ends of the range.
+    The matrix's Frobenius norm, and the COCG/COCR residual norms."""
+    return float(scipy.linalg.norm(values, check_finite=False))
 
 
 def hermitian_check_csr(csr: sp.csr_matrix):
@@ -300,6 +293,7 @@ class HistoryEntry:
     ``mu``/``nu`` are the lag-``d`` error estimates for this iteration,
     derived from the recorded history; ``None`` where iteration ``k + d``
     was never recorded, unless the run ended on an invariant subspace.
+    ``pi`` is the COCG/COCR collinearity factor, ``None`` for other methods.
     """
 
     k: int
@@ -311,6 +305,7 @@ class HistoryEntry:
     g_abs: Optional[float] = None
     h_abs: Optional[float] = None
     residual: Optional[float] = None  # MINRES least-squares residual norm
+    pi: Optional[complex] = None
 
 
 _STATUSES = tuple(SolveStatus)
@@ -336,8 +331,8 @@ class HistoryColumns:
     NaN estimate reads as ``None``, as it always has.
 
     :meth:`columns` assembles every row in ``(shift, k)`` order;
-    :meth:`rows` and :meth:`pi` build per-shift lists from them on first
-    use, for callers that read :attr:`ShiftOutcome.history`.
+    :meth:`rows` builds each shift's :class:`HistoryEntry` list, ``pi``
+    included, from them on first use, for :attr:`ShiftOutcome.history`.
     """
 
     def __init__(self, z: np.ndarray, lag: int):
@@ -352,7 +347,6 @@ class HistoryColumns:
         # delta)
         self._accepted: list = []
         self._rows: Optional[list] = None
-        self._pi: Optional[list] = None
 
     def accept(self, k: int, shifts: np.ndarray, value: np.ndarray,
                rel_err=None, residual=None, pi=None, delta=None) -> None:
@@ -421,24 +415,14 @@ class HistoryColumns:
         """Shift ``i``'s :class:`HistoryEntry` rows, in iteration order."""
         if self._rows is None:
             cols = self.columns()
-            fields = [cols["k"].tolist(), _or_none(cols, "value"),
-                      np.array(_STATUSES, dtype=object)[cols["status"]]
-                      .tolist()]
-            fields += [_or_none(cols, name) for name in
-                       ("mu", "nu", "rel_err", "g_abs", "h_abs", "residual")]
-            self._rows = [list(map(HistoryEntry, *(f[a:b] for f in fields)))
+            cells = [cols["k"].tolist(), _or_none(cols, "value"),
+                     np.array(_STATUSES, dtype=object)[cols["status"]]
+                     .tolist()]
+            # the optional cells, mu to pi, in the order of HistoryEntry
+            cells += [_or_none(cols, f.name) for f in fields(HistoryEntry)[3:]]
+            self._rows = [list(map(HistoryEntry, *(c[a:b] for c in cells)))
                           for a, b in _bounds(cols["shift"], self.z.size)]
         return self._rows[i]
-
-    def pi(self) -> list:
-        """Per shift, the ``pi`` of every accepted iteration, in order."""
-        if self._pi is None:
-            cols = self.columns()
-            has = cols["has_pi"]
-            values = cols["pi"][has].tolist()
-            self._pi = [values[a:b] for a, b in _bounds(cols["shift"][has],
-                                                        self.z.size)]
-        return self._pi
 
 
 def _or_none(cols: dict, name: str) -> list:

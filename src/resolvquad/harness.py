@@ -195,21 +195,29 @@ def _resolve_vector(spec: str, n: int) -> np.ndarray:
         return vec
     if spec.startswith("random:"):
         seed = _number(int, spec[len("random:"):], "the vector seed")
+        if seed < 0:
+            raise ConfigError(f"the vector seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
     raise ConfigError(f"unknown vector spec {spec!r}")
 
 
-def _parse_kv(spec: str) -> dict:
+def _parse_kv(spec: str, keys: tuple) -> dict:
+    """The ``key=value`` items of a shift spec; each key one of ``keys``,
+    at most once."""
     out = {}
     for item in spec.split(","):
         if not item:
             continue
         if "=" not in item:
             raise ConfigError(f"expected key=value in shift spec, got {item!r}")
-        key, val = item.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key not in keys or key in out:
+            raise ConfigError(f"{'repeated' if key in out else 'unknown'} "
+                              f"key {key!r} in shift spec; expected one of "
+                              f"{', '.join(keys)}")
+        out[key] = val
     return out
 
 
@@ -236,13 +244,13 @@ def _resolve_shifts(spec, spectrum):
     if not isinstance(spec, str):
         shifts = [complex(z) for z in spec]
     elif spec.startswith("unit-circle:"):
-        kv = _parse_kv(spec[len("unit-circle:"):])
+        kv = _parse_kv(spec[len("unit-circle:"):], ("m",))
         m = _number(int, kv.get("m", "16"), "the shift count m")
         shifts = generate_unit_circle_shifts(m)
     elif spec.startswith("list:"):
         shifts = _read_entries(spec[len("list:"):], "shift").tolist()
     elif spec.startswith("spectrum-offset:"):
-        kv = _parse_kv(spec[len("spectrum-offset:"):])
+        kv = _parse_kv(spec[len("spectrum-offset:"):], ("zeta", "extremal"))
         if "zeta" not in kv:
             raise ConfigError("spectrum-offset requires zeta=...")
         zeta = _number(float, kv["zeta"], "zeta")
@@ -709,7 +717,10 @@ def _build_config(args) -> ExperimentConfig:
         if key in values and isinstance(values[key], str):
             values[key] = _number(cast, values[key], key)
     if "history" in values and isinstance(values["history"], str):
-        values["history"] = values["history"].lower() in ("1", "true", "yes")
+        flag = values["history"].lower()
+        if flag not in ("1", "true", "yes", "0", "false", "no"):
+            raise ConfigError(f"bad value for history: {values['history']!r}")
+        values["history"] = flag in ("1", "true", "yes")
     return ExperimentConfig(**values)
 
 
@@ -796,7 +807,10 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
     print(render_summary_table(report))
     if config.out is not None:
-        paths = write_report(report, config.out)
+        try:
+            paths = write_report(report, config.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the reports: {exc}") from exc
         for kind, path in sorted(paths.items()):
             print(f"wrote {kind}: {path}")
     return 2 if report.numerical_failure else 0

@@ -135,7 +135,8 @@ class ShiftBatch:
 
         The shifts of the ``(status, mask)`` groups in ``failed`` freeze
         first, as :meth:`freeze` freezes them, with their last accepted
-        value.  The others take ``value``: history records them (with the
+        value, and then, as ``OVERFLOW``, those whose ``value`` is not
+        finite.  The others take ``value``: history records them (with the
         COCG/COCR ``pi`` or the Lanczos pivot ``delta`` when given), and
         those that meet the stopping rule freeze as converged.
         ``residual`` is MINRES's ``(scale, f)``, ``f`` the residual factor
@@ -143,7 +144,8 @@ class ShiftBatch:
         only for the shifts that freeze, or for all of them when history is
         kept.
         """
-        gone = self._close_groups(k, failed)
+        gone = self._close_groups(
+            k, (*failed, (SolveStatus.OVERFLOW, ~np.isfinite(value))))
         self.value = value
         self.residual = residual
         err = None

@@ -227,7 +227,7 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
         k = 1
         delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
         batch.step(k, s.L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                   (SolveStatus.OVERFLOW, ~np.isfinite(s.L)), delta=delta)
+                   delta=delta)
 
         while k < max_iter and batch.running:
             try:
@@ -245,10 +245,9 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
             delta, s.pi, s.c, s.L = shift_update(
                 s.z, alpha_next, beta * beta, s.c, s.pi, s.L)
             # L_k is finite for every active shift, so a non-finite c_{k+1}
-            # or pi_{k+1} leaves L_{k+1} non-finite too
+            # or pi_{k+1} leaves L_{k+1} non-finite too: the batch freezes it
             batch.step(k, s.L,
                        (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                       (SolveStatus.OVERFLOW, ~np.isfinite(s.L)),
                        delta=delta)
 
     result = stream_result("lanczos", batch, k, stream)

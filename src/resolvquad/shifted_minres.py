@@ -172,9 +172,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             s.p2, s.p1 = s.p1, p_new
             s.f, s.value = ns * s.f, value_new
             # a non-finite p_new or f_new leaves value_new non-finite too
-            batch.step(k, value_new, *failed,
-                       (SolveStatus.OVERFLOW, ~np.isfinite(value_new)),
-                       residual=(rnorm, s.f))
+            batch.step(k, value_new, *failed, residual=(rnorm, s.f))
 
             if exhausting:
                 # Krylov space exhausted: surviving values are exact

@@ -90,20 +90,23 @@ def test_cocr_seed_breakdown_on_isotropic_direction():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("runner, v, seed_shift", [
+@pytest.mark.parametrize("runner, v, seed_shift, status", [
     # (z_s I - A) v overflows in the first matvec
-    (cocg_run, [1e308, 1e308], None),
-    (cocr_run, [1e308, 1e308], None),
-    # ||w_0|| underflows to 0, so p^T w_0 = 1e-310 i passes as not
-    # vanished; alpha_0 = -inf i, and alpha_0 w_0 multiplies inf by 0
-    (cocg_run, [1.0, 1e-200], 1 + 1e-310j),
+    (cocg_run, [1e308, 1e308], None, SolveStatus.OVERFLOW),
+    (cocr_run, [1e308, 1e308], None, SolveStatus.OVERFLOW),
+    # w_0 = (1e-310 i, -1e-200): p^T w_0 = 1e-310 i has vanished at the
+    # scale ||p|| ||w_0|| = 1e-200, whose squares all underflow
+    (cocg_run, [1.0, 1e-200], 1 + 1e-310j, SolveStatus.SEED_BREAKDOWN),
 ], ids=["cocg-huge-v", "cocr-huge-v", "cocg-subnormal-seed"])
-def test_overflow_ends_the_run_without_a_warning(runner, v, seed_shift):
+def test_overflow_ends_the_run_without_a_warning(runner, v, seed_shift,
+                                                 status):
+    """A first step that overflows, or whose seed product vanishes at the
+    scale of a factor with underflowing squares, ends the run at k = 1
+    with no numpy warning."""
     a = SparseHermitianMatrix.diagonal([1.0, 2.0])
     res = runner(a, np.array(v), [3 + 1j, 1.5 + 1j], seed_shift=seed_shift)
     assert res.iterations == 1
-    assert [(s.status, s.iterations) for s in res.shifts] == [
-        (SolveStatus.OVERFLOW, 1)] * 2
+    assert [(s.status, s.iterations) for s in res.shifts] == [(status, 1)] * 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -160,6 +163,35 @@ def test_seed_guards_hold_at_any_scale_of_v(runner):
         assert t.value == b.value * 2.0 ** -980
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("problem", ["diag12", "real8"])
+def test_seed_products_keep_their_digits_where_the_squares_underflow(
+        runner, problem):
+    """At ``2**-565 v`` every square of ``v`` underflows.  The seed
+    products are formed from factors scaled by powers of two, so the run
+    ends with the statuses and iteration counts of the run on ``v``, and
+    its seed scalars and ``pi`` are the same bits.  The values themselves
+    underflow.  A subnormal ``v`` still runs to a final status."""
+    if problem == "diag12":
+        a, v = diag12()
+    else:
+        rng = np.random.default_rng(3)
+        a = random_hermitian(rng, 8, real=True)
+        v = random_vector(rng, 8)
+    shifts = [3 + 1j, 1.5 + 1j, -0.5 + 0.1j]
+    base = runner(a, v, shifts, rtol=None, keep_history=True)
+    tiny = runner(a, 2.0 ** -565 * v, shifts, rtol=None, keep_history=True)
+    assert tiny.iterations == base.iterations > 0
+    assert ([(s.status, s.iterations) for s in tiny.shifts]
+            == [(s.status, s.iterations) for s in base.shifts])
+    assert (tiny.seed_alpha, tiny.seed_beta) == (base.seed_alpha,
+                                                 base.seed_beta)
+    assert tiny.pi_history == base.pi_history
+    subnormal = runner(a, 2.0 ** -1065 * v, shifts, rtol=None)
+    assert all(s.status is not SolveStatus.ACTIVE for s in subnormal.shifts)
+
+
 def test_cocg_pi_zero_freezes_shift():
     # diag(1,2), v=(1,1)/sqrt 2, z_s=0: alpha_0 = -2/3, so the shift
     # z = z_s - 1/alpha_0 = 1.5 makes pi_1 = 0 exactly
@@ -181,6 +213,20 @@ def test_cocg_update_overflow_freezes_only_that_shift():
     assert blown.iterations == 1 and blown.value is None
     assert blown.history == [] and res.pi_history[0] == []
     assert fine.value == pytest.approx(0.75e300, rel=1e-12)
+
+
+def test_cocg_direction_overflow_freezes_before_its_value_does():
+    # the pi_zero problem with the shift 1.5e-160 i off z = 1.5: pi_1 is
+    # about 1e-160, so the value of iteration 1 is near 1e160, while the
+    # direction, divided by pi_1 twice, overflows
+    a, v = diag12()
+    res = cocg_run(a, v, [1.5 + 1.5e-160j, 3.0 + 0j], seed_shift=0.0 + 0j,
+                   keep_history=True)
+    blown, fine = res.shifts
+    assert (blown.status, blown.iterations, blown.value) == (
+        SolveStatus.OVERFLOW, 1, None)
+    assert blown.history == []
+    assert fine.value == pytest.approx(0.75, rel=1e-12)
 
 
 @pytest.mark.parametrize("runner", RUNNERS)

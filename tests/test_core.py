@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from resolvquad.core import HAPPY_BREAKDOWN_RTOL, SparseHermitianMatrix
+from resolvquad.core import (
+    HAPPY_BREAKDOWN_RTOL,
+    SparseHermitianMatrix,
+    stable_norm,
+)
 from resolvquad.mmio import read_matrix_market, write_matrix_market
 
 from conftest import random_hermitian_dense, random_vector
@@ -166,6 +170,18 @@ def test_real_matrix_products(rng):
 def test_frobenius_norm_near_overflow():
     a = SparseHermitianMatrix.diagonal([1e308, -1e308])
     assert a.frobenius_norm == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale, rel", [(1e-170, 1e-15), (1e308, 1e-15),
+                                        (1e-320, 1e-3)])
+@pytest.mark.parametrize("unit", [1.0, 1j])
+def test_stable_norm_at_both_ends_of_the_range(scale, rel, unit):
+    """Finite and nonzero where the norm is: every square of ``1e-170`` and
+    of a subnormal underflows, every square of ``1e308`` overflows.  A
+    subnormal holds about 11 bits."""
+    norm = stable_norm(scale * unit * np.ones(2))
+    assert norm == pytest.approx(np.sqrt(2.0) * scale, rel=rel, abs=0)
+    assert stable_norm(np.empty(0)) == 0.0
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e300])

@@ -407,10 +407,13 @@ def test_summary_text_renders_every_float(data, m):
         st.builds(complex, finite_or_not, finite_or_not),
         min_size=m, max_size=m)))
     report = float_report(values, residuals, reference)
-    assert summary_text(report) == json_oracle(report)
+    with pytest.MonkeyPatch.context() as mp:  # as pinned_clock does
+        mp.setattr(harness.time, "strftime",
+                   lambda fmt: "2026-01-02T03:04:05+0000")
+        assert summary_text(report) == json_oracle(report)
 
 
-def test_summary_text_rows_keep_their_own_shift_bits():
+def test_summary_text_rows_keep_their_own_shift_bits(pinned_clock):
     """The rows reuse the shift list's texts only for the same bits: a
     method whose shifts differ from the list in the sign of a zero, or in
     number, writes its own."""
@@ -619,6 +622,14 @@ REJECTED_INPUTS = {
                            "--seed-shift", "5"], None),
     "config-unknown-key": (["--config", "{file}"],
                            "matrix = {diag}\nfrobnicate = 1\n"),
+    "unit-circle-unknown-key": (["--shifts", "unit-circle:n=8"], None),
+    "unit-circle-repeated-key": (["--shifts", "unit-circle:m=4,m=2"], None),
+    "offset-unknown-key": (
+        ["--shifts", "spectrum-offset:zeta=0.1,extremel=largest"], None),
+    "vector-negative-seed": (["--vector", "random:-1"], None),
+    "config-bad-history": (["--config", "{file}"],
+                           "matrix = {diag}\nhistory = on\n"),
+    "out-is-a-file": (["--out", "{file}"], "not a directory\n"),
 }
 
 

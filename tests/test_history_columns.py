@@ -225,6 +225,20 @@ def test_design_records_no_row_objects(tmp_path, monkeypatch):
     assert rows_record(report) == want
 
 
+def test_history_rows_carry_pi(tmp_path):
+    """Each COCG/COCR row holds its iteration's cell of the ``pi`` column;
+    a Lanczos or MINRES row holds none."""
+    report = run_experiment(rows_config(tmp_path))
+    for mrep in report.executed:
+        res = mrep.result
+        cols = res.history.columns()
+        for s in res.shifts:
+            pis = cols["pi"][cols["shift"] == s.index].tolist()
+            if mrep.method not in ("cocg", "cocr"):
+                pis = [None] * len(pis)
+            assert [row.pi for row in s.history] == pis
+
+
 def reference_rows(report):
     """The row-by-row formatter the column writer replaced, fed from the
     per-shift ``HistoryEntry`` rows."""
