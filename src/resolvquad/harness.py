@@ -190,8 +190,9 @@ def _resolve_vector(spec: str, n: int) -> np.ndarray:
         vec = _read_entries(path, "vector")
         if vec.shape != (n,):
             raise ConfigError(f"vector length {vec.shape} does not match n={n}")
-        if not np.linalg.norm(vec):  # zero, or every square underflows
-            raise ConfigError(f"vector file {path!r} has a zero norm")
+        if not np.linalg.norm(vec):
+            fault = "norm underflows" if np.any(vec) else "must be nonzero"
+            raise ConfigError(f"vector file {path!r}: {fault}")
         return vec
     if spec.startswith("random:"):
         seed = _number(int, spec[len("random:"):], "the vector seed")

@@ -17,10 +17,12 @@ Each update ``u <- fl(u - fl(c x))`` runs over blocks of :data:`BLOCK`
 ``float64`` values through one block-sized scratch buffer, which stays in
 cache between the product and the subtraction; elementwise ufuncs round on
 a slice exactly as on the whole array, so the blocks change no bit.  A
-complex vector is updated and scaled through its ``float64`` view, where
-the real coefficient multiplies both parts at once.  The reductions
-(``numpy.linalg.norm``, ``numpy.vdot``) and the matrix-vector product stay
-whole-vector calls: blocking a reduction would change its summation order.
+vector of one block is updated in one call.  A complex vector is updated
+and scaled through its ``float64`` view, where the real coefficient
+multiplies both parts at once.  The reductions and the matrix-vector
+product stay whole-vector calls: blocking a reduction would change its
+summation order.  ``||v||`` and ``beta_k`` are ``numpy.linalg.norm``'s
+``sqrt(u . u)`` without its wrapper, so its bits.
 
 ``alpha`` is stored as ``real(u^H v)``: for complex Hermitian matrices the
 numerically computed Rayleigh quotient picks up a spurious imaginary part
@@ -84,7 +86,8 @@ class LanczosState:
     ``v_prev`` and ``v_curr`` are ``v_{k-1}`` and ``v_k``; their buffers are
     overwritten by later steps, so copy a basis vector to keep it.
     ``scratch`` holds one block of a vector update: ``min(BLOCK, m)``
-    ``float64`` values, ``m`` the length of the stream's ``float64`` view.
+    ``float64`` values, ``m`` the length of the stream's ``float64`` view;
+    where it holds all ``m``, an update is one call.
     """
 
     a: SparseHermitianMatrix
@@ -114,9 +117,10 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
                          "inspect max_asymmetry")
     v = stream_vector(a, v)
     with np.errstate(all="ignore"):
-        vn = float(np.linalg.norm(v))
+        vn = _norm(v)
         if vn == 0.0:
-            raise ValueError("starting vector must be nonzero")
+            raise ValueError("||v|| underflows" if np.any(v)
+                             else "starting vector must be nonzero")
         if not math.isfinite(vn):
             raise NonFiniteError("||v|| is not finite")
         v1 = v / vn
@@ -148,7 +152,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     with np.errstate(all="ignore"):
         # u <- u - alpha_k v_k, rounded as fl(u - fl(alpha_k v_k))
         _subtract_scaled(u, alpha_k, v_curr, scratch)
-        beta_k = float(np.linalg.norm(u))
+        beta_k = _norm(u)
         if not math.isfinite(beta_k):
             raise NonFiniteError(f"beta_{k} is not finite")
         if beta_k <= state.a.breakdown_floor:
@@ -177,9 +181,19 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
                        alpha_next=alpha_next)
 
 
+def _norm(u: np.ndarray) -> float:
+    """``||u||_2`` by ``numpy.linalg.norm``'s BLAS ``dot`` calls, so its
+    bits (``inf`` and 0 included), without its wrapper."""
+    if u.dtype == np.float64:
+        return math.sqrt(u.dot(u))
+    re, im = u.real, u.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _subtract_scaled(u: np.ndarray, c: float, x: np.ndarray,
                      scratch: np.ndarray) -> None:
-    """``u <- fl(u - fl(c x))`` in place, one block of ``scratch`` at a time.
+    """``u <- fl(u - fl(c x))`` in place, one block of ``scratch`` at a time;
+    a vector of one block (``scratch`` as long as it) in one call.
 
     Runs on the ``float64`` views: for a complex ``x`` the real ``c`` scales
     both parts, which rounds as numpy's complex product does wherever ``u``
@@ -187,6 +201,9 @@ def _subtract_scaled(u: np.ndarray, c: float, x: np.ndarray,
     """
     u, x = u.view(np.float64), x.view(np.float64)
     n = u.size
+    if n == scratch.size:
+        np.subtract(u, np.multiply(c, x, out=scratch), out=u)
+        return
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         part = np.multiply(c, x[start:stop], out=scratch[:stop - start])

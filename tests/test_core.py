@@ -47,6 +47,41 @@ def test_matvec_dimension_mismatch():
         a.matvec(np.zeros(3))
 
 
+def _with_int64_indices(a):
+    csr = a._csr.copy()
+    csr.indptr = csr.indptr.astype(np.int64)
+    csr.indices = csr.indices.astype(np.int64)
+    out = SparseHermitianMatrix.from_csr(csr)
+    assert out._csr.indices.dtype == np.int64
+    return out
+
+
+@pytest.mark.parametrize("index64", [False, True], ids=["int32", "int64"])
+@pytest.mark.parametrize("x_kind", ["float64", "complex128", "int", "strided"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_matvec_is_scipys_product_bit_for_bit(rng, real, x_kind, index64):
+    """``matvec`` calls scipy's ``csr_matvec`` kernel itself; its product
+    is the bits of ``csr.dot`` on the CSR it picks, whatever the vector's
+    dtype and strides and the CSR's index dtype.  A scipy release that
+    moves the private kernel fails the import, one that changes what
+    ``csr.dot`` runs fails here."""
+    n = 57
+    dense = random_hermitian_dense(rng, n, real=real)
+    dense[np.abs(dense) < 0.1] = 0.0
+    a = SparseHermitianMatrix.from_dense(dense)
+    if index64:
+        a = _with_int64_indices(a)
+    x = {"float64": lambda: rng.standard_normal(n),
+         "complex128": lambda: random_vector(rng, n),
+         "int": lambda: rng.integers(-5, 6, size=n),
+         "strided": lambda: random_vector(rng, 2 * n)[::2].real}[x_kind]()
+    csr = a._csr if real and x_kind != "complex128" else a._complex_csr
+    want = csr.dot(x)
+    got = a.matvec(x)
+    assert got.dtype == want.dtype == csr.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_rayleigh_quotient_real(rng):
     a = SparseHermitianMatrix.from_dense(random_hermitian_dense(rng, 60))
     assert a.hermitian_verified

@@ -504,19 +504,20 @@ def test_cli_overflowing_frobenius_norm_is_exit_2(tmp_path):
         assert statuses == {"overflow"}
 
 
-@pytest.mark.parametrize("content", ["nan\n1.0\n", "1.0\ninf\n",
-                                     "1.0 -inf\n0.0 1.0\n", "0.0\n0.0\n",
-                                     "1e-170\n1e-170\n", "1.0\nabc\n"],
-                         ids=["nan", "inf", "complex-inf", "zero",
-                              "norm-underflows", "text"])
+@pytest.mark.parametrize("content, fault", [
+    ("nan\n1.0\n", "non-finite"), ("1.0\ninf\n", "non-finite"),
+    ("1.0 -inf\n0.0 1.0\n", "non-finite"), ("0.0\n0.0\n", "nonzero"),
+    ("1e-170\n1e-170\n", "norm underflows"), ("1.0\nabc\n", "cannot read"),
+], ids=["nan", "inf", "complex-inf", "zero", "norm-underflows", "text"])
 def test_cli_bad_vector_file_is_exit_1(tmp_path, diag_matrix_path, content,
-                                       capsys):
+                                       fault, capsys):
     vec_path = tmp_path / "v.txt"
     vec_path.write_text(content)
     code = main(["run", "--matrix", str(diag_matrix_path),
                  "--vector", f"file:{vec_path}"])
     assert code == 1
-    assert "vector file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "vector file" in err and fault in err
 
 
 @pytest.mark.parametrize("flag, spec", [
@@ -605,6 +606,8 @@ REJECTED_INPUTS = {
                              "1.0 2.0 3.0\n4.0 5.0 6.0\n"),
     "vector-wrong-length": (["--vector", "file:{file}"], "1.0\n2.0\n3.0\n"),
     "vector-empty": (["--vector", "file:{file}"], "# no entries\n"),
+    "vector-norm-underflows": (["--vector", "file:{file}"],
+                               "1e-170\n1e-170\n"),
     "shifts-three-columns": (["--shifts", "list:{file}"], "1.0 2.0 3.0\n"),
     "shifts-empty": (["--shifts", "list:{file}"], ""),
     "offset-without-zeta": (["--shifts", "spectrum-offset:extremal=largest"],

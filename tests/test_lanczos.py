@@ -6,10 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvquad.core import SparseHermitianMatrix
+from resolvquad.core import NonFiniteError, SparseHermitianMatrix
 from resolvquad.lanczos import (
     BLOCK,
     HAPPY_BREAKDOWN_RTOL,
+    _norm,
+    _subtract_scaled,
     lanczos_init,
     lanczos_step,
 )
@@ -73,6 +75,14 @@ def test_zero_vector_rejected():
     a = SparseHermitianMatrix.diagonal([1.0, 2.0])
     with pytest.raises(ValueError, match="nonzero"):
         lanczos_init(a, np.zeros(2, dtype=complex))
+
+
+def test_underflowing_norm_is_named():
+    """A nonzero ``v`` whose squares all underflow is not called zero."""
+    a = SparseHermitianMatrix.diagonal([1.0, 2.0])
+    with pytest.raises(ValueError, match="underflows") as info:
+        lanczos_init(a, 1e-170 * np.ones(2))
+    assert "nonzero" not in str(info.value)
 
 
 def test_non_hermitian_rejected():
@@ -301,3 +311,40 @@ def test_step_allocates_only_the_matvec_result(real):
     finally:
         tracemalloc.stop()
     assert peak <= state.u.nbytes + 8 * BLOCK
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_norm_is_numpys_bit_for_bit(rng, real, scale):
+    """The stream's norm is ``numpy.linalg.norm``'s, also where it
+    overflows to ``inf`` (``lanczos_init`` then raises
+    :class:`NonFiniteError`) and where every square underflows to 0."""
+    for n in (1, 2, 7, 1000, 3 * BLOCK + 5):
+        u = scale * (rng.standard_normal(n) if real
+                     else random_vector(rng, n))
+        with np.errstate(all="ignore"):  # as in the stream: dot overflows
+            got, want = _norm(u), float(np.linalg.norm(u))
+        assert isinstance(got, float)
+        assert bits(got) == bits(want)
+    if scale == 1e200:
+        assert got == np.inf
+        with pytest.raises(NonFiniteError, match="v"):
+            lanczos_init(SparseHermitianMatrix.diagonal(np.ones(n)), u)
+    if scale == 1e-170:
+        assert got == 0.0
+
+
+@pytest.mark.parametrize("n", [1, BLOCK // 2, BLOCK // 2 + 1, BLOCK,
+                               BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_subtract_scaled_is_the_two_pass_update(rng, n, real):
+    """``u - c x`` on the ``float64`` views, bit for bit, on one block (one
+    call) and on several (the block loop); a complex vector of ``BLOCK/2``
+    entries is one block, of ``BLOCK/2 + 1`` two."""
+    x = rng.standard_normal(n) if real else random_vector(rng, n)
+    u = rng.standard_normal(n) if real else random_vector(rng, n)
+    c = float(rng.standard_normal())
+    m = u.view(np.float64).size
+    want = u.view(np.float64) - c * x.view(np.float64)
+    _subtract_scaled(u, c, x, np.empty(min(BLOCK, m)))
+    assert bits(u.view(np.float64)) == bits(want)
