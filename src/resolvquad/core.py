@@ -195,15 +195,10 @@ class SparseHermitianMatrix:
         return stable_norm(HAPPY_BREAKDOWN_RTOL * self.values)
 
     @functools.cached_property
-    def _complex_csr(self) -> sp.csr_matrix:
-        """The CSR with ``complex128`` values; a real matrix builds it on the
-        first complex product and shares its index arrays with ``_csr``."""
-        if not self.is_real:
-            return self._csr
-        csr = self._csr
-        return sp.csr_matrix(
-            (csr.data.astype(np.complex128), csr.indices, csr.indptr),
-            shape=csr.shape, copy=False)
+    def _complex_data(self) -> np.ndarray:
+        """The CSR's values as ``complex128``; a real matrix copies them on
+        the first complex product, and its index arrays serve both."""
+        return self._csr.data.astype(np.complex128, copy=False)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = A x`` with row-major, index-ascending accumulation.
@@ -220,10 +215,11 @@ class SparseHermitianMatrix:
         if x.shape != (n,):
             raise ValueError(f"dimension mismatch: matrix is {n}x{n}, "
                              f"vector has shape {x.shape}")
-        csr = self._complex_csr if x.dtype.kind == "c" else self._csr
-        x = np.ascontiguousarray(x, dtype=csr.dtype)
-        y = np.zeros(n, csr.dtype)
-        csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x, y)
+        csr = self._csr
+        data = self._complex_data if x.dtype.kind == "c" else csr.data
+        x = np.ascontiguousarray(x, dtype=data.dtype)
+        y = np.zeros(n, data.dtype)
+        csr_matvec(n, n, csr.indptr, csr.indices, data, x, y)
         return y
 
     def to_dense(self) -> np.ndarray:

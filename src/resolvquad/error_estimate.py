@@ -25,16 +25,16 @@ the opposite off-diagonal sign convention and agree in modulus, which is
 all the estimates use.
 
 The two estimates have different readers.  The stopping rule reads ``nu``
-while a run goes: :class:`LagWindow` keeps the last ``d + 1`` values of a
-batch of shifts that advance in lockstep, as a ring of shape ``(m, d + 1)``,
-and reports ``nu`` with the scale ``|L_k|``.  Only recorded history reads
-``mu`` and the corner and bridge magnitudes: :func:`history_estimates`
-derives all four from the recorded columns after the run, so the solve loop
-computes no corner or bridge entry.  The scalar :class:`EstimatorState`
-computes them for one shift as the run goes, the reference the history is
-tested against; :class:`DelayedDifferenceWindow` is its ``nu`` half (no
-driver uses it); :func:`corner_update` and :func:`bridge_entry` run the
-elementwise arithmetic :func:`history_estimates` runs on arrays.
+while a run goes, from the last ``d + 1`` value arrays that the
+:class:`~resolvquad.shift_batch.ShiftBatch` of its shifts keeps, against the
+scale ``|L_k|``.  Only recorded history reads ``mu`` and the corner and
+bridge magnitudes: :func:`history_estimates` derives all four from the
+recorded columns after the run, so the solve loop computes no corner or
+bridge entry.  The scalar :class:`EstimatorState` computes them for one
+shift as the run goes, the reference the history is tested against;
+:class:`DelayedDifferenceWindow` is its ``nu`` half (no driver uses it);
+:func:`corner_update` and :func:`bridge_entry` run the elementwise
+arithmetic :func:`history_estimates` runs on arrays.
 
 Estimator failures (vanished pivots, non-finite products) degrade to
 "estimate not available" and never touch the solver itself.
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,7 +55,6 @@ __all__ = [
     "EstimatorUnavailable",
     "EstimateReport",
     "EstimatorState",
-    "LagWindow",
     "DelayedDifferenceWindow",
     "cabs",
     "corner_update",
@@ -151,57 +150,30 @@ class EstimateReport:
     h_abs: Optional[float] = None
 
 
-class LagWindow:
-    """Ring of the last ``d + 1`` values of shifts advancing in lockstep.
-
-    Feed it once per iteration via :meth:`push` with the value of every
-    shift (``z`` gives the shifts, one ring row each); the lagged
-    iteration's ``nu`` and scale come back as soon as the ring is full, as
-    a plain tuple, so an iteration builds no report object.  The ring's
-    rows follow the batch: :meth:`compact` drops the shifts that froze.
-    """
-
-    def __init__(self, z, lag: int):
-        if lag < 1:
-            raise ValueError("estimator lag must be a positive integer")
-        self.lag = lag
-        self.k = 0
-        self.values = np.zeros((np.size(z), lag + 1), dtype=np.complex128)
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.values = self.values[keep]
-
-    def push(self, value: np.ndarray) -> Optional[tuple]:
-        """Record iteration ``k``; once iteration ``k - d`` is due, return
-        its ``(nu, scale)``: ``nu_{k-d,d}`` and ``|L_{k-d}|`` of every
-        shift."""
-        k = self.k = self.k + 1
-        ring = self.values
-        ring[:, k % (self.lag + 1)] = value
-        if k <= self.lag:
-            return None
-        base = ring[:, (k + 1) % (self.lag + 1)]
-        return cabs(base - value), cabs(base)
-
-
 class DelayedDifferenceWindow:
-    """The ``nu`` half alone over one iterate sequence: a :class:`LagWindow`
-    of one shift.
+    """The ``nu`` half alone over one iterate sequence, on Python scalars.
 
-    Reports ``nu_{k,d} = |x_k - x_{k+d}|`` with the scale ``|x_k|`` once the
-    lag window fills.
+    Keeps the last ``d + 1`` iterates and reports ``nu_{k,d} = |x_k -
+    x_{k+d}|`` with the scale ``|x_k|`` once the window fills.  No driver
+    uses it: a :class:`~resolvquad.shift_batch.ShiftBatch` reads ``nu``
+    from its own last ``d + 1`` value arrays.
     """
 
     def __init__(self, lag: int):
-        self._ring = LagWindow(np.zeros(1), lag)
+        if lag < 1:
+            raise ValueError("estimator lag must be a positive integer")
+        self.k = 0
+        self._values: deque = deque(maxlen=lag + 1)
 
     def push(self, value: complex) -> Optional[tuple[int, float, float]]:
         """Return ``(k, nu_{k,d}, |x_k|)`` once iteration ``k + d`` arrives."""
-        due = self._ring.push(np.array([value], dtype=np.complex128))
-        if due is None:
+        self.k += 1
+        values = self._values
+        values.append(complex(value))
+        if len(values) < values.maxlen:
             return None
-        nu, scale = due
-        return self._ring.k - self._ring.lag, float(nu[0]), float(scale[0])
+        base = values[0]
+        return self.k - values.maxlen + 1, abs(base - values[-1]), abs(base)
 
 
 # one retained iteration of EstimatorState; g is NaN once the corner failed

@@ -10,7 +10,8 @@ shifts and each iteration is a handful of array operations.  A
   one record of how each ended: its status (breakdown, overflow, a vanished
   ``pi``, convergence, ``MAX_ITER``, invariant subspace) and last value,
 * the two stopping rules: true relative error against a reference, or the
-  delayed difference ``nu`` of a :class:`~resolvquad.error_estimate.LagWindow`,
+  delayed difference ``nu_{k-d,d} = |L_{k-d} - L_k|`` over the batch's own
+  last ``d + 1`` accepted value arrays,
 * the convergence history, recorded as columns
   (:class:`~resolvquad.core.HistoryColumns`): each iteration appends its
   arrays over the active shifts, and nothing is created per shift per
@@ -24,19 +25,20 @@ iteration's values, and those that meet the stopping rule freeze as
 converged, in one pass.  The active shifts are an index array into the
 shift list.  Whenever shifts freeze, it is compacted, once per iteration,
 together with every array in :attr:`ShiftBatch.state` (the reference values
-among them), the accepted values and the lag window, so all of them always
-hold exactly the shifts that still iterate.
+among them) and the accepted value arrays, so all of them always hold
+exactly the shifts that still iterate.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import HistoryColumns, ShiftOutcome, SolveStatus
-from .error_estimate import LagWindow, cabs
+from .error_estimate import cabs
 
 __all__ = ["ShiftBatch"]
 
@@ -63,13 +65,24 @@ class ShiftBatch:
                 raise ValueError("reference values must match the shift list")
             self.state.reference = ref
             self.state.reference_scale = np.where(ref == 0, 1.0, cabs(ref))
-        self.value: Optional[np.ndarray] = None  # last accepted, per active
+        if lag < 1:
+            raise ValueError("estimator lag must be a positive integer")
+        # the last accepted value arrays, oldest first, as the drivers hand
+        # them in (they never write to them again): the d + 1 that nu reads
+        # when it stops the run, the last one otherwise
+        self.window: deque = deque(
+            maxlen=lag + 1 if rtol is not None and not self.referenced else 1)
         # MINRES: ``(scale, f)`` of the last accepted iteration, f per
         # active shift; the residual norms are scale * |f|
         self.residual: Optional[tuple] = None
-        self.window = LagWindow(self.z, lag)
         self.history = HistoryColumns(self.z, lag) if keep_history else None
         self._outcomes: list = [None] * self.z.size
+
+    @property
+    def value(self) -> Optional[np.ndarray]:
+        """The last accepted value of every active shift; ``None`` before
+        the first accepted iteration."""
+        return self.window[-1] if self.window else None
 
     @property
     def running(self) -> bool:
@@ -118,12 +131,12 @@ class ShiftBatch:
         self.active = self.active[keep]
         for name, arr in vars(self.state).items():
             setattr(self.state, name, arr[keep])
-        if self.value is not None:
-            self.value = self.value[keep]
+        window = self.window
+        for j in range(len(window)):
+            window[j] = window[j][keep]
         if self.residual is not None:
             scale, f = self.residual
             self.residual = (scale, f[keep])
-        self.window.compact(keep)
 
     # -- one iteration ----------------------------------------------------------
 
@@ -146,7 +159,7 @@ class ShiftBatch:
         """
         gone = self._close_groups(
             k, (*failed, (SolveStatus.OVERFLOW, ~np.isfinite(value))))
-        self.value = value
+        self.window.append(value)
         self.residual = residual
         err = None
         if self.referenced:
@@ -161,12 +174,14 @@ class ShiftBatch:
                 cols = [None if c is None else c[keep] for c in cols]
             self.history.accept(k, *cols)
         if self.rtol is not None:
+            window = self.window
             if err is not None:
                 converged = err <= self.rtol
+            elif len(window) == window.maxlen:  # nu_{k-d,d} is due
+                base = window[0]
+                converged = cabs(base - value) <= self.rtol * cabs(base)
             else:
-                due = self.window.push(value)
-                converged = (None if due is None
-                             else due[0] <= self.rtol * due[1])
+                converged = None
             if converged is not None and np.count_nonzero(converged):
                 gone = self._close_groups(
                     k, ((SolveStatus.CONVERGED, converged),), gone)

@@ -25,8 +25,9 @@ unimplemented and the lag-d estimates in :mod:`resolvquad.error_estimate`
 are the practical substitute.
 
 Per-iteration shift updates carry no cross-shift data flow, so the driver
-batches them: ``z, c, pi, L`` are numpy arrays over the active shifts
-(:class:`~resolvquad.shift_batch.ShiftBatch`), and one call of the
+batches them: ``z, c, pi`` are numpy arrays over the active shifts, ``L``
+is the last accepted value that their
+:class:`~resolvquad.shift_batch.ShiftBatch` holds, and one call of the
 elementwise :func:`shift_update` advances all of them.  The same function
 runs on Python scalars in :func:`shift_state_update`; the guards are masks
 over the batch and branches on a scalar.
@@ -225,8 +226,8 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
     # the array kernels leave inf/nan in exactly the shifts they then freeze
     with np.errstate(all="ignore"):
         k = 1
-        delta, s.pi, s.L = shift_start(s.z, s.c, alpha1)
-        batch.step(k, s.L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
+        delta, s.pi, L = shift_start(s.z, s.c, alpha1)
+        batch.step(k, L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
                    delta=delta)
 
         while k < max_iter and batch.running:
@@ -242,11 +243,11 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                 break
             beta, alpha_next = outcome.beta, outcome.alpha_next
             k += 1
-            delta, s.pi, s.c, s.L = shift_update(
-                s.z, alpha_next, beta * beta, s.c, s.pi, s.L)
+            delta, s.pi, s.c, L = shift_update(
+                s.z, alpha_next, beta * beta, s.c, s.pi, batch.value)
             # L_k is finite for every active shift, so a non-finite c_{k+1}
             # or pi_{k+1} leaves L_{k+1} non-finite too: the batch freezes it
-            batch.step(k, s.L,
+            batch.step(k, L,
                        (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
                        delta=delta)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from resolvquad import core
 from resolvquad.core import (
     HAPPY_BREAKDOWN_RTOL,
     SparseHermitianMatrix,
@@ -61,10 +62,11 @@ def _with_int64_indices(a):
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_matvec_is_scipys_product_bit_for_bit(rng, real, x_kind, index64):
     """``matvec`` calls scipy's ``csr_matvec`` kernel itself; its product
-    is the bits of ``csr.dot`` on the CSR it picks, whatever the vector's
-    dtype and strides and the CSR's index dtype.  A scipy release that
-    moves the private kernel fails the import, one that changes what
-    ``csr.dot`` runs fails here."""
+    is the bits of ``csr.dot`` on the matrix's CSR (for a real matrix and a
+    complex vector, on the ``complex128`` CSR with the same entries),
+    whatever the vector's dtype and strides and the CSR's index dtype.  A
+    scipy release that moves the private kernel fails the import, one that
+    changes what ``csr.dot`` runs fails here."""
     n = 57
     dense = random_hermitian_dense(rng, n, real=real)
     dense[np.abs(dense) < 0.1] = 0.0
@@ -75,7 +77,10 @@ def test_matvec_is_scipys_product_bit_for_bit(rng, real, x_kind, index64):
          "complex128": lambda: random_vector(rng, n),
          "int": lambda: rng.integers(-5, 6, size=n),
          "strided": lambda: random_vector(rng, 2 * n)[::2].real}[x_kind]()
-    csr = a._csr if real and x_kind != "complex128" else a._complex_csr
+    csr = a._csr
+    if real and x_kind == "complex128":
+        csr = sp.csr_matrix((csr.data.astype(np.complex128), csr.indices,
+                             csr.indptr), shape=csr.shape)
     want = csr.dot(x)
     got = a.matvec(x)
     assert got.dtype == want.dtype == csr.dtype
@@ -108,13 +113,13 @@ def test_is_real_flag():
 
 
 def test_to_dense_keeps_the_csr_dtype(rng):
-    """A real matrix gives a float64 dense copy without building the complex
-    CSR; a complex Hermitian matrix gives a complex128 one."""
+    """A real matrix gives a float64 dense copy without copying its values
+    to complex128; a complex Hermitian matrix gives a complex128 one."""
     real = SparseHermitianMatrix.from_dense(
         random_hermitian_dense(rng, 8, real=True))
     dense = real.to_dense()
     assert dense.dtype == np.float64
-    assert "_complex_csr" not in vars(real)
+    assert "_complex_data" not in vars(real)
     assert np.array_equal(dense, real._csr.toarray())
     cplx = SparseHermitianMatrix.from_dense(random_hermitian_dense(rng, 8))
     assert cplx.to_dense().dtype == np.complex128
@@ -185,8 +190,7 @@ def test_frobenius_norm(rng):
 def test_real_matrix_products(rng):
     """A real matrix keeps a float64 CSR: a real vector gives a float64
     product; a complex vector gives the product of the complex128 matrix
-    with the same entries, bitwise, from a complex CSR that shares the
-    index arrays."""
+    with the same entries, bitwise."""
     dense = random_hermitian_dense(rng, 30, real=True)
     a = SparseHermitianMatrix.from_dense(dense)
     assert a.is_real and a.values.dtype == np.float64
@@ -198,8 +202,31 @@ def test_real_matrix_products(rng):
     as_complex = sp.csr_matrix(dense.astype(np.complex128))
     as_complex.sort_indices()
     assert a.matvec(z).tobytes() == as_complex.dot(z).tobytes()
-    assert np.shares_memory(a._complex_csr.indices, a._csr.indices)
-    assert np.shares_memory(a._complex_csr.indptr, a._csr.indptr)
+
+
+@pytest.mark.parametrize("index64", [False, True], ids=["int32", "int64"])
+def test_complex_product_of_a_real_matrix_copies_no_index_array(
+        rng, monkeypatch, index64):
+    """The first complex product of a real matrix copies its values to
+    ``complex128`` and hands the kernel the matrix's own index arrays,
+    whatever their dtype."""
+    a = SparseHermitianMatrix.from_dense(
+        random_hermitian_dense(rng, 50, real=True))
+    if index64:
+        a = _with_int64_indices(a)
+    kernel = core.csr_matvec
+    seen = []
+
+    def spy(n_row, n_col, indptr, indices, data, x, y):
+        seen.append((indptr, indices, data))
+        kernel(n_row, n_col, indptr, indices, data, x, y)
+
+    monkeypatch.setattr(core, "csr_matvec", spy)
+    a.matvec(random_vector(rng, 50))
+    [(indptr, indices, data)] = seen
+    assert indptr is a._csr.indptr and indices is a._csr.indices
+    assert data.dtype == np.complex128
+    assert np.array_equal(data, a._csr.data)
 
 
 def test_frobenius_norm_near_overflow():

@@ -6,7 +6,6 @@ from resolvquad.error_estimate import (
     DelayedDifferenceWindow,
     EstimatorState,
     EstimatorUnavailable,
-    LagWindow,
     bridge_entry,
     corner_update,
 )
@@ -167,22 +166,17 @@ def test_happy_breakdown_flush_mu_zero_nu_exact():
 
 
 def test_delayed_difference_window_is_a_lag_window_of_one_shift(rng):
-    values = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    """Each report is the brute-force ``(k, |x_k - x_{k+d}|, |x_k|)`` of
+    the pushed sequence, due at the push of ``x_{k+d}``."""
+    xs = (rng.standard_normal(12) + 1j * rng.standard_normal(12)).tolist()
     lag = 4
-    batch = LagWindow(np.zeros(3), lag)
-    windows = [DelayedDifferenceWindow(lag) for _ in range(3)]
-    reports = 0
-    for column in values.T:
-        due = batch.push(column)
-        got = [w.push(complex(x)) for w, x in zip(windows, column)]
-        if due is None:
-            assert got == [None] * 3
-            continue
-        reports += 1
-        for i, (k, nu, scale) in enumerate(got):
-            assert (k, nu, scale) == (batch.k - lag, due[0][i], due[1][i])
-            assert nu == abs(values[i, k - 1] - values[i, k - 1 + lag])
-    assert reports == values.shape[1] - lag
+    window = DelayedDifferenceWindow(lag)
+    got = [window.push(x) for x in xs]
+    assert got[:lag] == [None] * lag
+    assert got[lag:] == [(k, abs(xs[k - 1] - xs[k - 1 + lag]), abs(xs[k - 1]))
+                         for k in range(1, len(xs) - lag + 1)]
+    with pytest.raises(ValueError):
+        DelayedDifferenceWindow(0)
 
 
 def test_estimator_rejects_bad_lag():

@@ -1,7 +1,9 @@
-"""The shift-batch drivers against per-shift scalar runs, the float64
-stream against the complex one, and the drivers' behaviour when the
-Lanczos stream itself stops being finite."""
+"""The shift-batch drivers against per-shift scalar runs, the batch's
+``nu`` stopping against a scan of each shift, the float64 stream against
+the complex one, and the drivers' behaviour when the Lanczos stream itself
+stops being finite."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from resolvquad.core import SolveStatus, SparseHermitianMatrix
 from resolvquad.lanczos import lanczos_init
+from resolvquad.shift_batch import ShiftBatch
 from resolvquad.shifted_lanczos import (
     run_quadratic_forms,
     shift_state_init,
@@ -135,6 +138,54 @@ def test_real_stream_agrees_with_phase_rotated_complex_stream(
             assert got.iterations == want.iterations
             assert abs(got.value - want.value) \
                 <= ROTATION_VALUE_RTOL * abs(want.value)
+
+
+def scan_nu_stopping(xs, failed, rtol, lag):
+    """``(status, iterations, value)`` of one shift stopped on ``nu``, by
+    brute force over its own accepted values."""
+    accepted = []
+    for k, (x, fail) in enumerate(zip(xs, failed), start=1):
+        if fail or not cmath.isfinite(x):
+            status = SolveStatus.BREAKDOWN if fail else SolveStatus.OVERFLOW
+            return status, k, accepted[-1] if accepted else None
+        accepted.append(x)
+        if len(accepted) > lag:
+            base = accepted[-1 - lag]
+            if abs(base - x) <= rtol * abs(base):
+                return SolveStatus.CONVERGED, k, x
+    return SolveStatus.MAX_ITER, len(xs), accepted[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+       iters=st.integers(1, 30), lag=st.integers(1, 5),
+       rtol=st.sampled_from([1e-1, 1e-3]),
+       fail_rate=st.sampled_from([0.0, 0.05, 0.2]))
+def test_nu_stopping_under_compaction_equals_a_scan_of_each_shift(
+        seed, m, iters, lag, rtol, fail_rate):
+    """Random value sequences (some converging, some with a non-finite
+    entry) and failure masks that freeze shifts in the middle of a lag
+    window: every outcome's status, iteration and value bits are those of
+    a scan of the shift's own accepted values."""
+    rng = np.random.default_rng(seed)
+    shape = (m, iters)
+    decay = rng.uniform(0.05, 1.1, size=(m, 1)) ** np.arange(1, iters + 1)
+    xs = (rng.standard_normal(m) + 1j * rng.standard_normal(m))[:, None] \
+        + decay * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    xs[rng.random(shape) < 0.02] = complex(math.inf, 0.0)
+    failed = rng.random(shape) < fail_rate
+    batch = ShiftBatch(np.arange(m) + 1j, rtol=rtol, lag=lag, reference=None,
+                       keep_history=False)
+    with np.errstate(all="ignore"):
+        for k in range(1, iters + 1):
+            if not batch.running:
+                break
+            at = (batch.active, k - 1)
+            batch.step(k, xs[at], (SolveStatus.BREAKDOWN, failed[at]))
+    outcomes = batch.finish(iters)
+    for out, x, fail in zip(outcomes, xs.tolist(), failed.tolist()):
+        assert (out.status, out.iterations, out.value) \
+            == scan_nu_stopping(x, fail, rtol, lag)
 
 
 def overflowing_matrix():
