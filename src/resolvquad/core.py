@@ -129,20 +129,6 @@ class SparseHermitianMatrix:
                    _fro_norm=stable_norm(values))
 
     @classmethod
-    def from_csr_arrays(cls, n, row_ptr, col_idx, values) -> "SparseHermitianMatrix":
-        values = np.asarray(values)
-        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
-        if csr.nnz != values.size:  # scipy drops entries past row_ptr[-1]
-            raise ValueError("row_ptr endpoints inconsistent with nnz")
-        return cls.from_csr(csr)
-
-    @classmethod
-    def from_coo(cls, n, rows, cols, values) -> "SparseHermitianMatrix":
-        """Build from 0-based triplets; duplicate ``(i, j)`` entries are summed."""
-        return cls.from_csr(
-            sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr())
-
-    @classmethod
     def from_dense(cls, a) -> "SparseHermitianMatrix":
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2:
@@ -153,7 +139,8 @@ class SparseHermitianMatrix:
     def diagonal(cls, d) -> "SparseHermitianMatrix":
         d = np.asarray(d, dtype=np.complex128)
         n = d.size
-        return cls.from_csr_arrays(n, np.arange(n + 1), np.arange(n), d)
+        return cls.from_csr(
+            sp.csr_matrix((d, np.arange(n), np.arange(n + 1)), shape=(n, n)))
 
     # -- queries -------------------------------------------------------------
 
@@ -386,7 +373,8 @@ class HistoryColumns:
                                   for p, n in zip(parts, sizes)], dtype)
             cols["has_" + name] = np.repeat([p is not None for p in parts],
                                             sizes).astype(bool)
-        order = np.lexsort((cols["k"], cols["shift"]))
+        # blocks come in k order, a shift once each: stable keeps k order
+        order = np.argsort(cols["shift"], kind="stable")
         cols = {name: col[order] for name, col in cols.items()}
         lanczos = None
         if self.stream is not None:

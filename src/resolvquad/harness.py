@@ -442,13 +442,6 @@ def _recorded(mrep: MethodReport) -> bool:
             and mrep.result.history is not None)
 
 
-def history_rows(report: ExperimentReport):
-    """Yield CSV rows (as strings, no newline) for every recorded iteration,
-    by method, then shift, then iteration."""
-    for lines in _history_chunks(report):
-        yield from lines
-
-
 def write_report(report: ExperimentReport, out_dir) -> dict:
     """Write ``history.csv`` (when recorded) and ``summary.json``."""
     out = Path(out_dir)

@@ -41,11 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HAPPY_BREAKDOWN_RTOL, NonFiniteError, SparseHermitianMatrix
+from .core import NonFiniteError, SparseHermitianMatrix
 
 __all__ = [
     "BLOCK",
-    "HAPPY_BREAKDOWN_RTOL",
     "LanczosCoefficients",
     "LanczosState",
     "StepOutcome",

@@ -71,6 +71,9 @@ def test_rejects_complex_matrix(runner, rng):
     v = random_vector(rng, 10)
     with pytest.raises(ValueError, match="real"):
         runner(a, v, [2.0j])
+    asymmetric = SparseHermitianMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        runner(asymmetric, np.ones(2), [2.0j])
 
 
 def test_cocg_seed_breakdown_on_isotropic_residual():
@@ -307,6 +310,8 @@ def test_config_validation():
             runner(a, v, [])
         with pytest.raises(ValueError, match="lag"):
             runner(a, v, [2.0 + 0j], lag=0)
+        with pytest.raises(ValueError, match="reference"):
+            runner(a, v, [2.0 + 0j], reference=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("runner", RUNNERS)

@@ -1,7 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import resolvquad
 from resolvquad import core
 from resolvquad.core import (
     HAPPY_BREAKDOWN_RTOL,
@@ -11,6 +14,32 @@ from resolvquad.core import (
 from resolvquad.mmio import read_matrix_market, write_matrix_market
 
 from conftest import random_hermitian_dense, random_vector
+
+
+ENTRY_POINTS = {
+    "__version__", "SolveStatus", "SparseHermitianMatrix", "QuadFormResult",
+    "bilinear_form", "run_quadratic_forms", "cocg_run", "cocr_run",
+    "minres_run", "parse_matrix_market", "read_matrix_market",
+    "write_matrix_market", "ExperimentConfig", "generate_unit_circle_shifts",
+    "run_experiment", "write_report",
+}
+
+
+def test_top_level_names_are_the_entry_points():
+    """The package exports the documented entry points, each the object of
+    its own module, and nothing else: the Lanczos stream and the scalar
+    recursions are imported from their modules."""
+    assert set(resolvquad.__all__) == ENTRY_POINTS
+    namespace = {}
+    exec("from resolvquad import *", namespace)
+    assert set(namespace) - {"__builtins__"} == ENTRY_POINTS
+    for name in ENTRY_POINTS - {"__version__"}:
+        obj = namespace[name]
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    for name in ("LanczosState", "lanczos_init", "lanczos_step",
+                 "shift_state_init", "shift_state_update", "EstimatorState",
+                 "bridge_entry", "corner_update", "givens"):
+        assert not hasattr(resolvquad, name)
 
 
 def test_matvec_identity():
@@ -126,36 +155,39 @@ def test_to_dense_keeps_the_csr_dtype(rng):
 
 
 def test_from_coo_sums_duplicates():
-    a = SparseHermitianMatrix.from_coo(
-        2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
+    coo = sp.coo_matrix(([1.0, 2.0, 3.0], ([0, 0, 1], [1, 1, 0])),
+                        shape=(2, 2))
+    a = SparseHermitianMatrix.from_csr(coo.tocsr())
     assert np.allclose(a.to_dense(), [[0.0, 3.0], [3.0, 0.0]])
 
 
 def test_csr_validation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SparseHermitianMatrix.from_csr_arrays(
-            2, [0, 1, 2], [0, 5], [1.0, 1.0])  # column out of range
-    with pytest.raises(ValueError):
-        SparseHermitianMatrix.from_csr_arrays(
-            2, [0, 2, 2], [1, 0], [1.0, 1.0])  # columns not increasing
-    with pytest.raises(ValueError):
-        SparseHermitianMatrix.from_csr_arrays(
-            2, [0, 2], [0, 1], [1.0, 1.0])  # row_ptr wrong length
+    for data, indices, indptr in (
+            ([1.0, 1.0], [0, 5], [0, 1, 2]),  # column out of range
+            ([1.0, 1.0], [1, 0], [0, 2, 2]),  # columns not increasing
+            ([1.0, 1.0], [0, 1], [0, 2])):  # row_ptr wrong length
+        with pytest.raises(ValueError):
+            SparseHermitianMatrix.from_csr(
+                sp.csr_matrix((data, indices, indptr), shape=(2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        SparseHermitianMatrix.from_dense([1.0, 2.0])  # 1-D
 
 
-@pytest.mark.parametrize("row_ptr,col_idx,values", [
-    ([0, 2, 2], [1, 1], [1.0, 1.0]),
-    ([0, 2, 2], [1, 0], [1.0, 1.0]),
-    ([0, 1, 2], [0, 1], [np.nan, 1.0]),
-    ([0, 1, 2], [0, 1], [1.0, np.inf]),
-    ([0, 1, 2], [0, 1], [1.0, complex(0.0, np.inf)]),
-    ([0, 1, 2], [-1, 1], [1.0, 1.0]),
-    ([0, 1, 1], [0, 1], [1.0, 1.0]),
+@pytest.mark.parametrize("row_ptr,col_idx,values,shape", [
+    ([0, 2, 2], [1, 1], [1.0, 1.0], (2, 2)),
+    ([0, 2, 2], [1, 0], [1.0, 1.0], (2, 2)),
+    ([0, 1, 2], [0, 1], [np.nan, 1.0], (2, 2)),
+    ([0, 1, 2], [0, 1], [1.0, np.inf], (2, 2)),
+    ([0, 1, 2], [0, 1], [1.0, complex(0.0, np.inf)], (2, 2)),
+    ([0, 1, 2], [-1, 1], [1.0, 1.0], (2, 2)),
+    ([0, 1, 2], [0, 1], [1.0, 1.0], (2, 3)),
 ], ids=["repeated-column", "unsorted-row", "nan", "inf", "complex-inf",
-        "negative-column", "entries-past-row-ptr-end"])
-def test_from_csr_arrays_rejects(row_ptr, col_idx, values):
+        "negative-column", "non-square"])
+def test_from_csr_arrays_rejects(row_ptr, col_idx, values, shape):
+    """``from_csr`` on a CSR built from these arrays raises."""
     with pytest.raises(ValueError):
-        SparseHermitianMatrix.from_csr_arrays(2, row_ptr, col_idx, values)
+        SparseHermitianMatrix.from_csr(
+            sp.csr_matrix((values, col_idx, row_ptr), shape=shape))
 
 
 def _assert_one_copy(a):
@@ -176,7 +208,8 @@ def test_arrays_are_the_csr_arrays(rng, tmp_path, real):
 
 
 def test_empty_rows_accepted():
-    a = SparseHermitianMatrix.from_csr_arrays(3, [0, 0, 1, 1], [1], [2.0])
+    a = SparseHermitianMatrix.from_csr(
+        sp.csr_matrix(([2.0], [1], [0, 0, 1, 1]), shape=(3, 3)))
     x = np.array([1.0, 10.0, 100.0])
     assert np.array_equal(a.matvec(x), [0.0, 20.0, 0.0])
 

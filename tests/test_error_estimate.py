@@ -195,6 +195,27 @@ def test_bridge_interior_zero_pivot_signals_unavailable():
         # phi_3 = z - alpha_{k+3} = 0 would be divided by in the recursion
         bridge_entry(2.0 + 0j, 1.0 + 0j, 1.0, [0.5, 1.0, 2.0], [0.7, 0.9],
                      [1.0, 1.0, 1.0])
+    with pytest.raises(EstimatorUnavailable, match="overflowed"):
+        bridge_entry(2.0 + 0j, 1e300 + 0j, 1e300, [0.5], [], [1e-300])
+    with pytest.raises(EstimatorUnavailable, match="corner"):
+        corner_update(1.0 + 0j, 0.5, 0j)
+    with pytest.raises(ValueError, match="tail lengths"):
+        bridge_entry(2.0 + 0j, 1.0 + 0j, 1.0, [0.5], [], [1.0, 1.0])
+
+
+def test_report_after_a_failed_corner_holds_nu_alone():
+    """A zero pivot at k = 2 fails the corner from there on: the report
+    for k = 2 carries ``nu`` and no ``mu``, ``g_abs`` or ``h_abs``, where
+    the one for k = 1 still has its corner."""
+    est = EstimatorState(2.0 + 0j, 1, 1.0)
+    pushes = [(1.0, None, 1.0 + 0j, 1.0 + 0j), (1.0, 1.0, 0j, 1.5 + 0j),
+              (1.0, 1.0, 1.0 + 0j, 1.75 + 0j)]
+    reports = [est.push(*p) for p in pushes]
+    assert reports[0] is None
+    assert (reports[1].k, reports[1].g_abs) == (1, 1.0)
+    failed = reports[2]
+    assert (failed.k, failed.nu) == (2, 0.25)
+    assert (failed.mu, failed.g_abs, failed.h_abs) == (None, None, None)
 
 
 def test_lag_contract_timing():

@@ -15,12 +15,12 @@ from resolvquad.core import (
     SparseHermitianMatrix,
 )
 from resolvquad.harness import (
+    CSV_HEADER,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
     MethodReport,
     generate_unit_circle_shifts,
-    history_rows,
     load_config_file,
     main,
     render_summary_table,
@@ -263,10 +263,10 @@ def test_one_row_run(tmp_path, diag_matrix_path):
     config = ExperimentConfig(matrix=diag_matrix_path, shifts=[2.0 + 1.0j],
                               methods=("minres",), history=True)
     report = run_experiment(config)
-    rows = list(history_rows(report))
-    assert len(rows) == report.methods[0].result.shifts[0].iterations
     paths = write_report(report, tmp_path / "out")
-    assert paths["summary"].exists() and paths["history"].exists()
+    assert paths["summary"].exists()
+    rows = paths["history"].read_text().splitlines()[1:]
+    assert len(rows) == report.methods[0].result.shifts[0].iterations
 
 
 def test_summary_contents(tmp_path, random_matrix_path):
@@ -797,12 +797,27 @@ def test_cli_repeated_shifts(tmp_path, random_matrix_path):
             assert all(again == first for again in repeats)
 
 
-def test_cli_shifts_subcommand(capsys):
+def test_cli_shifts_subcommand(capsys, diag_matrix_path):
     assert main(["shifts", "--spec", "unit-circle:m=4"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    lines = out.strip().splitlines()
     assert len(lines) == 4
     re0, im0 = (float(t) for t in lines[0].split())
     assert complex(re0, im0) == pytest.approx(cmath.exp(-3j * math.pi / 8))
+    # a trailing comma ends the spec's items
+    assert main(["shifts", "--spec", "unit-circle:m=4,"]) == 0
+    assert capsys.readouterr().out == out
+    # spectrum-offset: the shift on stdout, its metadata line on stderr
+    assert main(["shifts", "--spec", "spectrum-offset:zeta=0.5",
+                 "--matrix", str(diag_matrix_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1.0 0.5\n"
+    assert captured.err.startswith("# {")
+    meta = json.loads(captured.err[2:])
+    assert meta.pop("condition_number") == pytest.approx(
+        abs(1.0 + 0.5j - 2.0) / 0.5)
+    assert meta == {"extremal": "smallest", "lambda": 1.0, "lambda_max": 2.0,
+                    "lambda_min": 1.0, "zeta": 0.5}
 
 
 def test_cli_check_subcommand(diag_matrix_path, capsys):
@@ -812,7 +827,7 @@ def test_cli_check_subcommand(diag_matrix_path, capsys):
     assert "applicable_methods: lanczos,minres,cocg,cocr" in out
 
 
-def test_config_file_and_overrides(tmp_path, random_matrix_path):
+def test_config_file_and_overrides(tmp_path, random_matrix_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"""# benchmark config
 matrix = {random_matrix_path}
@@ -824,6 +839,17 @@ methods = lanczos,minres
     assert values["rtol"] == "1e-8"
     code = main(["run", "--config", str(cfg), "--rtol", "1e-6"])
     assert code == 0
+    # the history key: yes writes history.csv, maybe is an input error
+    text = cfg.read_text()
+    cfg.write_text(text + "history = yes\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "history.csv").read_text().startswith(CSV_HEADER + "\n")
+    cfg.write_text(text + "history = maybe\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: bad value for history: 'maybe'")
     with pytest.raises(ConfigError):
         load_config_file(tmp_path / "missing.cfg")
     bad = tmp_path / "bad.cfg"

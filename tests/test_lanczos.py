@@ -6,10 +6,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvquad.core import NonFiniteError, SparseHermitianMatrix
+from resolvquad.core import (
+    HAPPY_BREAKDOWN_RTOL,
+    NonFiniteError,
+    SparseHermitianMatrix,
+)
 from resolvquad.lanczos import (
     BLOCK,
-    HAPPY_BREAKDOWN_RTOL,
     _norm,
     _subtract_scaled,
     lanczos_init,
@@ -159,6 +162,32 @@ def test_non_finite_recurrence_raises():
     v = np.array([1.0, 1.0], dtype=complex)
     with pytest.raises(NonFiniteError):
         state = lanczos_init(a, v)
+        lanczos_step(state)
+
+
+def test_non_finite_alpha_1_raises():
+    """``alpha_1`` overflows where ``||A||_2`` does."""
+    a = SparseHermitianMatrix.from_dense([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(NonFiniteError, match="alpha_1 "):
+        lanczos_init(a, np.ones(2))
+
+
+def test_non_finite_alpha_in_a_step_raises(monkeypatch):
+    """No finite matrix overflows ``alpha_{k+1}``: a finite ``beta_k``
+    above the breakdown floor bounds ``||A||_F`` by about 1e168, so the
+    step's guard is reached through a product that is not finite."""
+    state = diag12_state()
+    monkeypatch.setattr(SparseHermitianMatrix, "matvec",
+                        lambda self, x: np.full_like(x, np.inf))
+    with pytest.raises(NonFiniteError, match="alpha_2 "):
+        lanczos_step(state)
+
+
+def test_step_past_the_invariant_subspace_raises():
+    state = diag12_state()
+    lanczos_step(state)
+    assert lanczos_step(state).invariant_subspace
+    with pytest.raises(RuntimeError, match="invariant subspace"):
         lanczos_step(state)
 
 

@@ -83,6 +83,13 @@ def test_bad_entry_is_a_matrix_market_error(body):
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n" + body))
 
 
+def test_unknown_field_is_rejected():
+    with pytest.raises(MatrixMarketError, match="unknown field"):
+        parse_matrix_market(io.StringIO(
+            "%%MatrixMarket matrix coordinate quaternion general\n"
+            "1 1 1\n1 1 1.0\n"))
+
+
 def test_gz_header_is_checked(tmp_path):
     path = tmp_path / "pattern.mtx.gz"
     with gzip.open(path, "wt") as fh:

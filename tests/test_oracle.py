@@ -148,6 +148,23 @@ def test_thomas_matches_numpy_solve(rng):
 def test_thomas_zero_pivot():
     with pytest.raises(ZeroPivotError):
         thomas_solve([1.5], [], 1.5, np.array([1.0], dtype=complex))
+    # z = 2 makes delta_2 = z - 1.5 - 0.25/(z - 1.5) = 0 for this data
+    with pytest.raises(ZeroPivotError, match="delta_2"):
+        thomas_solve([1.5, 1.5], [0.5], 2.0, np.ones(2, dtype=complex))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral_decomposition(np.ones(3), np.ones(3)),
+    lambda: spectral_decomposition(np.eye(2), np.zeros(2)),
+    lambda: tridiagonal_matrix([1.0], [], k=2),
+    lambda: thomas_solve([1.0], [], 2.0, np.ones(2)),
+    lambda: tridiag_resolvent_entry([1.0, 2.0], [0.5], 2.0j, 3, 1),
+    lambda: shifted_determinant_sequence([1.0, 2.0], [], 2.0j),
+], ids=["not-square", "zero-vector", "tridiagonal-order",
+        "thomas-order", "entry-outside", "determinant-order"])
+def test_oracles_reject_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_determinant_sequence_basics():

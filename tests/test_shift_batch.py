@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resolvquad.cg_variants import cocg_run, cocr_run
 from resolvquad.core import SolveStatus, SparseHermitianMatrix
 from resolvquad.lanczos import lanczos_init
 from resolvquad.shift_batch import ShiftBatch
@@ -21,7 +22,7 @@ from resolvquad.shifted_lanczos import (
 )
 from resolvquad.shifted_minres import minres_run
 
-from conftest import random_hermitian_dense, random_vector
+from conftest import random_hermitian_dense, random_vector, stream_problem
 
 AGREE_RTOL = 1e-12
 
@@ -230,3 +231,24 @@ def test_non_finite_first_coefficient_freezes_every_shift(driver):
     for out in res.shifts:
         assert out.status is SolveStatus.OVERFLOW
         assert out.value is None and out.iterations == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+       real=st.booleans(),
+       kind=st.sampled_from(["dense", "three", "eigvec", "bipartite"]),
+       scale=st.sampled_from([1.0, 1e150]))
+def test_no_recorded_value_is_non_finite(seed, n, real, kind, scale):
+    """``ShiftBatch.step`` freezes a shift whose new value is not finite as
+    ``overflow`` before it records the value, so no value cell of any
+    driver's history is NaN or infinite: on problems whose values overflow
+    (``v`` scaled by 1e150, shifts 1e-12 off an eigenvalue) and break down
+    (the Rayleigh-quotient shift, an eigenvector ``v``)."""
+    a, v, shifts = stream_problem(seed, n, real, kind, scale)
+    drivers = [run_quadratic_forms, minres_run]
+    if real:
+        drivers += [cocg_run, cocr_run]
+    for driver in drivers:
+        res = driver(a, v, shifts, max_iter=30, keep_history=True)
+        cols = res.history.columns()
+        assert np.all(np.isfinite(cols["value"][cols["has_value"]]))

@@ -56,6 +56,23 @@ def test_init_breakdown_on_real_interior_shift():
     assert st_.L is None
 
 
+def test_init_overflow_status():
+    st_ = shift_state_init(1.0 + 1e-10j, 1e308, 1.0)  # |L_1| = 1e318
+    assert st_.status is SolveStatus.OVERFLOW
+    assert st_.L is None
+
+
+@pytest.mark.parametrize("alpha2,beta1", [(1.0, 1.0), (0.0, 1e-150)],
+                         ids=["zero-pivot", "pivot-below-tol"])
+def test_update_breakdown_on_a_vanished_pivot(alpha2, beta1):
+    """``delta_2 = z - alpha_2 - beta_1^2 / delta_1`` is exactly 0, or
+    1e-300 <= TOL_DELTA; the state keeps ``L_1``."""
+    st_ = shift_state_init(0j, 1.0, 1.0)  # delta_1 = -1
+    shift_state_update(st_, alpha2, beta1)
+    assert st_.status is SolveStatus.BREAKDOWN
+    assert (st_.k, st_.L) == (1, -1.0)
+
+
 def test_init_pure_imaginary_shift():
     st_ = shift_state_init(1.0j, 2.0, 0.0)
     assert st_.L == pytest.approx(-2.0j, abs=1e-15)
@@ -447,6 +464,10 @@ def test_bilinear_diagonal_off_entry_is_zero():
     a = SparseHermitianMatrix.diagonal([1.0, 2.0])
     res = bilinear_form(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]), [3.0])
     assert res.values[0] == pytest.approx(0.0, abs=1e-14)
+    # z = 2 is alpha_1 = 2 of s = t = (1): a breakdown, so no value
+    res = bilinear_form(SparseHermitianMatrix.diagonal([2.0]),
+                        np.array([1.0]), np.array([0.0]), [2.0])
+    assert res.values == [None]
 
 
 def test_bilinear_matches_dense_solve(rng):
@@ -469,3 +490,5 @@ def test_bilinear_rejects_complex_inputs(rng):
     a_real = random_hermitian(rng, 8, real=True)
     with pytest.raises(ValueError):
         bilinear_form(a_real, random_vector(rng, 8), p, [2.0j])
+    with pytest.raises(ValueError, match="q must be real"):
+        bilinear_form(a_real, p, random_vector(rng, 8), [2.0j])

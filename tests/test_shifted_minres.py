@@ -47,6 +47,8 @@ def test_givens_zero_diagonal():
 def test_givens_both_zero_rejected():
     with pytest.raises(ValueError):
         givens(0.0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        givens(1.0, -1.0)
 
 
 @settings(max_examples=100, deadline=None)
