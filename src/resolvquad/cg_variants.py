@@ -92,13 +92,6 @@ class CollinearResult(MethodResult):
     seed_beta: list = field(default_factory=list)
     r_scalars: list = field(default_factory=list)
 
-    @property
-    def pi_history(self) -> list:
-        """Per shift, ``pi`` after each accepted iteration, read from its
-        history rows (``None`` per shift without history)."""
-        return [None if s.history is None else [row.pi for row in s.history]
-                for s in self.shifts]
-
 
 def _require_real_symmetric(a: SparseHermitianMatrix) -> None:
     if not a.is_real:
@@ -174,7 +167,8 @@ def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
 
     The default seed is the first shift farthest from the real axis.  The
     batch state holds ``sigma = z - z_s``, the ``pi`` pair (``pi_{-1} =
-    pi_0 = 1``), the projected direction ``p`` and the value (both zero).
+    pi_0 = 1``) and the projected direction ``p`` (zero); the value is the
+    batch's own.
     """
     _require_real_symmetric(a)
     batch = ShiftBatch(shifts, **batch_args)
@@ -184,7 +178,7 @@ def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
     z_s = complex(seed_shift)
     s.sigma = s.z - z_s
     s.pi_m1 = s.pi_m2 = np.ones(s.z.shape, dtype=np.complex128)
-    s.p = s.value = np.zeros(s.z.shape, dtype=np.complex128)
+    s.p = np.zeros(s.z.shape, dtype=np.complex128)
     if max_iter is None:
         max_iter = 2 * a.n
     return z_s, batch, max_iter
@@ -260,7 +254,7 @@ def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
     accepted with their ``pi``.
     """
     s = batch.state
-    s.pi_m2, s.pi_m1, s.p, s.value = s.pi_m1, pi_new, p_new, value_new
+    s.pi_m2, s.pi_m1, s.p = s.pi_m1, pi_new, p_new
     batch.step(k, value_new, (SolveStatus.PI_ZERO, cabs(pi_new) <= TOL_PI),
                (SolveStatus.OVERFLOW, ~np.isfinite(p_new)), pi=pi_new)
 
@@ -336,7 +330,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
                                      s.sigma)
         value_new, p_new = cocg_scalar_update(
-            s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_seed, r_scalar)
+            s.pi_m1, pi_new, s.p, batch.value, alpha_seed, beta_seed, r_scalar)
         _commit(batch, k, pi_new, value_new, p_new)
 
         p = r + beta_seed * p
@@ -405,7 +399,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
                                      s.sigma)
         value_new, p_new = cocr_scalar_update(
-            s.pi_m2, s.pi_m1, pi_new, s.p, s.value, alpha_seed, beta_prev,
+            s.pi_m2, s.pi_m1, pi_new, s.p, batch.value, alpha_seed, beta_prev,
             r_scalar_prev)
         _commit(batch, k, pi_new, value_new, p_new)
 

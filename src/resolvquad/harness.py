@@ -28,6 +28,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import platform
 import sys
 import time
@@ -109,8 +110,18 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {unknown}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"repeated methods in {list(self.methods)}")
         if not (isinstance(self.rtol, float) and self.rtol > 0):
             raise ConfigError("rtol must be a positive float")
+        for key in ("lag", "max_iter", "seed_shift"):
+            value = getattr(self, key)
+            if value is None and key != "lag":
+                continue
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.history, bool):
+            raise ConfigError(f"history must be True or False: {self.history!r}")
         if self.lag < 1:
             raise ConfigError("estimator lag must be >= 1")
         if self.max_iter is not None and self.max_iter < 1:
@@ -462,27 +473,21 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
     return paths
 
 
-def summary_dict(report: ExperimentReport) -> dict:
-    """The content of ``summary.json`` as plain JSON values."""
-    return _summary(report, _shift_dicts, _pair_lists)
-
-
 def summary_text(report: ExperimentReport) -> str:
-    """The text of ``summary.json``: exactly
-    ``json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\\n"``.
+    """The text of ``summary.json``: exactly what ``json.dumps(...,
+    indent=2, sort_keys=True) + "\\n"`` writes for its content.
 
     The per-shift rows and the shift and reference pair lists, which are
     nearly all of the file, are formatted column by column from templates;
     the rest of the dict goes through ``json.dumps``.
     """
-    return _render(_summary(report, _ShiftRows, _Pairs), "") + "\n"
+    return _render(_summary(report), "") + "\n"
 
 
-def _summary(report: ExperimentReport, rows, pairs) -> dict:
+def _summary(report: ExperimentReport) -> dict:
     """The summary dict, with the shift and reference lists as
-    ``pairs(values)`` and each method's shift list as
-    ``rows(outcomes, shifts)``, ``shifts`` being the shift list's pairs."""
-    shifts = pairs(report.shifts)
+    :class:`_Pairs` and each method's shift list as :class:`_ShiftRows`."""
+    shifts = _Pairs(report.shifts)
     methods = {}
     for mrep in report.methods:
         entry: dict = {"applicable": mrep.applicable}
@@ -495,7 +500,7 @@ def _summary(report: ExperimentReport, rows, pairs) -> dict:
                 "iterations": res.iterations,
                 "converged": res.converged,
                 "iterations_to_convergence": res.iterations_to_convergence,
-                "shifts": rows(res.shifts, shifts),
+                "shifts": _ShiftRows(res.shifts, shifts),
             })
         methods[mrep.method] = entry
     return {
@@ -504,7 +509,7 @@ def _summary(report: ExperimentReport, rows, pairs) -> dict:
         "shifts": shifts,
         "shift_meta": report.shift_meta,
         "reference_mode": report.reference_mode,
-        "reference_values": (pairs(report.reference_values)
+        "reference_values": (_Pairs(report.reference_values)
                              if report.reference_values is not None else None),
         "methods": methods,
         "environment": {
@@ -516,25 +521,6 @@ def _summary(report: ExperimentReport, rows, pairs) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         },
     }
-
-
-def _shift_dicts(shifts: list, _pairs: list) -> list:
-    return [
-        {
-            "index": i + 1,
-            "z": [s.z.real, s.z.imag],
-            "value": ([s.value.real, s.value.imag]
-                      if s.value is not None else None),
-            "iterations": s.iterations,
-            "status": s.status.value,
-            "residual_norm": s.residual_norm,
-        }
-        for i, s in enumerate(shifts)
-    ]
-
-
-def _pair_lists(values: list) -> list:
-    return [[x.real, x.imag] for x in values]
 
 
 # json's spelling of the floats whose repr is not JSON
@@ -585,7 +571,7 @@ class _Pairs:
 
 
 class _ShiftRows:
-    """A method's per-shift rows (:func:`_shift_dicts`), rendered by
+    """A method's per-shift rows, one per outcome, rendered by
     :func:`_render` column by column.  The ``z`` column reuses the texts of
     the report's shift list (:class:`_Pairs`) when it holds the same bits,
     as it does for every method of a run."""

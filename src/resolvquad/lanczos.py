@@ -73,7 +73,6 @@ class LanczosCoefficients:
 @dataclass
 class StepOutcome:
     invariant_subspace: bool
-    k: int
     beta: Optional[float] = None
     alpha_next: Optional[float] = None
 
@@ -156,7 +155,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
             raise NonFiniteError(f"beta_{k} is not finite")
         if beta_k <= state.a.breakdown_floor:
             state.exhausted = True
-            return StepOutcome(invariant_subspace=True, k=k)
+            return StepOutcome(invariant_subspace=True)
         v_next = state.v_prev
         if u.dtype == np.float64:
             np.divide(u, beta_k, out=v_next)
@@ -176,7 +175,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     state.v_curr = v_next
     state.u = u_next
     state.k = k + 1
-    return StepOutcome(invariant_subspace=False, k=k, beta=beta_k,
+    return StepOutcome(invariant_subspace=False, beta=beta_k,
                        alpha_next=alpha_next)
 
 

@@ -79,10 +79,12 @@ class ShiftBatch:
         self._outcomes: list = [None] * self.z.size
 
     @property
-    def value(self) -> Optional[np.ndarray]:
-        """The last accepted value of every active shift; ``None`` before
-        the first accepted iteration."""
-        return self.window[-1] if self.window else None
+    def value(self) -> np.ndarray:
+        """The last accepted value of every active shift; zeros before the
+        first accepted iteration, where every accumulator starts."""
+        if self.window:
+            return self.window[-1]
+        return np.zeros(self.active.size, dtype=np.complex128)
 
     @property
     def running(self) -> bool:
@@ -118,7 +120,7 @@ class ShiftBatch:
     def _close(self, pos: np.ndarray, status: SolveStatus, k: int) -> None:
         shifts = self.active[pos]
         n = pos.size
-        values = [None] * n if self.value is None else self.value[pos].tolist()
+        values = self.window[-1][pos].tolist() if self.window else [None] * n
         residuals = ([None] * n if self.residual is None
                      else _residual_norm(self.residual, pos).tolist())
         for i, z, x, r in zip(shifts.tolist(), self.z[shifts].tolist(),

@@ -18,9 +18,8 @@ handful of array operations: the rotation that meets the known zero above
 row ``k - 1`` is two products, ``-conj(s)`` of the last rotation is formed
 once for both ``f`` and the next column, the breakdown mask is formed only
 at an invariant subspace, and ``||r_0|| |f_{k+1}|`` only for the shifts
-that freeze, or for all of them when history is kept.  :func:`givens` and
-:func:`apply_rotation` run the same elementwise arithmetic on Python
-scalars.
+that freeze, or for all of them when history is kept.  :func:`givens` runs
+the same elementwise arithmetic on Python scalars.
 
 The rotations operate on the tridiagonal with *positive* off-diagonals
 (rotation input pair ``(r_kk, beta_k)`` with real ``beta_k >= 0``), which is
@@ -51,7 +50,6 @@ from .shifted_lanczos import QuadFormResult, stream_result
 
 __all__ = [
     "givens",
-    "apply_rotation",
     "minres_run",
 ]
 
@@ -79,15 +77,6 @@ def givens(a: complex, b: float) -> tuple[float, complex, complex]:
         return 0.0, 1.0 + 0j, complex(b)
     aa = abs(a)
     return _rotation(a, aa, b, math.hypot(aa, b))
-
-
-def apply_rotation(c, s, x, y):
-    """Apply ``[[c, s], [-conj(s), conj(c)]]`` to the pair ``(x, y)``.
-
-    ``c`` is real by the phase convention of :func:`givens`, so
-    ``conj(c) = c``; elementwise on arrays.
-    """
-    return c * x + s * y, -s.conjugate() * x + c * y
 
 
 def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
@@ -121,7 +110,6 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     s = batch.state
     zeros = np.zeros(s.z.shape, dtype=np.complex128)
     s.f = zeros + 1.0
-    s.value = zeros
     s.p1 = s.p2 = zeros  # p_{k-1}, p_{k-2}
     # G_{k-1}, G_{k-2}; the identity until two columns exist.  ns1 is
     # -conj(s1), which both f and the next column's rotation take
@@ -148,11 +136,11 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             k += 1
 
             # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
-            # G_{k-2} meets a zero in row k-2: apply_rotation(c2, s2, 0,
-            # beta_prev) is (s2 beta_prev, c2 beta_prev) up to the sign of a
-            # zero part of r2, which only scales p_{k-2} in a sum
+            # G_{k-2} meets a zero in row k-2: G_{k-2} (0, beta_prev) is
+            # (s2 beta_prev, c2 beta_prev) up to the sign of a zero part of
+            # r2, which only scales p_{k-2} in a sum
             r2 = s.s2 * beta_prev
-            # apply_rotation(c1, s1, c2 beta_prev, z - alpha_k)
+            # G_{k-1} (c2 beta_prev, z - alpha_k)
             x, y = s.c2 * beta_prev, s.z - alpha_k
             r1 = s.c1 * x + s.s1 * y
             r0 = s.ns1 * x + s.c1 * y
@@ -166,11 +154,11 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
                     # zI - A singular on the Krylov space: cannot divide
                     failed = ((SolveStatus.BREAKDOWN, swap),)
             p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
-            value_new = s.value + rnorm * c * s.f * p_new
+            value_new = batch.value + rnorm * c * s.f * p_new
             ns = -sn.conjugate()
             s.c2, s.s2, s.c1, s.s1, s.ns1 = s.c1, s.s1, c, sn, ns
             s.p2, s.p1 = s.p1, p_new
-            s.f, s.value = ns * s.f, value_new
+            s.f = ns * s.f
             # a non-finite p_new or f_new leaves value_new non-finite too
             batch.step(k, value_new, *failed, residual=(rnorm, s.f))
 

@@ -28,6 +28,14 @@ def random_vector(rng, n, real=False):
     return v.astype(np.complex128)
 
 
+def pi_history(result) -> list:
+    """Per shift of a COCG or COCR result, ``pi`` after each accepted
+    iteration, read from its history rows (``None`` per shift without
+    history)."""
+    return [None if s.history is None else [row.pi for row in s.history]
+            for s in result.shifts]
+
+
 def random_jacobi(rng, k):
     """Random Lanczos-style coefficients: real alphas, positive betas."""
     alpha = list(rng.standard_normal(k))

@@ -1,13 +1,16 @@
 import cmath
 import json
 import math
+import platform
+import time
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvquad import harness
+from resolvquad import __version__, harness
 from resolvquad.core import (
     MethodResult,
     ShiftOutcome,
@@ -25,7 +28,6 @@ from resolvquad.harness import (
     main,
     render_summary_table,
     run_experiment,
-    summary_dict,
     summary_text,
     write_report,
 )
@@ -88,6 +90,24 @@ def test_empty_methods_rejected(diag_matrix_path):
 def test_unknown_method_rejected(diag_matrix_path):
     config = ExperimentConfig(matrix=diag_matrix_path, methods=("qmr",))
     with pytest.raises(ConfigError):
+        run_experiment(config)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lag", 2.5), ("lag", True), ("lag", "2"), ("lag", None),
+    ("max_iter", "5"), ("max_iter", 5.0), ("max_iter", False),
+    ("seed_shift", 1.5), ("seed_shift", True),
+    ("history", "no"), ("history", 1), ("history", None),
+    ("methods", ("lanczos", "minres", "lanczos")),
+])
+def test_mistyped_config_rejected(diag_matrix_path, key, value):
+    """A value the drivers cannot take is a configuration error, raised
+    before anything runs: an integer key that is not an integer (or is a
+    ``bool``), a ``history`` that is not ``True`` or ``False``, a method
+    named twice."""
+    config = ExperimentConfig(matrix=diag_matrix_path,
+                              shifts=[1 + 1j, 2 + 1j], **{key: value})
+    with pytest.raises(ConfigError, match=key):
         run_experiment(config)
 
 
@@ -273,7 +293,7 @@ def test_summary_contents(tmp_path, random_matrix_path):
     config = ExperimentConfig(matrix=random_matrix_path,
                               shifts="unit-circle:m=4", reference="spectral")
     report = run_experiment(config)
-    summary = summary_dict(report)
+    summary = reference_summary(report)
     assert summary["matrix"]["n"] == 24
     assert summary["reference_mode"] == "spectral"
     assert set(summary["methods"]) == {"lanczos", "cocg", "cocr", "minres"}
@@ -290,10 +310,60 @@ def test_summary_contents(tmp_path, random_matrix_path):
     assert parsed["methods"]["lanczos"]["shifts"][0]["status"] == "converged"
 
 
+def reference_summary(report) -> dict:
+    """The content of ``summary.json`` as plain JSON values, built from the
+    report's own fields, apart from the writer's code."""
+    def pairs(values):
+        return [[x.real, x.imag] for x in values]
+
+    methods = {}
+    for mrep in report.methods:
+        entry = {"applicable": mrep.applicable}
+        if not mrep.applicable:
+            entry["skip_reason"] = mrep.skip_reason
+        else:
+            res = mrep.result
+            entry.update({
+                "wall_time_s": mrep.wall_time,
+                "iterations": res.iterations,
+                "converged": res.converged,
+                "iterations_to_convergence": res.iterations_to_convergence,
+                "shifts": [{
+                    "index": i,
+                    "z": [s.z.real, s.z.imag],
+                    "value": (None if s.value is None
+                              else [s.value.real, s.value.imag]),
+                    "iterations": s.iterations,
+                    "status": s.status.value,
+                    "residual_norm": s.residual_norm,
+                } for i, s in enumerate(res.shifts, start=1)],
+            })
+        methods[mrep.method] = entry
+    return {
+        "config": report.config,
+        "matrix": report.matrix_info,
+        "shifts": pairs(report.shifts),
+        "shift_meta": report.shift_meta,
+        "reference_mode": report.reference_mode,
+        "reference_values": (None if report.reference_values is None
+                             else pairs(report.reference_values)),
+        "methods": methods,
+        "environment": {
+            "package_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        },
+    }
+
+
 def json_oracle(report) -> str:
-    """``summary.json`` as ``json.dumps`` writes it; the writer must match
-    it byte for byte."""
-    return json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\n"
+    """``summary.json`` as ``json.dumps`` writes :func:`reference_summary`;
+    the writer must match it byte for byte."""
+    return json.dumps(reference_summary(report), indent=2,
+                      sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -630,6 +700,7 @@ REJECTED_INPUTS = {
     "offset-unknown-key": (
         ["--shifts", "spectrum-offset:zeta=0.1,extremel=largest"], None),
     "vector-negative-seed": (["--vector", "random:-1"], None),
+    "repeated-method": (["--methods", "lanczos,lanczos"], None),
     "config-bad-history": (["--config", "{file}"],
                            "matrix = {diag}\nhistory = on\n"),
     "out-is-a-file": (["--out", "{file}"], "not a directory\n"),

@@ -41,7 +41,7 @@ from resolvquad.shifted_lanczos import (
 )
 from resolvquad.shifted_minres import minres_run
 
-from conftest import random_hermitian_dense, random_vector
+from conftest import pi_history, random_hermitian_dense, random_vector
 
 DATA = Path(__file__).parent / "data"
 ALL_METHODS = ("lanczos", "minres", "cocg", "cocr")
@@ -132,8 +132,9 @@ def rows_record(report) -> dict:
         res = mrep.result
         out[mrep.method] = {
             "rows": [[row(r) for r in s.history] for s in res.shifts],
-            "pi": ([[[p.real, p.imag] for p in pis] for pis in res.pi_history]
-                   if hasattr(res, "pi_history") else None),
+            "pi": ([[[p.real, p.imag] for p in pis]
+                    for pis in pi_history(res)]
+                   if mrep.method in ("cocg", "cocr") else None),
         }
     return out
 

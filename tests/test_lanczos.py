@@ -57,7 +57,7 @@ def test_two_step_sequence_diag12():
     assert out1.alpha_next == pytest.approx(1.5, abs=1e-14)
     out2 = lanczos_step(state)
     assert out2.invariant_subspace
-    assert out2.k == 2
+    assert state.k == 2
 
 
 def test_identity_breaks_down_immediately(rng):
@@ -71,7 +71,7 @@ def test_eigenvector_start_breaks_down():
     e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     state = lanczos_init(a, e1)
     out = lanczos_step(state)
-    assert out.invariant_subspace and out.k == 1
+    assert out.invariant_subspace and state.k == 1
 
 
 def test_zero_vector_rejected():

@@ -13,7 +13,6 @@ from resolvquad.shift_batch import ShiftBatch
 from resolvquad.shifted_lanczos import run_quadratic_forms, stream_result
 from resolvquad.shifted_minres import (
     _rotation,
-    apply_rotation,
     givens,
     minres_run,
 )
@@ -163,6 +162,15 @@ def test_empty_shifts_rejected(rng):
     a = random_hermitian(rng, 5)
     with pytest.raises(ValueError):
         minres_run(a, random_vector(rng, 5), [])
+
+
+def apply_rotation(c, s, x, y):
+    """Apply ``[[c, s], [-conj(s), conj(c)]]`` to the pair ``(x, y)``.
+
+    ``c`` is real by the phase convention of :func:`givens`, so
+    ``conj(c) = c``; elementwise on arrays.
+    """
+    return c * x + s * y, -s.conjugate() * x + c * y
 
 
 def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
