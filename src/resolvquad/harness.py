@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, floatrepr
 from .cg_variants import cocg_run, cocr_run
 from .core import MethodResult, SolveStatus, SparseHermitianMatrix
 from .error_estimate import DEFAULT_LAG
@@ -105,6 +105,16 @@ class ExperimentConfig:
     out: Optional[Union[str, Path]] = None
 
     def validate(self) -> None:
+        if not isinstance(self.matrix, (str, Path)):
+            raise ConfigError(f"matrix must be a str or Path: {self.matrix!r}")
+        if not isinstance(self.vector, str):
+            raise ConfigError(f"vector must be a str: {self.vector!r}")
+        if not isinstance(self.shifts, str) and not _numbers(self.shifts):
+            raise ConfigError("shifts must be a spec str or a sequence of "
+                              f"numbers: {self.shifts!r}")
+        if isinstance(self.methods, str):
+            raise ConfigError("methods must be a sequence of names, not the "
+                              f"str {self.methods!r}")
         if not self.methods:
             raise ConfigError("methods list must not be empty")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
@@ -128,6 +138,15 @@ class ExperimentConfig:
             raise ConfigError("max_iter must be >= 1")
         if self.reference not in ("none", "dense", "spectral"):
             raise ConfigError(f"unknown reference mode {self.reference!r}")
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` is a 1-D sequence or array of numbers, no
+    ``bool`` among them."""
+    return (isinstance(value, (Sequence, np.ndarray))
+            and not isinstance(value, bytes) and np.ndim(value) == 1
+            and all(isinstance(z, numbers.Number) and not isinstance(z, bool)
+                    for z in value))
 
 
 @dataclass
@@ -410,42 +429,50 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # reports
 # ---------------------------------------------------------------------------
 
-# rows formatted at a time: bounds the strings alive at once
+# rows formatted at a time: bounds the bytes alive at once
 _CSV_CHUNK_ROWS = 1 << 14
-# status text by the codes of HistoryColumns.columns()
-_STATUS_TEXT = np.array([status.value for status in SolveStatus], dtype=object)
+# each status text by the codes of HistoryColumns.columns(), NUL-padded,
+# ending the row
+_STATUS_LINES = np.array(
+    [list(status.value.encode().ljust(max(len(s.value) for s in SolveStatus),
+                                      b"\0") + b"\n")
+     for status in SolveStatus], np.uint8)
+_COMMA = np.array([ord(",")], np.uint8)
 
 
-def _fmt(col: np.ndarray, present: np.ndarray) -> list:
-    """``repr`` of each present float, ``""`` for the others."""
-    out = np.full(col.size, "", dtype=object)
-    out[present] = list(map(float.__repr__, col[present].tolist()))
-    return out.tolist()
+def _csv_chunks(method: str, cols: dict):
+    """The CSV rows of one method's history columns, as bytes per chunk.
 
-
-def _csv_lines(method: str, cols: dict):
-    """Lists of CSV rows (no newline) of one method's history columns."""
+    Every field of a chunk goes into one NUL-padded byte matrix, with its
+    commas and newlines; the NULs are dropped when it is written out."""
+    head = np.frombuffer(method.encode() + b",", np.uint8)
     for a in range(0, cols["k"].size, _CSV_CHUNK_ROWS):
         c = {name: col[a:a + _CSV_CHUNK_ROWS] for name, col in cols.items()}
-        value, has_value = c["value"], c["has_value"]
-        fields = (
-            itertools.repeat(method),
-            map(str, (c["shift"] + 1).tolist()),
-            map(str, c["k"].tolist()),
-            _fmt(value.real, has_value),
-            _fmt(value.imag, has_value),
-            _fmt(c["mu"], c["has_mu"]),
-            _fmt(c["nu"], c["has_nu"]),
-            _fmt(c["rel_err"], c["has_rel_err"]),
-            _STATUS_TEXT[c["status"]].tolist(),
-        )
-        yield list(map(",".join, zip(*fields)))
+        rows = c["k"].size
+        value = c["value"]
+        floats = np.zeros((rows, 5, floatrepr.WIDTH + 1), np.uint8)
+        for j, (col, has) in enumerate((
+                (value.real, c["has_value"]), (value.imag, c["has_value"]),
+                (c["mu"], c["has_mu"]), (c["nu"], c["has_nu"]),
+                (c["rel_err"], c["has_rel_err"]))):
+            floats[has, j, :-1] = floatrepr.repr_cells(col[has])
+        floats[:, :, -1] = _COMMA
+        row = np.concatenate([
+            np.broadcast_to(head, (rows, head.size)),
+            floatrepr.int_cells(c["shift"] + 1),
+            np.broadcast_to(_COMMA, (rows, 1)),
+            floatrepr.int_cells(c["k"]),
+            np.broadcast_to(_COMMA, (rows, 1)),
+            floats.reshape(rows, -1),
+            _STATUS_LINES[c["status"]],
+        ], axis=1)
+        yield row.tobytes().translate(None, b"\0")
 
 
 def _history_chunks(report: ExperimentReport):
     for mrep in report.methods:
         if _recorded(mrep):
-            yield from _csv_lines(mrep.method, mrep.result.history.columns())
+            yield from _csv_chunks(mrep.method, mrep.result.history.columns())
 
 
 def _recorded(mrep: MethodReport) -> bool:
@@ -460,11 +487,9 @@ def write_report(report: ExperimentReport, out_dir) -> dict:
     paths = {}
     if any(map(_recorded, report.methods)):
         csv_path = out / "history.csv"
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for lines in _history_chunks(report):
-                fh.write("\n".join(lines))
-                fh.write("\n")
+        with open(csv_path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            fh.writelines(_history_chunks(report))
         paths["history"] = csv_path
     json_path = out / "summary.json"
     with open(json_path, "w", newline="\n") as fh:

@@ -98,15 +98,21 @@ def test_unknown_method_rejected(diag_matrix_path):
     ("max_iter", "5"), ("max_iter", 5.0), ("max_iter", False),
     ("seed_shift", 1.5), ("seed_shift", True),
     ("history", "no"), ("history", 1), ("history", None),
-    ("methods", ("lanczos", "minres", "lanczos")),
+    ("methods", ("lanczos", "minres", "lanczos")), ("methods", "lanczos"),
+    ("vector", None), ("vector", b"uniform"),
+    ("shifts", 5), ("shifts", [1 + 1j, "2"]), ("shifts", b"12"),
+    ("shifts", [True]),
+    ("matrix", 5), ("matrix", None),
 ])
 def test_mistyped_config_rejected(diag_matrix_path, key, value):
     """A value the drivers cannot take is a configuration error, raised
     before anything runs: an integer key that is not an integer (or is a
     ``bool``), a ``history`` that is not ``True`` or ``False``, a method
-    named twice."""
-    config = ExperimentConfig(matrix=diag_matrix_path,
-                              shifts=[1 + 1j, 2 + 1j], **{key: value})
+    named twice or a bare ``str`` of methods, a ``vector`` that is not a
+    ``str``, ``shifts`` that are neither a ``str`` nor a sequence of
+    numbers, a ``matrix`` that is neither a ``str`` nor a ``Path``."""
+    config = ExperimentConfig(**{"matrix": diag_matrix_path,
+                                 "shifts": [1 + 1j, 2 + 1j], key: value})
     with pytest.raises(ConfigError, match=key):
         run_experiment(config)
 

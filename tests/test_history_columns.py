@@ -239,12 +239,23 @@ def test_history_rows_carry_pi(tmp_path):
             assert [row.pi for row in s.history] == pis
 
 
-def reference_rows(report):
-    """The row-by-row formatter the column writer replaced, fed from the
-    per-shift ``HistoryEntry`` rows."""
+def reference_row(method, idx, k, value, mu, nu, rel_err, status):
+    """One CSV row as the row-by-row formatter the column writer replaced
+    wrote it: ``repr`` of each float, an empty cell for ``None``."""
     def fmt(x):
         return "" if x is None else repr(float(x))
 
+    return ",".join([
+        method, str(idx), str(k),
+        fmt(value.real if value is not None else None),
+        fmt(value.imag if value is not None else None),
+        fmt(mu), fmt(nu), fmt(rel_err), status.value,
+    ])
+
+
+def reference_rows(report):
+    """:func:`reference_row` of every history row, fed from the per-shift
+    ``HistoryEntry`` rows."""
     for mrep in report.methods:
         if not mrep.applicable or mrep.result is None:
             continue
@@ -252,14 +263,8 @@ def reference_rows(report):
             if shift.history is None:
                 continue
             for row in shift.history:
-                value = row.value
-                yield ",".join([
-                    mrep.method, str(idx), str(row.k),
-                    fmt(value.real if value is not None else None),
-                    fmt(value.imag if value is not None else None),
-                    fmt(row.mu), fmt(row.nu), fmt(row.rel_err),
-                    row.status.value,
-                ])
+                yield reference_row(mrep.method, idx, row.k, row.value,
+                                    row.mu, row.nu, row.rel_err, row.status)
 
 
 @settings(max_examples=25, deadline=None)
@@ -282,6 +287,56 @@ def test_column_writer_equals_row_formatter(seed, n, real, m, reference, lag,
         paths = write_report(report, tmp)
         text = paths["history"].read_text()
     assert text == "\n".join([CSV_HEADER, *reference_rows(report)]) + "\n"
+
+
+def synthetic_columns(rows: int) -> dict:
+    """History columns in every form a cell can take: negative values,
+    3-digit exponents, subnormals, integer-valued floats of 1e16 and more,
+    ``rel_err`` of ``inf`` and ``nan``, empty cells, every status, and
+    shift indices and iterations past 10**5."""
+    rng = np.random.default_rng(17)
+
+    def floats():
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        form = rng.integers(0, 8, rows)
+        x[form == 0] *= 1e-300  # 3-digit exponents and subnormals
+        sub = form == 1  # subnormals: k * 2**-1074 is exact
+        x[sub] = rng.integers(-2**52, 2**52, sub.sum()) * 5e-324
+        whole = form == 2
+        x[whole] = rng.choice([1e16, -1e16, 2.0**60, 123456789012345680.0,
+                               1e22, 0.0, -0.0], whole.sum())
+        return x
+
+    cols = {
+        "shift": rng.integers(0, 10**6, rows),
+        "k": rng.integers(1, 10**7, rows),
+        "value": np.empty(rows, np.complex128),
+        "mu": floats(), "nu": floats(), "rel_err": np.abs(floats()),
+        "status": (np.arange(rows) % len(SolveStatus)).astype(np.int8),
+    }
+    cols["value"].real, cols["value"].imag = floats(), floats()
+    cols["rel_err"][::97] = np.inf
+    cols["rel_err"][::89] = np.nan
+    for name in ("value", "mu", "nu", "rel_err"):
+        cols["has_" + name] = rng.random(rows) < 0.8
+    return cols
+
+
+def test_writer_renders_every_cell_form():
+    """The byte writer on synthetic columns, across a chunk boundary,
+    equals :func:`reference_row` on the same cells."""
+    cols = synthetic_columns(harness._CSV_CHUNK_ROWS + 1)
+    statuses = tuple(SolveStatus)
+
+    def cell(name, i):
+        return cols[name][i] if cols["has_" + name][i] else None
+
+    expected = "".join(
+        reference_row("cocr", int(cols["shift"][i]) + 1, int(cols["k"][i]),
+                      cell("value", i), cell("mu", i), cell("nu", i),
+                      cell("rel_err", i), statuses[cols["status"][i]]) + "\n"
+        for i in range(cols["k"].size))
+    assert b"".join(harness._csv_chunks("cocr", cols)) == expected.encode()
 
 
 @pytest.mark.parametrize("history", [False, True])
