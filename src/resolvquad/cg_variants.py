@@ -160,10 +160,9 @@ def cocr_scalar_update(pi_m2, pi_m1, pi_new, p_scalar, value, alpha_seed,
 # drivers
 # ---------------------------------------------------------------------------
 
-def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
-           seed_shift: Optional[complex], max_iter: Optional[int],
-           **batch_args):
-    """Check the run; its seed shift, shift batch and iteration limit.
+def _seeded_batch(a: SparseHermitianMatrix, shifts: Sequence[complex],
+                  seed_shift: Optional[complex], **batch_args):
+    """Check the run; its seed shift and shift batch.
 
     The default seed is the first shift farthest from the real axis.  The
     batch state holds ``sigma = z - z_s``, the ``pi`` pair (``pi_{-1} =
@@ -179,9 +178,7 @@ def _start(a: SparseHermitianMatrix, shifts: Sequence[complex],
     s.sigma = s.z - z_s
     s.pi_m1 = s.pi_m2 = np.ones(s.z.shape, dtype=np.complex128)
     s.p = np.zeros(s.z.shape, dtype=np.complex128)
-    if max_iter is None:
-        max_iter = 2 * a.n
-    return z_s, batch, max_iter
+    return z_s, batch
 
 
 def _exhausted(a: SparseHermitianMatrix, rnorm: float, rnorm_prev: float,
@@ -259,9 +256,6 @@ def _commit(batch: ShiftBatch, k: int, pi_new, value_new, p_new) -> None:
                (SolveStatus.OVERFLOW, ~np.isfinite(p_new)), pi=pi_new)
 
 
-# a vanished pi leaves inf/nan in exactly the shifts _commit freezes, and a
-# non-finite seed scalar or projection ends the run at one of its guards
-@np.errstate(all="ignore")
 def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
              shifts: Sequence[complex], *,
              rtol: Optional[float] = 1e-10,
@@ -273,45 +267,46 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     """Shifted COCG adapted to quadratic forms.
 
     Stopping mirrors :func:`~resolvquad.shifted_lanczos.run_quadratic_forms`.
+    A vanished seed product (``seed_breakdown``) or a non-finite seed
+    scalar (``overflow``) ends the run at the iteration being taken; an
+    exhausted Krylov space, converged, at the last accepted one.
     Seed recurrences use the unconjugated products ``r^T r`` and
     ``p^T (z_s I - A) p``; the per-shift projection scalars are the
     conjugating ``v^H``-products throughout (verified against the dense
     reference for complex ``v``).
     """
-    z_s, batch, max_iter = _start(
-        a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
-        reference=reference, keep_history=keep_history)
+    z_s, batch = _seeded_batch(a, shifts, seed_shift, rtol=rtol, lag=lag,
+                               reference=reference, keep_history=keep_history)
     v = np.ascontiguousarray(v, dtype=np.complex128)
     s = batch.state
+    seed_alpha, seed_beta, r_scalars = [], [], []
+    r, p = v.copy(), v.copy()  # r_0 = p_0 = v
+    # as advance(k) finds them: ||r_{k-1}||, ||r_{k-2}||, r_{k-1}^T r_{k-1}
+    # (as _seed_dot gives it), alpha_{k-2} and beta_{k-2}
+    rnorm = rnorm_prev = 0.0
+    rr_prev = (0j, 0)
+    alpha_prev, beta_prev = 1.0 + 0j, 0j
 
-    r = v.copy()
-    p = r.copy()
-    rnorm = stable_norm(r)
-    rr_prev = _seed_dot(r, r, rnorm, rnorm)  # r_0^T r_0
-    alpha_prev = 1.0 + 0j  # alpha_{-1}
-    beta_prev = 0j  # beta_{-1}
-    p0 = complex(np.vdot(v, r))  # p_0^{(i)} = v^H r_0
-    s.p = np.full(s.z.shape, p0, dtype=np.complex128)
-    seed_alpha: list[complex] = []
-    seed_beta: list[complex] = []
-    r_scalars: list[complex] = [p0]
+    def start():
+        nonlocal rnorm, rr_prev
+        rnorm = stable_norm(r)
+        rr_prev = _seed_dot(r, r, rnorm, rnorm)  # r_0^T r_0
+        p0 = complex(np.vdot(v, r))  # p_0^{(i)} = v^H r_0
+        s.p = np.full(s.z.shape, p0, dtype=np.complex128)
+        r_scalars.append(p0)
 
-    k = 0
-    rnorm_prev = 0.0  # ||r_{k-1}||
-    while k < max_iter and batch.running:
+    def advance(k: int):
+        nonlocal r, p, rnorm, rnorm_prev, rr_prev, alpha_prev, beta_prev
         if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
             # the collinear residual of every surviving shift vanished too
-            batch.freeze_all(k, SolveStatus.CONVERGED)
-            break
+            return SolveStatus.CONVERGED, k - 1
         rnorm_prev = rnorm
-        k += 1
         w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
         pnorm, wnorm = stable_norm(p), stable_norm(w)
         pap = _seed_dot(p, w, pnorm, wnorm)
         if (_vanished(pap, pnorm, wnorm)
                 or _vanished(rr_prev, rnorm_prev, rnorm_prev)):
-            batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
-            break
+            return SolveStatus.SEED_BREAKDOWN, k
         alpha_seed = _quotient(rr_prev, pap)  # alpha_{k-1}
         r = r - alpha_seed * w
         rnorm = stable_norm(r)
@@ -320,8 +315,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         r_scalar = complex(np.vdot(v, r))  # v^H r_k
         if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
                 and cmath.isfinite(r_scalar)):
-            batch.freeze_all(k, SolveStatus.OVERFLOW)
-            break
+            return SolveStatus.OVERFLOW, k
         seed_alpha.append(alpha_seed)
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
@@ -336,10 +330,10 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         p = r + beta_seed * p
         alpha_prev, beta_prev, rr_prev = alpha_seed, beta_seed, rr
 
+    k = batch.run(start, advance, max_iter, a.n)
     return _result("cocg", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 
-@np.errstate(all="ignore")
 def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
              shifts: Sequence[complex], *,
              rtol: Optional[float] = 1e-10,
@@ -350,49 +344,49 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
              seed_shift: Optional[complex] = None) -> CollinearResult:
     """Shifted COCR adapted to quadratic forms.
 
-    Stopping mirrors :func:`~resolvquad.shifted_lanczos.run_quadratic_forms`.
-    Residual-based seed recurrences: denominators are ``q^T q`` and the
-    bilinear forms ``r^T (z_s I - A) r``; the shifted matrix is applied to
-    the residual once per iteration and reused for the next search
-    direction.
+    Stopping and every end mirror :func:`cocg_run`.  Residual-based seed
+    recurrences: denominators are ``q^T q`` and the bilinear forms
+    ``r^T (z_s I - A) r``; the shifted matrix is applied to the residual
+    once per iteration and reused for the next search direction.
     """
-    z_s, batch, max_iter = _start(
-        a, shifts, seed_shift, max_iter, rtol=rtol, lag=lag,
-        reference=reference, keep_history=keep_history)
+    z_s, batch = _seeded_batch(a, shifts, seed_shift, rtol=rtol, lag=lag,
+                               reference=reference, keep_history=keep_history)
     v = np.ascontiguousarray(v, dtype=np.complex128)
     s = batch.state  # p_{-1}^{(i)} = 0; p_{k-1}^{(i)} is rebuilt each step
-
+    seed_alpha, seed_beta, r_scalars = [], [], []
     r = v.copy()
-    q = np.zeros_like(r)
-    w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
-    rnorm, wnorm_prev = stable_norm(r), stable_norm(w)
-    e_prev = _seed_dot(r, w, rnorm, wnorm_prev)  # r_0^T (z_s I - A) r_0
-    alpha_prev = 1.0 + 0j
-    beta_prev = 0j
-    r_scalar_prev = complex(np.vdot(v, r))  # v^H r_0
-    seed_alpha: list[complex] = []
-    seed_beta: list[complex] = []
-    r_scalars: list[complex] = [r_scalar_prev]
+    # as advance(k) finds them: q_{k-2}, w = (z_s I - A) r_{k-1}, ||r_{k-1}||,
+    # ||r_{k-2}||, ||w||, e_prev = r_{k-1}^T w (as _seed_dot gives it),
+    # alpha_{k-2}, beta_{k-2} and v^H r_{k-1}
+    q = w = np.zeros_like(r)
+    rnorm = rnorm_prev = wnorm_prev = 0.0
+    e_prev = (0j, 0)
+    alpha_prev, beta_prev = 1.0 + 0j, 0j
+    r_scalar_prev = 0j
 
-    k = 0
-    rnorm_prev = 0.0  # ||r_{k-1}||
-    while k < max_iter and batch.running:
+    def start():
+        nonlocal w, rnorm, wnorm_prev, e_prev, r_scalar_prev
+        w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
+        rnorm, wnorm_prev = stable_norm(r), stable_norm(w)
+        e_prev = _seed_dot(r, w, rnorm, wnorm_prev)  # r_0^T (z_s I - A) r_0
+        r_scalar_prev = complex(np.vdot(v, r))  # v^H r_0
+        r_scalars.append(r_scalar_prev)
+
+    def advance(k: int):
+        nonlocal r, q, w, rnorm, rnorm_prev, wnorm_prev, e_prev, \
+            alpha_prev, beta_prev, r_scalar_prev
         if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
             # the collinear residual of every surviving shift vanished too
-            batch.freeze_all(k, SolveStatus.CONVERGED)
-            break
+            return SolveStatus.CONVERGED, k - 1
         rnorm_prev = rnorm
-        k += 1
         q = w + beta_prev * q  # q_{k-1}
         qnorm = stable_norm(q)
         qq = _seed_dot(q, q, qnorm, qnorm)
         if _vanished(qq, qnorm, qnorm):
-            batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
-            break
+            return SolveStatus.SEED_BREAKDOWN, k
         alpha_seed = _quotient(e_prev, qq)  # alpha_{k-1}
         if not (cmath.isfinite(alpha_seed) and cmath.isfinite(qq[0])):
-            batch.freeze_all(k, SolveStatus.OVERFLOW)
-            break
+            return SolveStatus.OVERFLOW, k
         seed_alpha.append(alpha_seed)
         shared = (beta_prev / alpha_prev) * alpha_seed
 
@@ -409,18 +403,17 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         rnorm, wnorm = stable_norm(r), stable_norm(w)
         e = _seed_dot(r, w, rnorm, wnorm)
         if _vanished(e_prev, rnorm_prev, wnorm_prev):
-            batch.freeze_all(k, SolveStatus.SEED_BREAKDOWN)
-            break
+            return SolveStatus.SEED_BREAKDOWN, k
         beta_seed = _quotient(e, e_prev)  # beta_{k-1}
         if not (cmath.isfinite(beta_seed) and cmath.isfinite(r_scalar)):
-            batch.freeze_all(k, SolveStatus.OVERFLOW)
-            break
+            return SolveStatus.OVERFLOW, k
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
         alpha_prev, beta_prev = alpha_seed, beta_seed
         e_prev, wnorm_prev = e, wnorm
         r_scalar_prev = r_scalar
 
+    k = batch.run(start, advance, max_iter, a.n)
     return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 

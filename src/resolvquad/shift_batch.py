@@ -17,7 +17,9 @@ shifts and each iteration is a handful of array operations.  A
   arrays over the active shifts, and nothing is created per shift per
   iteration.  Its status cells and its lag-``d`` estimates, ``mu`` among
   them, are derived after the run from the outcomes and those columns; the
-  solve loop computes only the ``nu`` that stopping reads.
+  solve loop computes only the ``nu`` that stopping reads,
+* the run itself, :meth:`ShiftBatch.run`: the loop and every exit, around
+  each driver's ``(start, advance)`` kernel pair over its own stream.
 
 An iteration is one :meth:`ShiftBatch.step`: the shifts that failed (a
 breakdown, an overflow, a vanished ``pi``) freeze first, the others take the
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import HistoryColumns, ShiftOutcome, SolveStatus
+from .core import HistoryColumns, NonFiniteError, ShiftOutcome, SolveStatus
 from .error_estimate import cabs
 
 __all__ = ["ShiftBatch"]
@@ -195,6 +197,41 @@ class ShiftBatch:
         fills the history's pending estimates."""
         if self.history is not None:
             self.history.exact = self.active
+
+    # -- the run ----------------------------------------------------------------
+
+    def run(self, start, advance, max_iter: Optional[int], n: int) -> int:
+        """Drive a run to its end; return the last iteration whose values
+        were accepted, which :meth:`finish` takes.
+
+        ``start()`` sets the run up; ``advance(k)`` takes iteration ``k``
+        and returns ``None``, or ``(status, j)`` to end the run with every
+        active shift frozen at ``j``.  The run also ends once no shift is
+        active or after ``max_iter`` iterations (default ``2n``).  A
+        ``NonFiniteError`` ends it as ``OVERFLOW`` at the last accepted
+        iteration: Lanczos's ``L_1`` needs only ``alpha_1``, but MINRES's
+        ``M_1`` needs ``beta_1`` too, so a failed ``beta_1`` ends Lanczos
+        at 1 and MINRES at 0.  numpy's floating-point warnings are off:
+        the kernels leave inf/nan in exactly the shifts they then freeze.
+        """
+        if max_iter is None:
+            max_iter = 2 * n
+        elif max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        k = 0
+        with np.errstate(all="ignore"):
+            try:
+                start()
+                while k < max_iter and self.running:
+                    end = advance(k + 1)
+                    if end is not None:
+                        status, k = end
+                        self.freeze_all(k, status)
+                        break
+                    k += 1
+            except NonFiniteError:
+                self.freeze_all(k, SolveStatus.OVERFLOW)
+        return k
 
     def finish(self, k: int) -> list:
         """Freeze the shifts still active as ``MAX_ITER``; every outcome,

@@ -41,12 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    MethodResult,
-    NonFiniteError,
-    SolveStatus,
-    SparseHermitianMatrix,
-)
+from .core import MethodResult, SolveStatus, SparseHermitianMatrix
 from .error_estimate import DEFAULT_LAG
 from .lanczos import LanczosState, lanczos_init, lanczos_step
 from .shift_batch import ShiftBatch
@@ -206,51 +201,37 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
 
     Per-shift failures (breakdown, overflow) never abort the other shifts.
     A stream that stops being finite freezes every active shift as an
-    overflow with its last value.
+    overflow with its last value, at the last iteration it accepted (0
+    when ``alpha_1`` is not finite).
     """
-    try:
-        stream = lanczos_init(a, v)
-    except NonFiniteError:
-        stream = None
     batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
                        keep_history=keep_history)
-    if stream is None:
-        batch.freeze_all(0, SolveStatus.OVERFLOW)
-        return stream_result("lanczos", batch, 0, None)
-    if max_iter is None:
-        max_iter = 2 * a.n
-    alpha1 = stream.coeffs.alpha[0]
     s = batch.state
-    s.c = np.full(s.z.shape, stream.vnorm2, dtype=np.complex128)
+    stream: Optional[LanczosState] = None
 
-    # the array kernels leave inf/nan in exactly the shifts they then freeze
-    with np.errstate(all="ignore"):
-        k = 1
-        delta, s.pi, L = shift_start(s.z, s.c, alpha1)
-        batch.step(k, L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                   delta=delta)
+    def start():
+        nonlocal stream
+        stream = lanczos_init(a, v)
+        s.c = np.full(s.z.shape, stream.vnorm2, dtype=np.complex128)
 
-        while k < max_iter and batch.running:
-            try:
-                outcome = lanczos_step(stream)
-            except NonFiniteError:
-                batch.freeze_all(k, SolveStatus.OVERFLOW)
-                break
+    def advance(k: int):
+        if k == 1:
+            delta, s.pi, L = shift_start(s.z, s.c, stream.coeffs.alpha[0])
+        else:
+            outcome = lanczos_step(stream)
             if outcome.invariant_subspace:
                 # exhausted Krylov space: every surviving value is exact
                 batch.mark_exact()
-                batch.freeze_all(k, SolveStatus.CONVERGED)
-                break
-            beta, alpha_next = outcome.beta, outcome.alpha_next
-            k += 1
+                return SolveStatus.CONVERGED, k - 1
+            beta = outcome.beta
             delta, s.pi, s.c, L = shift_update(
-                s.z, alpha_next, beta * beta, s.c, s.pi, batch.value)
-            # L_k is finite for every active shift, so a non-finite c_{k+1}
-            # or pi_{k+1} leaves L_{k+1} non-finite too: the batch freezes it
-            batch.step(k, L,
-                       (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                       delta=delta)
+                s.z, outcome.alpha_next, beta * beta, s.c, s.pi, batch.value)
+        # L_{k-1} is finite for every active shift, so a non-finite c_k or
+        # pi_k (k > 1) leaves L_k non-finite too: the batch freezes it
+        batch.step(k, L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
+                   delta=delta)
 
+    k = batch.run(start, advance, max_iter, a.n)
     result = stream_result("lanczos", batch, k, stream)
     if result.history is not None:
         # mu is derived from the recorded history, with the pivots above

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NonFiniteError, SolveStatus, SparseHermitianMatrix
+from .core import SolveStatus, SparseHermitianMatrix
 from .error_estimate import DEFAULT_LAG, cabs
 from .lanczos import lanczos_init, lanczos_step, stream_vector
 from .shift_batch import ShiftBatch
@@ -92,21 +92,14 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     ``reference`` when supplied, otherwise the delayed-difference rule on
     ``M_k`` at lag ``lag``.  At an invariant subspace the final values are
     exact (the residual phase ``f`` vanishes) and surviving shifts freeze
-    as converged.  A stream that stops being finite freezes every active
-    shift as an overflow with its last value.
+    as converged at the iteration that took the last column.  A stream
+    that stops being finite freezes every active shift as an overflow with
+    its last value; ``M_k`` needs ``beta_k``, so a failed ``beta_1`` ends
+    the run at 0.
     """
     batch = ShiftBatch(shifts, rtol=rtol, lag=lag, reference=reference,
                        keep_history=keep_history)
     v = stream_vector(a, v)  # so the projections v^H v_k do not upcast
-    try:
-        stream = lanczos_init(a, v)
-    except NonFiniteError:
-        batch.freeze_all(0, SolveStatus.OVERFLOW)
-        return stream_result("minres", batch, 0, None)
-    if max_iter is None:
-        max_iter = 2 * a.n
-    rnorm = math.sqrt(stream.vnorm2)  # ||r_0|| = ||v||
-
     s = batch.state
     zeros = np.zeros(s.z.shape, dtype=np.complex128)
     s.f = zeros + 1.0
@@ -116,59 +109,54 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     s.c1 = s.c2 = np.ones(s.z.shape)
     s.s1 = s.s2 = zeros
     s.ns1 = -zeros.conjugate()
+    stream, rnorm = None, 0.0  # rnorm: ||r_0|| = ||v||
 
-    k = 0
-    alpha_k = stream.coeffs.alpha[0]
-    beta_prev = 0.0
-    qsign = 1.0  # (-1)^{k-1}: sign-flipped basis projection
-    q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
+    def start():
+        nonlocal stream, rnorm
+        stream = lanczos_init(a, v)
+        rnorm = math.sqrt(stream.vnorm2)
 
-    # the array kernels leave inf/nan in exactly the shifts they then freeze
-    with np.errstate(all="ignore"):
-        while k < max_iter and batch.running:
-            try:
-                outcome = lanczos_step(stream)
-            except NonFiniteError:
-                batch.freeze_all(k, SolveStatus.OVERFLOW)
-                break
-            exhausting = outcome.invariant_subspace
-            beta_k = 0.0 if exhausting else outcome.beta
-            k += 1
+    def advance(k: int):
+        coeffs = stream.coeffs  # alpha_1..alpha_k, beta_1..beta_{k-1}
+        alpha_k = coeffs.alpha[-1]
+        beta_prev = coeffs.beta[-1] if coeffs.beta else 0.0
+        # v^H v_k, projected on the sign-flipped basis (-1)^{k-1} v_k
+        qsign = 1.0 if k % 2 else -1.0
+        q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
+        outcome = lanczos_step(stream)
+        exhausting = outcome.invariant_subspace
+        beta_k = 0.0 if exhausting else outcome.beta
 
-            # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
-            # G_{k-2} meets a zero in row k-2: G_{k-2} (0, beta_prev) is
-            # (s2 beta_prev, c2 beta_prev) up to the sign of a zero part of
-            # r2, which only scales p_{k-2} in a sum
-            r2 = s.s2 * beta_prev
-            # G_{k-1} (c2 beta_prev, z - alpha_k)
-            x, y = s.c2 * beta_prev, s.z - alpha_k
-            r1 = s.c1 * x + s.s1 * y
-            r0 = s.ns1 * x + s.c1 * y
-            r0_abs = cabs(r0)
-            c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
-            failed = ()
-            if np.count_nonzero(r0_abs) < r0_abs.size:
-                swap = r0_abs == 0
-                c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
-                if beta_k == 0.0:
-                    # zI - A singular on the Krylov space: cannot divide
-                    failed = ((SolveStatus.BREAKDOWN, swap),)
-            p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
-            value_new = batch.value + rnorm * c * s.f * p_new
-            ns = -sn.conjugate()
-            s.c2, s.s2, s.c1, s.s1, s.ns1 = s.c1, s.s1, c, sn, ns
-            s.p2, s.p1 = s.p1, p_new
-            s.f = ns * s.f
-            # a non-finite p_new or f_new leaves value_new non-finite too
-            batch.step(k, value_new, *failed, residual=(rnorm, s.f))
+        # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
+        # G_{k-2} meets a zero in row k-2: G_{k-2} (0, beta_prev) is
+        # (s2 beta_prev, c2 beta_prev) up to the sign of a zero part of
+        # r2, which only scales p_{k-2} in a sum
+        r2 = s.s2 * beta_prev
+        # G_{k-1} (c2 beta_prev, z - alpha_k)
+        x, y = s.c2 * beta_prev, s.z - alpha_k
+        r1 = s.c1 * x + s.s1 * y
+        r0 = s.ns1 * x + s.c1 * y
+        r0_abs = cabs(r0)
+        c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
+        failed = ()
+        if np.count_nonzero(r0_abs) < r0_abs.size:
+            swap = r0_abs == 0
+            c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
+            if beta_k == 0.0:
+                # zI - A singular on the Krylov space: cannot divide
+                failed = ((SolveStatus.BREAKDOWN, swap),)
+        p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
+        value_new = batch.value + rnorm * c * s.f * p_new
+        ns = -sn.conjugate()
+        s.c2, s.s2, s.c1, s.s1, s.ns1 = s.c1, s.s1, c, sn, ns
+        s.p2, s.p1 = s.p1, p_new
+        s.f = ns * s.f
+        # a non-finite p_new or f_new leaves value_new non-finite too
+        batch.step(k, value_new, *failed, residual=(rnorm, s.f))
 
-            if exhausting:
-                # Krylov space exhausted: surviving values are exact
-                batch.freeze_all(k, SolveStatus.CONVERGED)
-                break
-            alpha_k = outcome.alpha_next
-            beta_prev = beta_k
-            qsign = -qsign
-            q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
+        if exhausting:
+            # Krylov space exhausted: surviving values are exact
+            return SolveStatus.CONVERGED, k
 
+    k = batch.run(start, advance, max_iter, a.n)
     return stream_result("minres", batch, k, stream)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvquad import cg_variants
+from resolvquad import cg_variants, shifted_lanczos, shifted_minres
 from resolvquad.cg_variants import (
     TOL_PI,
     cocg_run,
@@ -474,3 +474,31 @@ def test_driver_runs_the_audited_kernels(monkeypatch, rng, runner, update):
     assert calls[update] == active
     other, = set(KERNELS) - {"collinear_pi_update", update}
     assert calls[other] == []
+
+
+@pytest.mark.parametrize("runner, module", [
+    (run_quadratic_forms, shifted_lanczos), (minres_run, shifted_minres)])
+def test_driver_steps_its_stream_through_its_own_module(monkeypatch, runner,
+                                                        module):
+    """The benchmark's tracer times the stream where each driver looks up
+    ``lanczos_step``, at call time, in its own module: one call per
+    recorded ``beta_k``, plus the step that finds the invariant
+    subspace."""
+    modules = (shifted_lanczos, shifted_minres)
+    calls = dict.fromkeys(modules, 0)
+    for mod in modules:
+        def counting(stream, _mod=mod, _step=mod.lanczos_step):
+            calls[_mod] += 1
+            return _step(stream)
+
+        monkeypatch.setattr(mod, "lanczos_step", counting)
+    # three distinct eigenvalues: the Krylov space is exhausted at k = 3
+    a = SparseHermitianMatrix.diagonal([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+    v = np.arange(1.0, 7.0)
+    for max_iter, exhausted in ((2, False), (None, True)):
+        calls.update(dict.fromkeys(modules, 0))
+        res = runner(a, v, [1.0 + 1.0j, -2.0 + 0.5j], rtol=None,
+                     max_iter=max_iter)
+        assert (res.invariant_subspace_at is not None) is exhausted
+        assert calls == {mod: (len(res.beta) + exhausted if mod is module
+                               else 0) for mod in modules}

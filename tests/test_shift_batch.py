@@ -1,7 +1,7 @@
 """The shift-batch drivers against per-shift scalar runs, the batch's
 ``nu`` stopping against a scan of each shift, the float64 stream against
-the complex one, and the drivers' behaviour when the Lanczos stream itself
-stops being finite."""
+the complex one, the drivers' behaviour when the Lanczos stream itself
+stops being finite, and the run frame's own contract on fake kernels."""
 
 import cmath
 import math
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolvquad.cg_variants import cocg_run, cocr_run
-from resolvquad.core import SolveStatus, SparseHermitianMatrix
+from resolvquad.core import NonFiniteError, SolveStatus, SparseHermitianMatrix
 from resolvquad.lanczos import lanczos_init
 from resolvquad.shift_batch import ShiftBatch
 from resolvquad.shifted_lanczos import (
@@ -252,3 +252,126 @@ def test_no_recorded_value_is_non_finite(seed, n, real, kind, scale):
         res = driver(a, v, shifts, max_iter=30, keep_history=True)
         cols = res.history.columns()
         assert np.all(np.isfinite(cols["value"][cols["has_value"]]))
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+@pytest.mark.parametrize("driver",
+                         [run_quadratic_forms, minres_run, cocg_run, cocr_run])
+def test_max_iter_below_one_is_rejected(driver, max_iter):
+    a = SparseHermitianMatrix.diagonal([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^max_iter must be >= 1$"):
+        driver(a, np.ones(3), [1.0 + 1.0j], max_iter=max_iter)
+
+
+# ---------------------------------------------------------------------------
+# the run frame, on fake kernels
+# ---------------------------------------------------------------------------
+
+def fake_batch(m=3):
+    return ShiftBatch(np.arange(m) + 1j, rtol=None, lag=1, reference=None,
+                      keep_history=False)
+
+
+def accept(batch, k, *failed):
+    """Iteration ``k`` of every active shift, with the value ``k``."""
+    batch.step(k, np.full(batch.active.size, complex(k)), *failed)
+
+
+def ends(outcomes):
+    return [(out.status, out.iterations, out.value) for out in outcomes]
+
+
+@pytest.mark.parametrize("max_iter, n, taken", [(4, 100, 4), (None, 3, 6)])
+def test_frame_stops_at_max_iter(max_iter, n, taken):
+    """``max_iter`` defaults to ``2n``; the shifts still active end as
+    ``MAX_ITER`` in :meth:`ShiftBatch.finish`."""
+    batch = fake_batch()
+    seen = []
+
+    def advance(k):
+        seen.append(k)
+        accept(batch, k)
+
+    assert batch.run(lambda: None, advance, max_iter, n) == taken
+    assert seen == list(range(1, taken + 1))
+    assert ends(batch.finish(taken)) \
+        == [(SolveStatus.MAX_ITER, taken, complex(taken))] * 3
+
+
+def test_frame_stops_once_no_shift_is_active():
+    """Shift ``k - 1`` breaks down at iteration ``k``; the run ends when
+    the last one has, without another call of ``advance``."""
+    batch = fake_batch()
+    seen = []
+
+    def advance(k):
+        seen.append(k)
+        accept(batch, k, (SolveStatus.BREAKDOWN, batch.active == k - 1))
+
+    assert batch.run(lambda: None, advance, 100, 100) == 3
+    assert seen == [1, 2, 3]
+    assert ends(batch.finish(3)) == [(SolveStatus.BREAKDOWN, 1, None),
+                                     (SolveStatus.BREAKDOWN, 2, 1 + 0j),
+                                     (SolveStatus.BREAKDOWN, 3, 2 + 0j)]
+
+
+@pytest.mark.parametrize("status, back", [(SolveStatus.SEED_BREAKDOWN, 0),
+                                          (SolveStatus.CONVERGED, 1)])
+def test_frame_end_freezes_every_active_shift(status, back):
+    """``advance(3)`` ends the run at ``3 - back``: every shift still
+    active freezes there with the status and its last accepted value; a
+    shift that froze before keeps its own end."""
+    batch = fake_batch()
+
+    def advance(k):
+        if k == 3:
+            return status, k - back
+        accept(batch, k, (SolveStatus.BREAKDOWN, batch.active == 0))
+
+    assert batch.run(lambda: None, advance, 100, 100) == 3 - back
+    assert not batch.running
+    assert ends(batch.finish(3 - back)) == [
+        (SolveStatus.BREAKDOWN, 1, None),
+        (status, 3 - back, 2 + 0j), (status, 3 - back, 2 + 0j)]
+
+
+def test_frame_non_finite_start_ends_at_zero():
+    batch = fake_batch()
+
+    def start():
+        raise NonFiniteError("alpha_1 is not finite")
+
+    def advance(k):
+        raise AssertionError("advance called")
+
+    assert batch.run(start, advance, None, 10) == 0
+    assert ends(batch.finish(0)) == [(SolveStatus.OVERFLOW, 0, None)] * 3
+
+
+def test_frame_non_finite_stream_ends_at_the_last_accepted_iteration():
+    batch = fake_batch()
+
+    def advance(k):
+        if k == 4:
+            raise NonFiniteError("beta_3 is not finite")
+        accept(batch, k)
+
+    assert batch.run(lambda: None, advance, 100, 100) == 3
+    assert ends(batch.finish(3)) == [(SolveStatus.OVERFLOW, 3, 3 + 0j)] * 3
+
+
+def test_frame_silences_floating_point_warnings_inside_only():
+    """The suite turns a numpy ``RuntimeWarning`` into an error; inside the
+    frame, start and advance may divide by zero and overflow."""
+    batch = fake_batch()
+    before = np.geterr()
+
+    def start():
+        np.ones(1) / np.zeros(1)
+
+    def advance(k):
+        accept(batch, k, (SolveStatus.OVERFLOW, np.full(3, 1e308) * 10 > 0))
+
+    assert batch.run(start, advance, 5, 5) == 1
+    assert np.geterr() == before
+    assert ends(batch.finish(1)) == [(SolveStatus.OVERFLOW, 1, None)] * 3
