@@ -10,9 +10,12 @@ The runs:
   first use; ``large-n``'s is about 37 MB);
 * ``demos/05_benchmark_protocol.py``, run in a temporary directory.
 
-In ``summary.json`` the ``timestamp`` and every ``wall_time_s`` are
-masked.  The package is imported from ``PYTHONPATH``, so one copy of this
-script compares two versions; run both at the same BLAS thread count::
+In ``summary.json`` the ``timestamp``, every ``wall_time_s`` and the two
+input paths (the config echo's ``matrix`` and ``matrix.path``, which lie
+under the script's own checkout) are masked, so the same package gives the
+same digests from any checkout's copy of this script.  The package is
+imported from ``PYTHONPATH``; run both versions at the same BLAS thread
+count::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/output_digests.py > new.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=/path/to/old/src \\
@@ -47,6 +50,7 @@ INPUTS = ROOT / ".bench_cache" / "inputs"  # the benchmark's input cache
 MASKS = (
     (re.compile(r'("timestamp": )"[^"]*"'), r'\1"<masked>"'),
     (re.compile(r'("wall_time_s": )[^,\n]*'), r'\1"<masked>"'),
+    (re.compile(r'("(?:matrix|path)": )"(?:[^"\\]|\\.)*"'), r'\1"<masked>"'),
 )
 
 

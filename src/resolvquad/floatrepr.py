@@ -1,9 +1,9 @@
 """``float.__repr__`` and ``int.__str__`` of whole numpy columns, as ASCII.
 
-``history.csv`` prints every float as ``repr`` does: the shortest decimal
-string that reads back as the same double, in fixed notation for decimal
-exponents from -4 to 15 and in ``1.5e-05`` form otherwise.  One ``repr``
-call per cell is most of the writer's time, so :func:`repr_cells` finds
+``history.csv`` and ``summary.json`` print floats as ``repr`` does: the
+shortest decimal string that reads back as the same double, in fixed notation
+for decimal exponents from -4 to 15 and in ``1.5e-05`` form otherwise.  One
+``repr`` call per cell is most of a writer's time, so :func:`repr_cells` finds
 the digits of a whole column at once with Ryu's shortest round-trip digit
 search (Ulf Adams, "Ryu: fast float-to-string conversion", PLDI 2018) on
 ``uint64`` arrays, and lays them out with one table-driven gather.

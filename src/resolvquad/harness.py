@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -42,7 +41,12 @@ import scipy
 
 from . import __version__, floatrepr
 from .cg_variants import cocg_run, cocr_run
-from .core import MethodResult, SolveStatus, SparseHermitianMatrix
+from .core import (
+    _STATUS_CODE,
+    MethodResult,
+    SolveStatus,
+    SparseHermitianMatrix,
+)
 from .error_estimate import DEFAULT_LAG
 from .mmio import read_matrix_market
 from .oracle import (
@@ -431,21 +435,26 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 # rows formatted at a time: bounds the bytes alive at once
 _CSV_CHUNK_ROWS = 1 << 14
-# each status text by the codes of HistoryColumns.columns(), NUL-padded,
-# ending the row
-_STATUS_LINES = np.array(
+# each status text by the codes of HistoryColumns.columns(), NUL-padded
+_STATUS_CELLS = np.array(
     [list(status.value.encode().ljust(max(len(s.value) for s in SolveStatus),
-                                      b"\0") + b"\n")
+                                      b"\0"))
      for status in SolveStatus], np.uint8)
-_COMMA = np.array([ord(",")], np.uint8)
+
+
+def _lay_out(parts: list, rows: int) -> np.ndarray:
+    """``rows`` rows of text, each the concatenation of ``parts``: byte
+    strings that every row repeats and NUL-padded ``(rows, width)`` uint8
+    cell matrices.  The result is such a matrix too; its text is
+    ``tobytes().translate(None, b"\\0")``."""
+    return np.concatenate([
+        np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+        if isinstance(p, bytes) else p for p in parts], axis=1)
 
 
 def _csv_chunks(method: str, cols: dict):
-    """The CSV rows of one method's history columns, as bytes per chunk.
-
-    Every field of a chunk goes into one NUL-padded byte matrix, with its
-    commas and newlines; the NULs are dropped when it is written out."""
-    head = np.frombuffer(method.encode() + b",", np.uint8)
+    """The CSV rows of one method's history columns, as bytes per chunk."""
+    head = method.encode() + b","
     for a in range(0, cols["k"].size, _CSV_CHUNK_ROWS):
         c = {name: col[a:a + _CSV_CHUNK_ROWS] for name, col in cols.items()}
         rows = c["k"].size
@@ -456,17 +465,11 @@ def _csv_chunks(method: str, cols: dict):
                 (c["mu"], c["has_mu"]), (c["nu"], c["has_nu"]),
                 (c["rel_err"], c["has_rel_err"]))):
             floats[has, j, :-1] = floatrepr.repr_cells(col[has])
-        floats[:, :, -1] = _COMMA
-        row = np.concatenate([
-            np.broadcast_to(head, (rows, head.size)),
-            floatrepr.int_cells(c["shift"] + 1),
-            np.broadcast_to(_COMMA, (rows, 1)),
-            floatrepr.int_cells(c["k"]),
-            np.broadcast_to(_COMMA, (rows, 1)),
-            floats.reshape(rows, -1),
-            _STATUS_LINES[c["status"]],
-        ], axis=1)
-        yield row.tobytes().translate(None, b"\0")
+        floats[:, :, -1] = ord(",")
+        yield _lay_out([head, floatrepr.int_cells(c["shift"] + 1), b",",
+                        floatrepr.int_cells(c["k"]), b",",
+                        floats.reshape(rows, -1), _STATUS_CELLS[c["status"]],
+                        b"\n"], rows).tobytes().translate(None, b"\0")
 
 
 def _history_chunks(report: ExperimentReport):
@@ -503,16 +506,16 @@ def summary_text(report: ExperimentReport) -> str:
     indent=2, sort_keys=True) + "\\n"`` writes for its content.
 
     The per-shift rows and the shift and reference pair lists, which are
-    nearly all of the file, are formatted column by column from templates;
-    the rest of the dict goes through ``json.dumps``.
+    nearly all of the file, are laid out as ``history.csv`` is, with
+    :func:`_lay_out` from :func:`floatrepr.repr_cells`; the rest of the dict
+    goes through ``json.dumps``.
     """
     return _render(_summary(report), "") + "\n"
 
 
 def _summary(report: ExperimentReport) -> dict:
-    """The summary dict, with the shift and reference lists as
-    :class:`_Pairs` and each method's shift list as :class:`_ShiftRows`."""
-    shifts = _Pairs(report.shifts)
+    """The summary dict, with the shift and reference lists and each
+    method's shift list as callables that render them at a given indent."""
     methods = {}
     for mrep in report.methods:
         entry: dict = {"applicable": mrep.applicable}
@@ -525,17 +528,18 @@ def _summary(report: ExperimentReport) -> dict:
                 "iterations": res.iterations,
                 "converged": res.converged,
                 "iterations_to_convergence": res.iterations_to_convergence,
-                "shifts": _ShiftRows(res.shifts, shifts),
+                "shifts": functools.partial(_shift_rows, res.shifts),
             })
         methods[mrep.method] = entry
     return {
         "config": report.config,
         "matrix": report.matrix_info,
-        "shifts": shifts,
+        "shifts": functools.partial(_pair_list, report.shifts),
         "shift_meta": report.shift_meta,
         "reference_mode": report.reference_mode,
-        "reference_values": (_Pairs(report.reference_values)
-                             if report.reference_values is not None else None),
+        "reference_values": (
+            functools.partial(_pair_list, report.reference_values)
+            if report.reference_values is not None else None),
         "methods": methods,
         "environment": {
             "package_version": __version__,
@@ -548,110 +552,91 @@ def _summary(report: ExperimentReport) -> dict:
     }
 
 
-# json's spelling of the floats whose repr is not JSON
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_STATUS_JSON = {status: json.dumps(status.value) for status in SolveStatus}
+def _json_cells(x: np.ndarray) -> np.ndarray:
+    """:func:`floatrepr.repr_cells` of ``x``, with NaN and the infinities
+    spelled as ``json.dumps`` spells them."""
+    cells = floatrepr.repr_cells(x)
+    for word, at in ((b"NaN", np.isnan(x)), (b"Infinity", x == np.inf),
+                     (b"-Infinity", x == -np.inf)):
+        cells[at] = np.frombuffer(word.ljust(floatrepr.WIDTH, b"\0"),
+                                  np.uint8)
+    return cells
 
 
-def _floats(xs) -> list:
-    """Each float as ``json.dumps`` writes it: its ``repr``, or ``NaN``,
-    ``Infinity`` or ``-Infinity``."""
-    return [_NON_FINITE.get(t, t) for t in map(float.__repr__, xs)]
+def _or_null(cells: np.ndarray, has: np.ndarray) -> np.ndarray:
+    """``cells`` on the rows where ``has`` is true, ``null`` on the others."""
+    out = np.zeros((has.size, cells.shape[1]), np.uint8)
+    out[~has, :4] = np.frombuffer(b"null", np.uint8)
+    out[has] = cells
+    return out
 
 
-def _parts(values: list) -> tuple:
-    """The texts of the real parts and of the imaginary parts of ``values``."""
-    return (_floats([x.real for x in values]),
-            _floats([x.imag for x in values]))
+def _pair(real: np.ndarray, imag: np.ndarray, pad: str) -> np.ndarray:
+    """``[real, imag]`` as ``json.dumps`` nests it at ``pad``, as cells."""
+    return _lay_out([f"[\n{pad}  ".encode(), real, f",\n{pad}  ".encode(),
+                     imag, f"\n{pad}]".encode()], len(real))
 
 
-def _pair_texts(parts: tuple, pad: str) -> list:
-    """Each ``[x.real, x.imag]`` of :func:`_parts`, as ``json.dumps`` nests
-    it at ``pad``."""
-    template = f"[\n{pad}  %s,\n{pad}  %s\n{pad}]"
-    return [template % pair for pair in zip(*parts)]
-
-
-def _list_text(items: list, pad: str) -> str:
-    """A list of rendered items, as ``json.dumps`` nests it at ``pad``."""
-    if not items:
+def _json_list(parts: list, rows: int, pad: str) -> str:
+    """A list of ``rows`` items laid out from ``parts``, as ``json.dumps``
+    nests it at ``pad``."""
+    if not rows:
         return "[]"
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+    items = _lay_out([f",\n{pad}  ".encode(), *parts], rows)
+    # drop the first item's comma
+    return ("[" + items.tobytes().translate(None, b"\0")[1:].decode()
+            + f"\n{pad}]")
 
 
-class _Pairs:
-    """``[[x.real, x.imag] for x in values]``, rendered by :func:`_render`
-    column by column."""
-
-    def __init__(self, values: list):
-        self.values = values
-
-    @functools.cached_property
-    def parts(self) -> tuple:
-        """:func:`_parts` of the values, formatted once."""
-        return _parts(self.values)
-
-    def render(self, pad: str) -> str:
-        return _list_text(_pair_texts(self.parts, pad + "  "), pad)
+def _pair_list(values: list, pad: str) -> str:
+    """``[[x.real, x.imag] for x in values]``, as ``json.dumps`` nests it at
+    ``pad``."""
+    z = np.array(values, np.complex128)
+    cells = _json_cells(np.concatenate([z.real, z.imag]))
+    return _json_list([_pair(cells[:z.size], cells[z.size:], pad + "  ")],
+                      z.size, pad)
 
 
-class _ShiftRows:
-    """A method's per-shift rows, one per outcome, rendered by
-    :func:`_render` column by column.  The ``z`` column reuses the texts of
-    the report's shift list (:class:`_Pairs`) when it holds the same bits,
-    as it does for every method of a run."""
-
-    def __init__(self, outcomes: list, shifts: _Pairs):
-        self.outcomes = outcomes
-        self.shifts = shifts
-
-    def render(self, pad: str) -> str:
-        outcomes = self.outcomes
-        key = pad + "    "  # the rows' keys; the pairs open at this indent
-        z = [s.z for s in outcomes]
-        z_text = _pair_texts(self.shifts.parts if _same_bits(
-            z, self.shifts.values) else _parts(z), key)
-        has_value = [s.value is not None for s in outcomes]
-        value_text = iter(_pair_texts(_parts(
-            [s.value for s in outcomes if s.value is not None]), key))
-        residual = [s.residual_norm for s in outcomes]
-        residual_text = iter(_floats([r for r in residual if r is not None]))
-        template = "\n".join((
-            "{",
-            key + '"index": %d,',
-            key + '"iterations": %d,',
-            key + '"residual_norm": %s,',
-            key + '"status": %s,',
-            key + '"value": %s,',
-            key + '"z": %s',
-            pad + "  }"))
-        rows = [
-            template % (
-                i, s.iterations,
-                next(residual_text) if r is not None else "null",
-                _STATUS_JSON[s.status],
-                next(value_text) if has else "null",
-                zt)
-            for i, s, r, has, zt in zip(itertools.count(1), outcomes,
-                                        residual, has_value, z_text)]
-        return _list_text(rows, pad)
-
-
-def _same_bits(a: list, b: list) -> bool:
-    """Whether two lists of complex numbers hold the same bits, signed
-    zeros and NaN payloads included."""
-    return len(a) == len(b) and (np.array(a, np.complex128).tobytes()
-                                 == np.array(b, np.complex128).tobytes())
+def _shift_rows(outcomes: list, pad: str) -> str:
+    """A method's per-shift rows, one per outcome, as ``json.dumps`` nests
+    them at ``pad``."""
+    key = pad + "    "  # the rows' keys; the pairs open at this indent
+    value = np.array([s.value for s in outcomes], object)
+    residual = np.array([s.residual_norm for s in outcomes], object)
+    has_value = np.not_equal(value, None)
+    has_residual = np.not_equal(residual, None)
+    value = value[has_value].astype(np.complex128)
+    z = np.array([s.z for s in outcomes], np.complex128)
+    # every float of the list in one call, split back by column
+    columns = (residual[has_residual].astype(np.float64), value.real,
+               value.imag, z.real, z.imag)
+    residual_cells, value_re, value_im, z_re, z_im = np.split(
+        _json_cells(np.concatenate(columns)),
+        np.cumsum([c.size for c in columns[:-1]]))
+    return _json_list([
+        f'{{\n{key}"index": '.encode(),
+        floatrepr.int_cells(np.arange(1, z.size + 1)),
+        f',\n{key}"iterations": '.encode(),
+        floatrepr.int_cells([s.iterations for s in outcomes]),
+        f',\n{key}"residual_norm": '.encode(),
+        _or_null(residual_cells, has_residual),
+        f',\n{key}"status": "'.encode(),
+        _STATUS_CELLS[[_STATUS_CODE[s.status] for s in outcomes]],
+        f'",\n{key}"value": '.encode(),
+        _or_null(_pair(value_re, value_im, key), has_value),
+        f',\n{key}"z": '.encode(), _pair(z_re, z_im, key),
+        f"\n{pad}  }}".encode()], z.size, pad)
 
 
 def _render(obj, pad: str) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` as it appears nested at
-    indent ``pad``, with :class:`_Pairs` and :class:`_ShiftRows` values
-    rendered by their own ``render``.  Dicts with string keys are walked to
-    reach those values; anything else goes to ``json.dumps`` whole, whose
-    nested text is its top-level text with ``pad`` after every newline."""
-    if isinstance(obj, (_Pairs, _ShiftRows)):
-        return obj.render(pad)
+    indent ``pad``, with each callable value (a list renderer that
+    :func:`_summary` puts in) called with ``pad``.  Dicts with string keys
+    are walked to reach those values; anything else goes to ``json.dumps``
+    whole, whose nested text is its top-level text with ``pad`` after every
+    newline."""
+    if callable(obj):
+        return obj(pad)
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         inner = pad + "  "
         items = [f"{json.dumps(k)}: {_render(obj[k], inner)}"

@@ -401,15 +401,16 @@ def overflowing_report(tmp_path):
     return report
 
 
-@pytest.mark.parametrize("case", ["skipped-dense", "breakdown-k1", "huge",
-                                  "one-shift-odd-path"])
+@pytest.mark.parametrize("case", ["skipped-dense", "breakdown-k1", "all-null",
+                                  "huge", "one-shift-odd-path"])
 def test_summary_text_equals_json_dumps(tmp_path, rng, pinned_clock, case):
     """The column-wise writer gives the bytes of ``json.dumps`` on the same
     dict: with a skipped method, a ``None`` value (a breakdown at k = 1),
-    NaN and infinite values and residual norms, ``residual_norm`` both
-    ``None`` (Lanczos) and a float (MINRES), reference values absent and
-    present, one shift, and a config echo whose paths hold quotes,
-    backslashes and non-ASCII characters."""
+    methods whose every value and residual norm is ``None``, NaN and
+    infinite values and residual norms, ``residual_norm`` both ``None``
+    (Lanczos) and a float (MINRES), reference values absent and present,
+    one shift, and a config echo whose paths hold quotes, backslashes and
+    non-ASCII characters."""
     if case == "skipped-dense":
         path = tmp_path / "cplx.mtx"
         write_matrix_market(random_hermitian(rng, 8), path)
@@ -417,17 +418,25 @@ def test_summary_text_equals_json_dumps(tmp_path, rng, pinned_clock, case):
             matrix=path, shifts="unit-circle:m=4", reference="dense"))
         assert [m.applicable for m in report.methods] == [True, False,
                                                           False, True]
-    elif case == "breakdown-k1":
+    elif case in ("breakdown-k1", "all-null"):
         # alpha_1 = 0 exactly for e_1, so the shift 0 breaks down at k = 1
         path = tmp_path / "offdiag.mtx"
         write_matrix_market(
             SparseHermitianMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]]), path)
         vector = tmp_path / "e1.txt"
         vector.write_text("1.0\n0.0\n")
-        report = run_experiment(ExperimentConfig(
-            matrix=path, vector=f"file:{vector}", shifts=[0.0, 1.0 + 1.0j],
-            methods=("lanczos", "minres")))
-        assert report.methods[0].result.shifts[0].value is None
+        if case == "breakdown-k1":
+            report = run_experiment(ExperimentConfig(
+                matrix=path, vector=f"file:{vector}",
+                shifts=[0.0, 1.0 + 1.0j], methods=("lanczos", "minres")))
+            assert report.methods[0].result.shifts[0].value is None
+        else:
+            # with the single shift 0, Lanczos and COCG hold no number
+            report = run_experiment(ExperimentConfig(
+                matrix=path, vector=f"file:{vector}", shifts=[0.0]))
+            for m in report.methods[:2]:
+                assert [(s.value, s.residual_norm)
+                        for s in m.result.shifts] == [(None, None)]
     elif case == "huge":
         report = overflowing_report(tmp_path)
     else:
@@ -444,11 +453,12 @@ def test_summary_text_equals_json_dumps(tmp_path, rng, pinned_clock, case):
     assert written.read_bytes() == want.encode()
 
 
-def float_report(values, residuals, reference):
+def float_report(values, residuals, reference, shifts=None):
     """A report of two methods over ``len(values)`` shifts, built by hand:
     Lanczos with ``values``, MINRES with ``values`` reversed and the
-    ``residuals``."""
-    shifts = [complex(1.0 + i, -0.5) for i in range(len(values))]
+    ``residuals``; the shifts are ``1 + i - 0.5i`` unless given."""
+    if shifts is None:
+        shifts = [complex(1.0 + i, -0.5) for i in range(len(values))]
 
     def result(method, vals, res):
         outcomes = [ShiftOutcome(z=z, value=x, iterations=i + 1,
@@ -466,23 +476,31 @@ def float_report(values, residuals, reference):
                  result("minres", values[::-1], residuals)])
 
 
-finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
-complex_or_none = st.one_of(st.none(), st.builds(complex, finite_or_not,
-                                                 finite_or_not))
+# besides any float, the ones floatrepr.repr_cells hands to float.__repr__
+# one by one: zeros, few significant bits (0.5, integers) and magnitudes
+# from 2**50 to 2**131
+finite_or_not = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.5, -0.25]),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+    st.floats(1e19, 1e21), st.floats(-1e21, -1e19))
+any_complex = st.builds(complex, finite_or_not, finite_or_not)
+complex_or_none = st.one_of(st.none(), any_complex)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), m=st.integers(1, 6))
 def test_summary_text_renders_every_float(data, m):
     """Any float, signed zeros, subnormals, NaN and infinities among them,
-    is written as ``json.dumps`` writes it."""
+    is written as ``json.dumps`` writes it, in every float column: the
+    shifts, the values, the residual norms and the reference values."""
     values = data.draw(st.lists(complex_or_none, min_size=m, max_size=m))
     residuals = data.draw(st.lists(st.one_of(st.none(), finite_or_not),
                                    min_size=m, max_size=m))
     reference = data.draw(st.one_of(st.none(), st.lists(
-        st.builds(complex, finite_or_not, finite_or_not),
-        min_size=m, max_size=m)))
-    report = float_report(values, residuals, reference)
+        any_complex, min_size=m, max_size=m)))
+    shifts = data.draw(st.lists(any_complex, min_size=m, max_size=m))
+    report = float_report(values, residuals, reference, shifts)
     with pytest.MonkeyPatch.context() as mp:  # as pinned_clock does
         mp.setattr(harness.time, "strftime",
                    lambda fmt: "2026-01-02T03:04:05+0000")
@@ -490,9 +508,9 @@ def test_summary_text_renders_every_float(data, m):
 
 
 def test_summary_text_rows_keep_their_own_shift_bits(pinned_clock):
-    """The rows reuse the shift list's texts only for the same bits: a
-    method whose shifts differ from the list in the sign of a zero, or in
-    number, writes its own."""
+    """Each method's rows write their own ``z`` bits, not the shift
+    list's: a method whose shifts differ from the list in the sign of a
+    zero, or in number, writes its own."""
     report = float_report([1j, None, 2.0], [0.5, None, math.inf], None)
     report.shifts = [complex(z.real, 0.0) for z in report.shifts]
     lanczos, minres = (m.result.shifts for m in report.methods)
