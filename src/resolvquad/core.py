@@ -13,7 +13,12 @@ Conventions used throughout the package:
   that the matrix-vector product has a fixed, run-to-run deterministic
   accumulation order (row-major, column-index ascending),
 * every product goes through :meth:`SparseHermitianMatrix.matvec`, which
-  calls scipy's CSR kernel without the dispatch of ``csr_matrix.dot``.
+  calls scipy's CSR kernel without the dispatch of ``csr_matrix.dot``,
+* a norm that must stay finite and nonzero at both ends of the double
+  range (``||A||_F``, the COCG/COCR residuals) is :func:`stable_norm`:
+  numpy alone, one pass of ``ddot`` calls short enough to run on the
+  calling thread, and a power-of-two scaling only where the sum of squares
+  overflows or nears the underflow threshold.
 
 The dtype follows the data: a matrix whose entries are all real keeps
 ``float64`` values and a ``float64`` CSR, and its product with a real vector
@@ -31,7 +36,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -223,11 +227,64 @@ def _real_or_complex(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.real, dtype=np.float64)
 
 
+# In a finite sum of squares at least this large no underflowed square
+# matters: each is off by at most 2**-1075, so n of them move the sum by at
+# most n 2**-115 of itself, below the unit round-off for any n < 2**62.
+_SUM_SQUARES_MIN = 2.0 ** -960
+
+# OpenBLAS's x86-64 ddot runs on the calling thread up to 10,000 entries.  A
+# longer call wakes the BLAS worker threads, which then spin on a core for
+# about 0.1 s waiting for more work, and slow whatever runs next on a busy
+# host.  Longer sums of squares are taken in chunks of this many entries.
+_DOT_CHUNK = 8192
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    """``x . x`` of a ``float64`` array by ``ddot`` calls of at most
+    ``_DOT_CHUNK`` entries; a sum that overflows is ``inf``."""
+    if x.size <= _DOT_CHUNK:
+        return np.vdot(x, x)
+    x = x.reshape(-1)
+    total = 0.0
+    for start in range(0, x.size, _DOT_CHUNK):
+        chunk = x[start:start + _DOT_CHUNK]
+        total += float(np.vdot(chunk, chunk))
+    return total
+
+
 def stable_norm(values: np.ndarray) -> float:
-    """``||values||_2`` by BLAS ``nrm2``, which scales as it sums, so it is
-    finite and nonzero wherever the norm is, at both ends of the range.
-    The matrix's Frobenius norm, and the COCG/COCR residual norms."""
-    return float(scipy.linalg.norm(values, check_finite=False))
+    """``||values||_2`` of a ``float64`` or ``complex128`` array, finite and
+    nonzero wherever the norm is, at both ends of the range.  The matrix's
+    Frobenius norm, and the COCG/COCR residual norms.
+
+    The common path is ``sqrt(x . x)`` over the real parts ``x`` of the
+    entries (the ``float64`` view of a complex array), one BLAS ``ddot`` per
+    ``_DOT_CHUNK`` entries, so no BLAS thread other than the caller's runs.
+    It is taken while the sum is finite and at least ``_SUM_SQUARES_MIN``.
+    Otherwise, at the ends of the range, the parts are first multiplied by
+    ``2**-e``, ``e`` the exponent of ``max |x_i|``, which is exact, and the
+    norm is scaled back (Blue, ACM TOMS 4, 1978).  A ``nan`` entry gives
+    ``nan``, else an infinite one ``inf``, as BLAS ``nrm2`` does.
+    ``np.vdot`` raises no floating-point warning, so the sum needs no
+    ``np.errstate``.
+    """
+    if values.dtype.kind == "c":
+        x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    else:
+        x = np.asarray(values, dtype=np.float64)
+    total = _sum_squares(x)
+    if _SUM_SQUARES_MIN <= total < math.inf:
+        return math.sqrt(total)
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < peak < math.inf:
+        return peak  # zero or no entries, inf, or nan
+    e = math.frexp(peak)[1]
+    with np.errstate(under="ignore"):
+        scaled = np.ldexp(x, -e)
+    try:
+        return math.ldexp(math.sqrt(_sum_squares(scaled)), e)
+    except OverflowError:
+        return math.inf
 
 
 def hermitian_check_csr(csr: sp.csr_matrix):

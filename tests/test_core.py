@@ -1,7 +1,13 @@
 import importlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import resolvquad
@@ -277,6 +283,104 @@ def test_stable_norm_at_both_ends_of_the_range(scale, rel, unit):
     norm = stable_norm(scale * unit * np.ones(2))
     assert norm == pytest.approx(np.sqrt(2.0) * scale, rel=rel, abs=0)
     assert stable_norm(np.empty(0)) == 0.0
+
+
+def _nrm2(x) -> float:
+    """BLAS ``nrm2``, the reference ``stable_norm`` agrees with."""
+    return float(scipy.linalg.norm(x, check_finite=False))
+
+
+# nrm2 sums in extended precision; stable_norm sums in ddot's few lanes, a
+# chunk of 8192 parts at a time, and its error read at most 1 ulp at up to
+# 2 10**5 parts of random data at any scale.
+NORM_ULPS = 2
+
+
+# 2**-1074 is the least subnormal, 2**1023 the greatest power of two
+NORM_SCALES = (-1074, -1060, -1030, -1022, -1000, -700, -537, -520, -480,
+               -300, 0, 300, 480, 511, 512, 700, 1000, 1022, 1023)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 10**5])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_stable_norm_agrees_with_blas_nrm2(n, real):
+    """Within ``NORM_ULPS`` of ``nrm2`` at every scale from the least
+    subnormal to the greatest power of two, and on vectors whose parts lie
+    at two scales: ``2**-600`` beside ``2**-500``, whose squares all
+    underflow, and ``2**600`` beside 1, whose sum of squares overflows.
+    10**5 entries take the sum in chunks."""
+    rng = np.random.default_rng(n)
+
+    def vector(scale):
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), scale)
+        if not real:
+            x = x + 1j * np.ldexp(rng.uniform(-1.0, 1.0, n), scale)
+        return x
+
+    half = np.arange(n) % 2 == 0
+    mixed = [np.where(half, vector(-600), vector(-500)),
+             np.where(half, vector(600), vector(0))]
+    for x in [vector(scale) for scale in NORM_SCALES] + mixed:
+        norm, reference = stable_norm(x), _nrm2(x)
+        if math.isfinite(reference):
+            assert abs(norm - reference) <= NORM_ULPS * math.ulp(reference)
+        else:
+            assert norm == reference
+
+
+@pytest.mark.parametrize("scale", [0, -1000, 1000],
+                         ids=["common", "underflow", "overflow"])
+def test_stable_norm_keeps_every_ddot_on_the_calling_thread(monkeypatch,
+                                                           scale):
+    """No ``ddot`` is longer than the 10,000 entries that OpenBLAS's x86-64
+    kernel runs on the calling thread, on the common and the scaled paths,
+    so a norm of 10**5 entries leaves no BLAS worker thread spinning."""
+    sizes = []
+    vdot = np.vdot
+
+    def spy(a, b):
+        sizes.append(np.size(a))
+        return vdot(a, b)
+
+    x = np.ldexp(np.random.default_rng(5).uniform(-1.0, 1.0, 10**5), scale)
+    monkeypatch.setattr(np, "vdot", spy)
+    norm = stable_norm(x)
+    monkeypatch.undo()
+    assert abs(norm - _nrm2(x)) <= NORM_ULPS * math.ulp(norm)
+    assert sizes and max(sizes) <= 10_000
+
+
+SPECIAL_NORM_VECTORS = [
+    [], [0.0], [0.0, -0.0, 0.0], [math.inf], [-math.inf], [math.nan],
+    [math.inf, 1.0], [1.0, -math.inf], [math.nan, 1.0], [math.inf, math.nan],
+    [math.nan, -math.inf], [math.inf, -math.inf], [1e308, 1e308, 1e308],
+    [1e308, 1e308, 1e308, 1e308], [2.0 ** -1074, 0.0],
+    [complex(math.inf, 0.0)], [complex(0.0, -math.inf)],
+    [complex(math.nan, 1.0)], [complex(1.0, math.nan)],
+    [complex(math.inf, math.nan)], [complex(-0.0, 0.0), 0j],
+]
+
+
+@pytest.mark.parametrize("values", SPECIAL_NORM_VECTORS, ids=repr)
+def test_stable_norm_is_nrm2_on_zeros_infinities_and_nans(values):
+    real = not any(isinstance(v, complex) for v in values)
+    for dtype in (np.float64, np.complex128)[not real:]:
+        x = np.array(values, dtype=dtype)
+        assert repr(stable_norm(x)) == repr(_nrm2(x))
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """The package imports no ``scipy.linalg``, which maps a second BLAS
+    and starts one more thread in every process."""
+    src = str(Path(resolvquad.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, resolvquad, resolvquad.harness; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e300])
