@@ -98,6 +98,12 @@ class SparseHermitianMatrix:
     Solvers that require a Hermitian (or real symmetric) matrix check these
     flags instead of re-scanning the entries.  ``row_ptr``, ``col_idx`` and
     ``values`` are the CSR's own arrays, not copies.
+
+    :meth:`from_csr` puts every CSR it is given through the transpose
+    check, :func:`hermitian_check_csr`.  Only the Matrix Market reader
+    skips the transpose: a ``symmetric`` or ``hermitian`` file in which no
+    cell was summed gets the same two values from
+    :func:`mirrored_check_csr`.
     """
 
     hermitian_verified: bool
@@ -116,6 +122,12 @@ class SparseHermitianMatrix:
         otherwise ``ValueError``.  Its values become ``float64`` when no
         entry has an imaginary part, ``complex128`` otherwise.
         """
+        return cls._from_csr(csr, hermitian_check_csr)
+
+    @classmethod
+    def _from_csr(cls, csr: sp.csr_matrix, check) -> "SparseHermitianMatrix":
+        """:meth:`from_csr`, with ``check(csr)`` giving ``(verified,
+        max_asymmetry)`` once the values have their final dtype."""
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {csr.shape}")
         csr.check_format(full_check=True)
@@ -128,7 +140,7 @@ class SparseHermitianMatrix:
         if values is not csr.data:
             csr = sp.csr_matrix((values, csr.indices, csr.indptr),
                                 shape=csr.shape)
-        verified, asym = hermitian_check_csr(csr)
+        verified, asym = check(csr)
         return cls(hermitian_verified=verified, max_asymmetry=asym, _csr=csr,
                    _fro_norm=stable_norm(values))
 
@@ -299,6 +311,11 @@ def hermitian_check_csr(csr: sp.csr_matrix):
     is the partner of entry ``k`` of the other and both maxima are reduced
     in chunks, so the check holds one copy of the matrix and chunk-sized
     temporaries.  Otherwise scipy subtracts the two CSRs.
+
+    It checks every CSR given to :meth:`SparseHermitianMatrix.from_csr`.
+    The Matrix Market reader runs it on ``general`` files and on mirrored
+    files in which a cell was summed, and :func:`mirrored_check_csr` on the
+    other mirrored files.
     """
     if csr.nnz == 0:
         return True, 0.0
@@ -313,6 +330,26 @@ def hermitian_check_csr(csr: sp.csr_matrix):
         asym = _max_abs((csr - herm).data)
     scale_ = _max_abs(csr.data)
     return bool(asym <= HERMITIAN_TOL * scale_), asym
+
+
+def mirrored_check_csr(csr: sp.csr_matrix, conjugated: bool):
+    """:func:`hermitian_check_csr` of a CSR mirrored from one triangle with
+    no cell summed, without the transpose.
+
+    Each stored off-diagonal entry of ``csr`` sits beside its mirror: its
+    exact conjugate when ``conjugated`` (``hermitian`` storage), its exact
+    copy otherwise (``symmetric``).  So ``a_ij - conj(a_ji)`` is zero for a
+    real matrix; it is ``a_ij - conj(a_ij)`` at every entry of complex
+    ``symmetric`` storage, and zero off the diagonal of ``hermitian``
+    storage.  The maxima are :func:`_max_abs`'s, as in the transpose check,
+    so both values are bit for bit the ones it gives.
+    """
+    values = csr.data
+    if not np.iscomplexobj(values):
+        return True, 0.0
+    stored = csr.diagonal() if conjugated else values
+    asym = _max_abs(stored, stored.conjugate())
+    return bool(asym <= HERMITIAN_TOL * _max_abs(values)), asym
 
 
 _CHUNK = 1 << 16  # entries per temporary in _max_abs

@@ -9,12 +9,22 @@ read by :func:`scipy.io.mmread`, which also takes gzipped files (by a
 
 Mirroring rules:
 
-* ``symmetric``  -> the strict lower triangle is copied to the upper triangle
+* ``symmetric``  -> each off-diagonal entry is copied to its mirror cell
   without conjugation.  A complex symmetric matrix is therefore flagged
   not-Hermitian unless its entries happen to be real.
-* ``hermitian``  -> mirrored with conjugation.
+* ``hermitian``  -> mirrored with conjugation.  A diagonal entry keeps its
+  imaginary part, and twice that part is its ``max_asymmetry``.
 * ``general``    -> taken as stored.
 * ``skew-symmetric`` is rejected (cannot be Hermitian).
+
+A mirrored file whose every cell appears once, in either triangle, holds
+each off-diagonal entry beside its exact mirror, so the mirroring settles
+the Hermitian check: its two values come in closed form
+(:func:`~resolvquad.core.mirrored_check_csr`), without transposing the
+matrix.  A ``general`` file, and a mirrored file in which a cell was summed
+(a duplicate, or a cell stored in both triangles), go through the
+transpose check (:func:`~resolvquad.core.hermitian_check_csr`).  Both give
+the same ``hermitian_verified`` and ``max_asymmetry``, bit for bit.
 
 ``real`` and ``integer`` fields give a real (``float64``) matrix; a
 ``complex`` field gives a real matrix too when every imaginary part is
@@ -29,6 +39,7 @@ storage.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 from pathlib import Path
@@ -36,7 +47,7 @@ from typing import TextIO, Union
 
 import scipy.io
 
-from .core import SparseHermitianMatrix
+from .core import SparseHermitianMatrix, mirrored_check_csr
 
 __all__ = [
     "MatrixMarketError",
@@ -53,8 +64,8 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def _parse_header(line: str) -> None:
-    """Reject a banner line this package cannot use."""
+def _parse_header(line: str) -> str:
+    """Reject a banner line this package cannot use; return its symmetry."""
     parts = line.strip().split()
     if len(parts) != 5 or parts[0] != "%%MatrixMarket":
         raise MatrixMarketError(f"malformed header line: {line!r}")
@@ -71,6 +82,7 @@ def _parse_header(line: str) -> None:
         raise MatrixMarketError(f"unknown symmetry {sym!r}")
     if sym == "skew-symmetric":
         raise MatrixMarketError("skew-symmetric matrices cannot be Hermitian")
+    return sym
 
 
 # scipy's wording of a bad entry line -> this package's
@@ -81,14 +93,19 @@ _SCIPY_ERRORS = (
 )
 
 
-def _mmread(source) -> SparseHermitianMatrix:
+def _mmread(source, symmetry: str) -> SparseHermitianMatrix:
     """Read entries with ``scipy.io.mmread`` once the header has passed.
 
-    The triplets are released as soon as the CSR is built, before
-    :meth:`SparseHermitianMatrix.from_csr` checks it, so that a load holds
-    at most about two copies of the matrix at once: the triplets and the
-    CSR inside ``tocsr``, then the CSR and its conjugate transpose in the
-    Hermitian check.
+    ``mmread`` mirrors ``symmetric`` and ``hermitian`` storage into its
+    triplets, and ``tocsr`` sums the cells they repeat.  When the CSR holds
+    as many entries as the triplets, no cell was summed and
+    :func:`~resolvquad.core.mirrored_check_csr` gives the Hermitian check's
+    values; otherwise the CSR goes through
+    :meth:`SparseHermitianMatrix.from_csr` and its transpose check.  The
+    triplets are released as soon as the CSR is built, so that a load
+    holds at most about two copies of the matrix at once: the triplets and
+    the CSR inside ``tocsr``, then, in the transpose check, the CSR and its
+    conjugate transpose.
     """
     try:
         coo = scipy.io.mmread(source)
@@ -104,15 +121,20 @@ def _mmread(source) -> SparseHermitianMatrix:
         raise MatrixMarketError(
             f"matrix must be square with n >= 1, got {nrows}x{ncols}")
     csr = coo.tocsr()
+    mirrored = symmetry != "general" and csr.nnz == coo.nnz
     del coo
+    if mirrored:
+        check = functools.partial(mirrored_check_csr,
+                                  conjugated=symmetry == "hermitian")
+        return SparseHermitianMatrix._from_csr(csr, check)
     return SparseHermitianMatrix.from_csr(csr)
 
 
 def parse_matrix_market(stream: TextIO) -> SparseHermitianMatrix:
     """Parse an open text stream into a :class:`SparseHermitianMatrix`."""
     first = stream.readline()
-    _parse_header(first)
-    return _mmread(io.StringIO(first + stream.read()))
+    symmetry = _parse_header(first)
+    return _mmread(io.StringIO(first + stream.read()), symmetry)
 
 
 def read_matrix_market(path: Union[str, Path]) -> SparseHermitianMatrix:
@@ -120,8 +142,8 @@ def read_matrix_market(path: Union[str, Path]) -> SparseHermitianMatrix:
     path = Path(path)
     opener = gzip.open if path.name.endswith(".gz") else open
     with opener(path, "rt") as fh:
-        _parse_header(fh.readline())
-    return _mmread(str(path))
+        symmetry = _parse_header(fh.readline())
+    return _mmread(str(path), symmetry)
 
 
 def write_matrix_market(a: SparseHermitianMatrix, path: Union[str, Path]) -> None:

@@ -1,5 +1,6 @@
-"""``hermitian_check_csr`` against the formula it replaces, and the memory a
-Matrix Market load holds at its peak."""
+"""``hermitian_check_csr`` against the formula it replaces, the reader's
+closed form for mirrored files against the same formula, which loads skip
+the transpose, and the memory a Matrix Market load holds at its peak."""
 
 import io
 import math
@@ -13,7 +14,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvquad.core import HERMITIAN_TOL, hermitian_check_csr
+from resolvquad import core
+from resolvquad.core import (
+    HERMITIAN_TOL,
+    SparseHermitianMatrix,
+    hermitian_check_csr,
+)
 from resolvquad.mmio import parse_matrix_market, read_matrix_market
 
 
@@ -129,6 +135,97 @@ def test_mirrored_file_equals_reference(text, tmp_path_factory):
     for a in (read_matrix_market(path), parse_matrix_market(io.StringIO(text))):
         assert_same_check((a.hermitian_verified, a.max_asymmetry),
                           reference_hermitian_check(a._csr))
+
+
+@st.composite
+def summed_files(draw):
+    """The text of a ``symmetric`` or ``hermitian`` Matrix Market file whose
+    cells may repeat, sit above the diagonal, or both, so that reading it
+    may sum cells, and past the overflow threshold."""
+    n = draw(st.integers(1, 6))
+    symmetry = draw(st.sampled_from(["symmetric", "hermitian"]))
+    field = draw(st.sampled_from(["real", "complex"]))
+    every = [(i, j) for i in range(n) for j in range(n)]
+    cells = draw(st.lists(st.sampled_from(every), max_size=12))
+    lines = []
+    for i, j in cells:
+        value = [draw(parts) for _ in range(1 if field == "real" else 2)]
+        lines.append(" ".join([str(i + 1), str(j + 1)]
+                              + [repr(x) for x in value]))
+    return (f"%%MatrixMarket matrix coordinate {field} {symmetry}\n"
+            f"{n} {n} {len(lines)}\n" + "".join(x + "\n" for x in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=summed_files())
+def test_summed_file_equals_reference(text, tmp_path_factory):
+    """Both loaders give the transpose formula's values bit for bit, and a
+    file whose summed cells overflow is refused as non-finite."""
+    path = tmp_path_factory.mktemp("summed") / "a.mtx"
+    path.write_text(text)
+    summed = scipy.io.mmread(io.StringIO(text)).tocsr()
+    for load in (lambda: read_matrix_market(path),
+                 lambda: parse_matrix_market(io.StringIO(text))):
+        if not np.all(np.isfinite(summed.data)):
+            with pytest.raises(ValueError) as excinfo:
+                load()
+            assert type(excinfo.value) is ValueError
+            assert str(excinfo.value) == "matrix entries must be finite"
+            continue
+        a = load()
+        assert_same_check((a.hermitian_verified, a.max_asymmetry),
+                          reference_hermitian_check(a._csr))
+
+
+class TransposeCheckCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_transpose_check(monkeypatch):
+    """``core.hermitian_check_csr`` raising ``TransposeCheckCalled``."""
+    def check(csr):
+        raise TransposeCheckCalled
+    monkeypatch.setattr(core, "hermitian_check_csr", check)
+
+
+@pytest.mark.parametrize("header,body", [
+    ("real symmetric", "1 1 2.0\n2 1 -1.0\n2 2 2.0\n"),
+    ("complex symmetric", "1 1 2.0 1.0\n2 1 -1.0 0.5\n2 2 2.0 0.0\n"),
+    ("complex hermitian", "1 1 2.0 0.0\n2 1 -1.0 0.5\n2 2 2.0 0.0\n"),
+    ("complex hermitian", "1 1 2.0 0.0\n1 2 -1.0 0.5\n2 2 2.0 0.0\n"),
+], ids=["real-symmetric", "complex-symmetric", "hermitian",
+        "hermitian-upper"])
+def test_mirrored_file_skips_transpose(no_transpose_check, tmp_path,
+                                       header, body):
+    text = f"%%MatrixMarket matrix coordinate {header}\n2 2 3\n{body}"
+    path = tmp_path / "a.mtx"
+    path.write_text(text)
+    for a in (read_matrix_market(path), parse_matrix_market(io.StringIO(text))):
+        assert a.nnz == 4
+
+
+@pytest.mark.parametrize("header,body", [
+    ("real symmetric", "1 1 2.0\n2 1 -1.0\n2 1 0.5\n"),
+    ("real symmetric", "1 1 2.0\n2 1 -1.0\n1 2 -1.0\n"),
+    ("complex hermitian", "1 1 2.0 0.0\n1 1 1.0 0.0\n2 1 0.5 1.0\n"),
+    ("real general", "1 1 2.0\n2 1 -1.0\n1 2 -1.0\n"),
+], ids=["repeated-cell", "both-triangles", "hermitian-repeated-diagonal",
+        "general"])
+def test_summed_or_general_file_runs_transpose(no_transpose_check, tmp_path,
+                                               header, body):
+    text = f"%%MatrixMarket matrix coordinate {header}\n2 2 3\n{body}"
+    path = tmp_path / "a.mtx"
+    path.write_text(text)
+    with pytest.raises(TransposeCheckCalled):
+        read_matrix_market(path)
+    with pytest.raises(TransposeCheckCalled):
+        parse_matrix_market(io.StringIO(text))
+
+
+def test_from_csr_runs_transpose(no_transpose_check):
+    with pytest.raises(TransposeCheckCalled):
+        SparseHermitianMatrix.from_csr(sp.csr_matrix(np.eye(2)))
 
 
 def laplacian_2d(grid):
