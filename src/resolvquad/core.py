@@ -13,7 +13,12 @@ Conventions used throughout the package:
   that the matrix-vector product has a fixed, run-to-run deterministic
   accumulation order (row-major, column-index ascending),
 * every product goes through :meth:`SparseHermitianMatrix.matvec`, which
-  calls scipy's CSR kernel without the dispatch of ``csr_matrix.dot``,
+  calls one of scipy's kernels without the dispatch of ``csr_matrix.dot``:
+  ``dia_matvec`` on cached diagonals where the entries fill a few
+  diagonals (at most 5% of padding over ``nnz``) and the product vector
+  fits a cache-sized budget (``_DIA_MAX_VECTOR_BYTES``), ``csr_matvec``
+  otherwise; both add each row's products in ascending column order, so
+  they give the same bits,
 * a norm that must stay finite and nonzero at both ends of the double
   range (``||A||_F``, the COCG/COCR residuals) is :func:`stable_norm`:
   numpy alone, one pass of ``ddot`` calls short enough to run on the
@@ -23,8 +28,9 @@ Conventions used throughout the package:
 The dtype follows the data: a matrix whose entries are all real keeps
 ``float64`` values and a ``float64`` CSR, and its product with a real vector
 is real.  Its product with a complex vector runs on a cached complex copy of
-the values that shares the index arrays, so it costs what a complex matrix
-costs.  Its dense copy (``to_dense``) keeps the CSR's dtype.
+the values that shares the index arrays, or of the diagonals on the DIA
+kernel, so it costs what a complex matrix costs.  Its dense copy
+(``to_dense``) keeps the CSR's dtype.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from .error_estimate import history_estimates
 
@@ -97,7 +103,9 @@ class SparseHermitianMatrix:
     zero, in which case the CSR is ``float64`` (otherwise ``complex128``).
     Solvers that require a Hermitian (or real symmetric) matrix check these
     flags instead of re-scanning the entries.  ``row_ptr``, ``col_idx`` and
-    ``values`` are the CSR's own arrays, not copies.
+    ``values`` are the CSR's own arrays, not copies.  The first products
+    cache what :meth:`matvec` multiplies besides the CSR: a real matrix's
+    values as ``complex128``, or its diagonals for the DIA kernel.
 
     :meth:`from_csr` puts every CSR it is given through the transpose
     check, :func:`hermitian_check_csr`.  Only the Matrix Market reader
@@ -203,15 +211,50 @@ class SparseHermitianMatrix:
         the first complex product, and its index arrays serve both."""
         return self._csr.data.astype(np.complex128, copy=False)
 
+    @functools.cached_property
+    def _dia(self):
+        """``(offsets, diags)`` in the CSR's dtype where products with a
+        vector of that dtype take the DIA kernel, else ``None``
+        (:func:`_diagonals`)."""
+        return _diagonals(self._csr)
+
+    @functools.cached_property
+    def _complex_dia(self):
+        """:attr:`_dia` for a ``complex128`` product: a real matrix copies
+        its diagonals to ``complex128`` where the complex vector is within
+        the byte budget too."""
+        dia = self._dia
+        if dia is None or self.n * 16 > _DIA_MAX_VECTOR_BYTES:
+            return None
+        offsets, diags = dia
+        return offsets, diags.astype(np.complex128, copy=False)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = A x`` with row-major, index-ascending accumulation.
 
         The product is ``float64`` when the matrix and ``x`` are both real,
-        ``complex128`` otherwise.  It makes the call that ``csr_matrix.dot``
-        makes after a dispatch that costs as much as the kernel at n ~ 10^3:
-        scipy's private ``csr_matvec`` on a zeroed ``y``, so scipy's bits
-        (``tests/test_core.py`` pins them).  It stays the one path to the
-        product, which the benchmark's tracer wraps to count products.
+        ``complex128`` otherwise.  It calls one of scipy's private kernels
+        on a zeroed ``y``, without the dispatch of ``csr_matrix.dot``, which
+        costs as much as a kernel at n ~ 10^3:
+
+        * ``dia_matvec`` on the matrix's diagonals, cached per dtype by the
+          first product, where they pad ``nnz`` by at most
+          ``_DIA_MAX_PADDING`` and ``y`` has at most
+          ``_DIA_MAX_VECTOR_BYTES`` (:func:`_diagonals`).  It loads no
+          column index, which pays while the vectors stay in cache;
+        * ``csr_matvec`` on the CSR otherwise, the call ``csr_matrix.dot``
+          makes.
+
+        Both add row ``i``'s products in ascending column order to ``+0``.
+        A padding cell of the DIA kernel adds ``0 x_j = +-0``, which moves
+        no partial sum since none is ever ``-0``, so both give scipy's CSR
+        bits (``tests/test_core.py`` pins them).  A non-finite ``x`` is
+        where they part: on the CSR kernel it reaches row ``i`` only
+        through a stored ``a_ij``, on the DIA kernel also through a padding
+        cell, where ``0 inf`` makes the row NaN.  On the overflowing
+        problems of the tests the four drivers end alike on both kernels.
+        ``matvec`` stays the one path to the product, which the benchmark's
+        tracer wraps to count products.
         """
         x = np.asarray(x)
         n = self.n
@@ -219,16 +262,58 @@ class SparseHermitianMatrix:
             raise ValueError(f"dimension mismatch: matrix is {n}x{n}, "
                              f"vector has shape {x.shape}")
         csr = self._csr
-        data = self._complex_data if x.dtype.kind == "c" else csr.data
+        if x.dtype.kind == "c":
+            dia = self._complex_dia
+            data = self._complex_data if dia is None else dia[1]
+        else:
+            dia = self._dia
+            data = csr.data if dia is None else dia[1]
         x = np.ascontiguousarray(x, dtype=data.dtype)
         y = np.zeros(n, data.dtype)
-        csr_matvec(n, n, csr.indptr, csr.indices, data, x, y)
+        if dia is None:
+            csr_matvec(n, n, csr.indptr, csr.indices, data, x, y)
+        else:
+            dia_matvec(n, n, dia[0].size, n, dia[0], data, x, y)
         return y
 
     def to_dense(self) -> np.ndarray:
         """Dense copy in the CSR's dtype: ``float64`` for a real matrix,
         ``complex128`` otherwise, the form the dense oracles work in."""
         return self._csr.toarray()
+
+
+# The DIA kernel runs where its (n_diags, n) array is at most this share
+# over nnz (cells inside the band that the CSR does not store, and the
+# cells of each diagonal past the matrix's edge), which bounds its extra
+# work and memory and keeps dense matrices on the CSR kernel ...
+_DIA_MAX_PADDING = 0.05
+# ... and where the product vector has at most this many bytes.  On a
+# 2-core Xeon with 2 MB of L2 per core, scripts/dia_crossover.py found DIA
+# 12-56% (mostly 28-45%) faster on real 5-point Laplacians up to 0.72 MB
+# and the crossover near 1 MB; complex vectors gained less, and a few
+# single runs below 1 MB were slower.  A quarter of the crossover leaves
+# room for smaller caches.
+_DIA_MAX_VECTOR_BYTES = 1 << 18
+
+
+def _diagonals(csr: sp.csr_matrix):
+    """``(offsets, diags)`` of ``csr`` in scipy's DIA layout, where
+    ``diags[d, j]`` is the entry ``(j - offsets[d], j)`` and ``offsets``
+    ascend; ``None`` where the vector of ``n`` entries of the CSR's dtype
+    passes ``_DIA_MAX_VECTOR_BYTES`` or the ``(n_diags, n)`` array passes
+    ``nnz`` by more than ``_DIA_MAX_PADDING``."""
+    n = csr.shape[0]
+    if n * csr.dtype.itemsize > _DIA_MAX_VECTOR_BYTES:
+        return None
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    shifted = csr.indices - rows + n  # offset + n, in [1, 2n - 1]
+    present = np.bincount(shifted, minlength=2 * n) > 0
+    offsets = np.flatnonzero(present) - n
+    if offsets.size * n > (1.0 + _DIA_MAX_PADDING) * csr.nnz:
+        return None
+    diags = np.zeros((offsets.size, n), csr.dtype)
+    diags[np.cumsum(present)[shifted] - 1, csr.indices] = csr.data
+    return offsets.astype(csr.indices.dtype), diags
 
 
 def _real_or_complex(values: np.ndarray) -> np.ndarray:

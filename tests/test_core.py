@@ -9,17 +9,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resolvquad
+from resolvquad import cocg_run, cocr_run, minres_run, run_quadratic_forms
 from resolvquad import core
 from resolvquad.core import (
     HAPPY_BREAKDOWN_RTOL,
     SparseHermitianMatrix,
     stable_norm,
 )
+from resolvquad.harness import generate_unit_circle_shifts
 from resolvquad.mmio import read_matrix_market, write_matrix_market
 
-from conftest import random_hermitian_dense, random_vector
+from conftest import random_hermitian_dense, random_vector, result_bits
 
 
 ENTRY_POINTS = {
@@ -266,6 +270,174 @@ def test_complex_product_of_a_real_matrix_copies_no_index_array(
     assert indptr is a._csr.indptr and indices is a._csr.indices
     assert data.dtype == np.complex128
     assert np.array_equal(data, a._csr.data)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def banded_products(draw):
+    """A Hermitian matrix whose entries lie on 1-9 diagonals, some of them
+    far from the main one, with cells of the band left unstored (and
+    stored zeros), and a vector with signed zeros among its entries."""
+    n = draw(st.integers(1, 40))
+    real = draw(st.booleans())
+    upper = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=4)))
+    upper = [k for k in upper if k < n]
+    diagonal = draw(st.booleans()) or not upper
+    part = _finite if real else st.complex_numbers(allow_nan=False,
+                                                   allow_infinity=False)
+    cell = st.one_of(st.none(), part)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        d = draw(st.one_of(st.none(), _finite)) if diagonal else None
+        if d is not None:
+            rows.append(i), cols.append(i), vals.append(d)
+        for k in upper:
+            if i + k < n and (a := draw(cell)) is not None:
+                rows += [i, i + k]
+                cols += [i + k, i]
+                vals += [a, np.conj(a)]
+    dtype = np.float64 if real else np.complex128
+    csr = sp.csr_matrix((np.array(vals, dtype), (rows, cols)), shape=(n, n))
+    if draw(st.booleans()):
+        csr.indptr = csr.indptr.astype(np.int64)
+        csr.indices = csr.indices.astype(np.int64)
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), _finite)
+    x = np.array(draw(st.lists(entry, min_size=n, max_size=n)), np.float64)
+    if draw(st.booleans()):
+        imag = draw(st.lists(entry, min_size=n, max_size=n))
+        x = x + 1j * np.array(imag, np.float64)
+    return csr, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(banded_products())
+def test_dia_product_is_the_csr_product_bit_for_bit(problem):
+    """Where the matrix takes the DIA kernel, ``matvec`` gives the bits of
+    ``csr_matvec`` on the same CSR (``complex128`` where the matrix or the
+    vector is complex): each row adds its products in ascending column
+    order, and an unstored cell of the band adds a zero that moves no
+    partial sum.  The padding rule is lifted so that far diagonals qualify
+    too."""
+    csr, x = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_DIA_MAX_PADDING", math.inf)
+        a = SparseHermitianMatrix.from_csr(csr)
+        calls = _spy_on_kernels(mp)
+        got = a.matvec(x)
+    assert calls == {"csr": 0, "dia": 1}
+    ref = a._csr
+    if got.dtype != ref.dtype:
+        ref = sp.csr_matrix((ref.data.astype(got.dtype), ref.indices,
+                             ref.indptr), shape=ref.shape)
+    want = np.zeros(a.n, got.dtype)
+    core.csr_matvec(a.n, a.n, ref.indptr, ref.indices, ref.data,
+                    x.astype(got.dtype), want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _spy_on_kernels(monkeypatch) -> dict:
+    """Count the calls of each product kernel from ``matvec``."""
+    calls = {"csr": 0, "dia": 0}
+    for name, kernel in (("csr", core.csr_matvec), ("dia", core.dia_matvec)):
+        def spy(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            kernel(*args)
+        monkeypatch.setattr(core, f"{name}_matvec", spy)
+    return calls
+
+
+def _kernels_of(monkeypatch, a, real_x: bool = True) -> dict:
+    calls = _spy_on_kernels(monkeypatch)
+    rng = np.random.default_rng(0)
+    a.matvec(rng.standard_normal(a.n) if real_x else random_vector(rng, a.n))
+    return calls
+
+
+CSR, DIA = {"csr": 1, "dia": 0}, {"csr": 0, "dia": 1}
+
+
+def _laplacian(grid: int) -> sp.csr_matrix:
+    """The 5-point Laplacian on a ``grid x grid`` grid: five diagonals,
+    ``4 grid`` cells of padding."""
+    t = sp.diags([-np.ones(grid - 1), 2.0 * np.ones(grid),
+                  -np.ones(grid - 1)], [-1, 0, 1])
+    eye = sp.identity(grid)
+    return (sp.kron(t, eye) + sp.kron(eye, t)).tocsr()
+
+
+def _band(n: int, offsets) -> SparseHermitianMatrix:
+    diags = [np.full(n - abs(k), -1.0 if k else 4.0) for k in offsets]
+    return SparseHermitianMatrix.from_csr(
+        sp.diags(diags, offsets, shape=(n, n), format="csr"))
+
+
+@pytest.mark.parametrize("real_x", [True, False], ids=["real-x", "complex-x"])
+def test_dense_matrix_keeps_the_csr_kernel(monkeypatch, rng, real_x):
+    a = SparseHermitianMatrix.from_dense(
+        random_hermitian_dense(rng, 50, real=True))
+    assert _kernels_of(monkeypatch, a, real_x) == CSR
+    assert a._dia is None
+
+
+@pytest.mark.parametrize("real_x", [True, False], ids=["real-x", "complex-x"])
+def test_laplacian_in_budget_takes_the_dia_kernel(monkeypatch, real_x):
+    """The 5-point Laplacian on a 30 x 30 grid: five diagonals, 2.7% of
+    padding, a vector of 7.2 or 14.4 kB."""
+    a = SparseHermitianMatrix.from_csr(_laplacian(30))
+    assert _kernels_of(monkeypatch, a, real_x) == DIA
+    assert a._dia[0].tolist() == [-30, -1, 0, 1, 30]
+
+
+def test_band_past_the_byte_budget_keeps_the_csr_kernel(monkeypatch):
+    """The budget counts the product vector's bytes: a real tridiagonal
+    matrix with one row more than a real vector's budget allows keeps the
+    CSR kernel, one within it takes the DIA kernel for real vectors, and
+    for complex vectors only within half as many rows."""
+    budget = core._DIA_MAX_VECTOR_BYTES
+    offsets = (-1, 0, 1)
+    assert _kernels_of(monkeypatch, _band(budget // 8 + 1, offsets)) == CSR
+    for n, complex_kernel in ((budget // 8, CSR), (budget // 16, DIA),
+                              (budget // 16 + 1, CSR)):
+        a = _band(n, offsets)
+        assert _kernels_of(monkeypatch, a) == DIA
+        assert _kernels_of(monkeypatch, a, real_x=False) == complex_kernel
+
+
+def test_band_with_too_much_padding_keeps_the_csr_kernel(monkeypatch):
+    """A tridiagonal matrix of 10 rows pads its 28 entries by 2 cells
+    (7%); one of 40 rows pads its 118 entries by 2 (1.7%)."""
+    assert _kernels_of(monkeypatch, _band(10, (-1, 0, 1))) == CSR
+    assert _kernels_of(monkeypatch, _band(40, (-1, 0, 1))) == DIA
+    # two far diagonals: 3 n cells for n + 2 entries
+    assert _kernels_of(monkeypatch, _band(40, (-39, 0, 39))) == CSR
+
+
+@pytest.mark.parametrize("scale", [1e305, 1e307])
+def test_both_kernels_give_the_drivers_the_same_overflow(monkeypatch, scale):
+    """A padding cell of the DIA kernel turns a non-finite ``x_j`` into a
+    NaN in a row that the CSR kernel leaves finite.  On the 30 x 30-grid
+    5-point Laplacian scaled to ``scale``, where the Lanczos stream
+    overflows at once and COCG or COCR converge or overflow, all four
+    drivers give the same statuses, iterations, values and histories with
+    either kernel."""
+    csr = _laplacian(30) * scale
+    v = np.random.default_rng(3).standard_normal(csr.shape[0])
+    shifts = generate_unit_circle_shifts(8)
+    runs = {}
+    for kernel, budget in (("dia", core._DIA_MAX_VECTOR_BYTES), ("csr", 0)):
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "_DIA_MAX_VECTOR_BYTES", budget)
+            a = SparseHermitianMatrix.from_csr(csr.copy())
+            calls = _spy_on_kernels(mp)
+            runs[kernel] = [result_bits(run(a, v, shifts, keep_history=True))
+                            for run in (run_quadratic_forms, minres_run,
+                                        cocg_run, cocr_run)]
+            assert calls[kernel] > 0 and sum(calls.values()) == calls[kernel]
+    assert runs["dia"] == runs["csr"]
+    statuses = {o[0] for _, outs in runs["csr"] for o in outs[:-1]}
+    assert core.SolveStatus.OVERFLOW in statuses
 
 
 def test_frobenius_norm_near_overflow():
