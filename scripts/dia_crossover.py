@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time scipy's CSR and DIA matvec kernels on 5-point Laplacians of growing
 size, to place the vector byte budget below which ``SparseHermitianMatrix``
-takes the DIA kernel (``core._DIA_MAX_VECTOR_BYTES``).
+takes the DIA kernel for a real product (``core._DIA_MAX_VECTOR_BYTES``).
+The ``complex128`` rows show why complex products stay on the CSR kernel.
 
 Each row is one grid: the vector's bytes, the best of ``--repeat`` timings
 of about 20 ms of products per kernel (in microseconds per product), and

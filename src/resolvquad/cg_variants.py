@@ -21,8 +21,10 @@ the real axis).  A shift may repeat; each copy gets the same result.
 Restrictions: ``A`` must be real symmetric (the complex-symmetric structure
 of the seed matrix is what the transpose products rely on); the starting
 vector may be complex.  A seed denominator ``x^T y`` that vanishes at the
-scale of its own factors ends the run with partial results for all
-still-active shifts: seed switching is deliberately not implemented.  An
+scale of its own factors, or a seed ``alpha`` that underflows to zero (the
+next iteration divides by it), ends the run as ``seed_breakdown`` with
+partial results for all still-active shifts, at the iteration that formed
+it: seed switching is deliberately not implemented.  An
 exhausted Krylov space ends it with every surviving shift converged; it is
 detected on the Lanczos ``beta_k`` the seed residuals imply, as the Lanczos
 stream detects it, so at any scale of ``v``.
@@ -267,9 +269,10 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     """Shifted COCG adapted to quadratic forms.
 
     Stopping mirrors :func:`~resolvquad.shifted_lanczos.run_quadratic_forms`.
-    A vanished seed product (``seed_breakdown``) or a non-finite seed
-    scalar (``overflow``) ends the run at the iteration being taken; an
-    exhausted Krylov space, converged, at the last accepted one.
+    A vanished seed product or a zero seed ``alpha`` (``seed_breakdown``),
+    or a non-finite seed scalar (``overflow``), ends the run at the
+    iteration being taken; an exhausted Krylov space, converged, at the
+    last accepted one.
     Seed recurrences use the unconjugated products ``r^T r`` and
     ``p^T (z_s I - A) p``; the per-shift projection scalars are the
     conjugating ``v^H``-products throughout (verified against the dense
@@ -316,6 +319,8 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
                 and cmath.isfinite(r_scalar)):
             return SolveStatus.OVERFLOW, k
+        if alpha_seed == 0:  # underflowed: the next shared would divide by it
+            return SolveStatus.SEED_BREAKDOWN, k
         seed_alpha.append(alpha_seed)
         seed_beta.append(beta_seed)
         r_scalars.append(r_scalar)
@@ -402,7 +407,9 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
         rnorm, wnorm = stable_norm(r), stable_norm(w)
         e = _seed_dot(r, w, rnorm, wnorm)
-        if _vanished(e_prev, rnorm_prev, wnorm_prev):
+        # a vanished e_{k-1} makes alpha_{k-1} zero, and so does underflow;
+        # the next shared would divide by it
+        if _vanished(e_prev, rnorm_prev, wnorm_prev) or alpha_seed == 0:
             return SolveStatus.SEED_BREAKDOWN, k
         beta_seed = _quotient(e, e_prev)  # beta_{k-1}
         if not (cmath.isfinite(beta_seed) and cmath.isfinite(r_scalar)):

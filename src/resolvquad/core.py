@@ -14,11 +14,11 @@ Conventions used throughout the package:
   accumulation order (row-major, column-index ascending),
 * every product goes through :meth:`SparseHermitianMatrix.matvec`, which
   calls one of scipy's kernels without the dispatch of ``csr_matrix.dot``:
-  ``dia_matvec`` on cached diagonals where the entries fill a few
-  diagonals (at most 5% of padding over ``nnz``) and the product vector
-  fits a cache-sized budget (``_DIA_MAX_VECTOR_BYTES``), ``csr_matvec``
-  otherwise; both add each row's products in ascending column order, so
-  they give the same bits,
+  ``dia_matvec`` on cached diagonals for a real product (a real matrix and
+  a real vector) where the entries fill a few diagonals (at most 5% of
+  padding over ``nnz``) and the vector fits a cache-sized budget
+  (``_DIA_MAX_VECTOR_BYTES``), ``csr_matvec`` otherwise; both add each
+  row's products in ascending column order, so they give the same bits,
 * a norm that must stay finite and nonzero at both ends of the double
   range (``||A||_F``, the COCG/COCR residuals) is :func:`stable_norm`:
   numpy alone, one pass of ``ddot`` calls short enough to run on the
@@ -27,10 +27,10 @@ Conventions used throughout the package:
 
 The dtype follows the data: a matrix whose entries are all real keeps
 ``float64`` values and a ``float64`` CSR, and its product with a real vector
-is real.  Its product with a complex vector runs on a cached complex copy of
-the values that shares the index arrays, or of the diagonals on the DIA
-kernel, so it costs what a complex matrix costs.  Its dense copy
-(``to_dense``) keeps the CSR's dtype.
+is real.  Its product with a complex vector runs on the CSR kernel, with a
+cached complex copy of the values that shares the index arrays, so it costs
+what a complex matrix costs.  Its dense copy (``to_dense``) keeps the CSR's
+dtype.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class SparseHermitianMatrix:
     flags instead of re-scanning the entries.  ``row_ptr``, ``col_idx`` and
     ``values`` are the CSR's own arrays, not copies.  The first products
     cache what :meth:`matvec` multiplies besides the CSR: a real matrix's
-    values as ``complex128``, or its diagonals for the DIA kernel.
+    values as ``complex128``, and its diagonals for the DIA kernel.
 
     :meth:`from_csr` puts every CSR it is given through the transpose
     check, :func:`hermitian_check_csr`.  Only the Matrix Market reader
@@ -213,21 +213,10 @@ class SparseHermitianMatrix:
 
     @functools.cached_property
     def _dia(self):
-        """``(offsets, diags)`` in the CSR's dtype where products with a
-        vector of that dtype take the DIA kernel, else ``None``
-        (:func:`_diagonals`)."""
-        return _diagonals(self._csr)
-
-    @functools.cached_property
-    def _complex_dia(self):
-        """:attr:`_dia` for a ``complex128`` product: a real matrix copies
-        its diagonals to ``complex128`` where the complex vector is within
-        the byte budget too."""
-        dia = self._dia
-        if dia is None or self.n * 16 > _DIA_MAX_VECTOR_BYTES:
-            return None
-        offsets, diags = dia
-        return offsets, diags.astype(np.complex128, copy=False)
+        """``(offsets, diags)`` of a real matrix whose real products take
+        the DIA kernel (:func:`_diagonals`), else ``None``; a complex
+        matrix's products all take the CSR kernel."""
+        return _diagonals(self._csr) if self.is_real else None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = A x`` with row-major, index-ascending accumulation.
@@ -237,13 +226,14 @@ class SparseHermitianMatrix:
         on a zeroed ``y``, without the dispatch of ``csr_matrix.dot``, which
         costs as much as a kernel at n ~ 10^3:
 
-        * ``dia_matvec`` on the matrix's diagonals, cached per dtype by the
-          first product, where they pad ``nnz`` by at most
-          ``_DIA_MAX_PADDING`` and ``y`` has at most
+        * ``dia_matvec`` on the diagonals of a real matrix, cached by the
+          first real product, where ``x`` is real too, the diagonals pad
+          ``nnz`` by at most ``_DIA_MAX_PADDING`` and ``y`` has at most
           ``_DIA_MAX_VECTOR_BYTES`` (:func:`_diagonals`).  It loads no
           column index, which pays while the vectors stay in cache;
         * ``csr_matvec`` on the CSR otherwise, the call ``csr_matrix.dot``
-          makes.
+          makes: for every complex product, and for a real one past the
+          padding rule or the budget.
 
         Both add row ``i``'s products in ascending column order to ``+0``.
         A padding cell of the DIA kernel adds ``0 x_j = +-0``, which moves
@@ -263,8 +253,7 @@ class SparseHermitianMatrix:
                              f"vector has shape {x.shape}")
         csr = self._csr
         if x.dtype.kind == "c":
-            dia = self._complex_dia
-            data = self._complex_data if dia is None else dia[1]
+            dia, data = None, self._complex_data
         else:
             dia = self._dia
             data = csr.data if dia is None else dia[1]
@@ -287,12 +276,12 @@ class SparseHermitianMatrix:
 # cells of each diagonal past the matrix's edge), which bounds its extra
 # work and memory and keeps dense matrices on the CSR kernel ...
 _DIA_MAX_PADDING = 0.05
-# ... and where the product vector has at most this many bytes.  On a
-# 2-core Xeon with 2 MB of L2 per core, scripts/dia_crossover.py found DIA
-# 12-56% (mostly 28-45%) faster on real 5-point Laplacians up to 0.72 MB
-# and the crossover near 1 MB; complex vectors gained less, and a few
-# single runs below 1 MB were slower.  A quarter of the crossover leaves
-# room for smaller caches.
+# ... and where the real product vector has at most this many bytes.  On
+# a 2-core Xeon with 2 MB of L2 per core, scripts/dia_crossover.py found
+# DIA 12-56% (mostly 28-45%) faster on real 5-point Laplacians up to
+# 0.72 MB and the crossover near 1 MB; a quarter of it leaves room for
+# smaller caches.  Complex products stay on CSR: DIA took 0.94-1.01 of its
+# time at grid 32 and 0.88-0.90 at grid 100, which no workload shows.
 _DIA_MAX_VECTOR_BYTES = 1 << 18
 
 

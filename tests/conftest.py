@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from resolvquad.core import SparseHermitianMatrix
 from resolvquad.lanczos import lanczos_init
@@ -104,6 +105,15 @@ def result_bits(res):
         out.append({name: (col.dtype, col.tobytes())
                     for name, col in res.history.columns().items()})
     return res.iterations, out
+
+
+def laplacian(grid: int) -> sp.csr_matrix:
+    """The 5-point Laplacian on a ``grid x grid`` grid: five diagonals,
+    ``4 grid`` cells of padding."""
+    t = sp.diags([-np.ones(grid - 1), 2.0 * np.ones(grid),
+                  -np.ones(grid - 1)], [-1, 0, 1])
+    eye = sp.identity(grid)
+    return (sp.kron(t, eye) + sp.kron(eye, t)).tocsr()
 
 
 @pytest.fixture

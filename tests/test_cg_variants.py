@@ -19,6 +19,7 @@ from resolvquad.shifted_lanczos import run_quadratic_forms
 from resolvquad.shifted_minres import minres_run
 
 from conftest import (
+    laplacian,
     pi_history,
     random_hermitian,
     random_hermitian_dense,
@@ -95,6 +96,48 @@ def test_cocr_seed_breakdown_on_isotropic_direction():
     v = np.array([1.0, 0.5j])
     res = cocr_run(a, v, [3.0 + 0j], seed_shift=0.0 + 0j)
     assert res.shifts[0].status is SolveStatus.SEED_BREAKDOWN
+
+
+def test_underflowing_seed_alpha_ends_cocg_as_seed_breakdown():
+    """On the 30 x 30-grid 5-point Laplacian times 4e307, COCG's seed
+    ``alpha`` underflows to zero at k = 3, which the next ``shared`` would
+    divide by: the run ends there as ``seed_breakdown``.  COCR's seed
+    ``alpha`` never vanishes on it, and it converges at k = 49."""
+    a = SparseHermitianMatrix.from_csr(laplacian(30) * 4e307)
+    v = np.ones(900) / 30
+    shifts = generate_unit_circle_shifts(8)
+    res = cocg_run(a, v, shifts)
+    assert res.iterations == 3 and len(res.seed_alpha) == 2
+    assert [(s.status, s.iterations) for s in res.shifts] == \
+        [(SolveStatus.SEED_BREAKDOWN, 3)] * 8
+    res = cocr_run(a, v, shifts)
+    assert res.iterations == 49 and 0 not in res.seed_alpha
+    assert [(s.status, s.iterations) for s in res.shifts] == \
+        [(SolveStatus.CONVERGED, 49)] * 8
+
+
+@pytest.mark.parametrize("runner, alphas", [(cocg_run, 1), (cocr_run, 2)])
+def test_zero_seed_alpha_ends_the_run_where_it_is_formed(monkeypatch,
+                                                         runner, alphas):
+    """Both drivers form ``alpha_{k-1}`` then ``beta_{k-1}`` through
+    ``_quotient`` each iteration; an ``alpha_1`` of zero ends the run as
+    ``seed_breakdown`` at k = 2.  COCG ends before any shift takes it;
+    COCR ends where a vanished ``e_{k-1}``, which makes ``alpha_{k-1}``
+    zero too, ends it: after the shifts take it (``test_cocr_seed_guards``
+    and the golden history pin that end)."""
+    calls = []
+    quotient = cg_variants._quotient
+
+    def zero_alpha_1(num, den):
+        calls.append(None)
+        return 0j if len(calls) == 3 else quotient(num, den)
+
+    monkeypatch.setattr(cg_variants, "_quotient", zero_alpha_1)
+    a = SparseHermitianMatrix.diagonal(np.arange(1.0, 11.0))
+    res = runner(a, np.ones(10), [3 + 1j, 5 + 2j])
+    assert res.iterations == 2 and len(res.seed_alpha) == alphas
+    assert [(s.status, s.iterations) for s in res.shifts] == \
+        [(SolveStatus.SEED_BREAKDOWN, 2)] * 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -23,7 +23,12 @@ from resolvquad.core import (
 from resolvquad.harness import generate_unit_circle_shifts
 from resolvquad.mmio import read_matrix_market, write_matrix_market
 
-from conftest import random_hermitian_dense, random_vector, result_bits
+from conftest import (
+    laplacian,
+    random_hermitian_dense,
+    random_vector,
+    result_bits,
+)
 
 
 ENTRY_POINTS = {
@@ -314,19 +319,20 @@ def banded_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(banded_products())
 def test_dia_product_is_the_csr_product_bit_for_bit(problem):
-    """Where the matrix takes the DIA kernel, ``matvec`` gives the bits of
-    ``csr_matvec`` on the same CSR (``complex128`` where the matrix or the
-    vector is complex): each row adds its products in ascending column
-    order, and an unstored cell of the band adds a zero that moves no
-    partial sum.  The padding rule is lifted so that far diagonals qualify
-    too."""
+    """A real matrix with a real vector takes the DIA kernel, and
+    ``matvec`` gives the bits of ``csr_matvec`` on the same CSR: each row
+    adds its products in ascending column order, and an unstored cell of
+    the band adds a zero that moves no partial sum.  A complex matrix or a
+    complex vector takes the CSR kernel (``complex128``).  The padding
+    rule is lifted so that far diagonals qualify too."""
     csr, x = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_DIA_MAX_PADDING", math.inf)
         a = SparseHermitianMatrix.from_csr(csr)
         calls = _spy_on_kernels(mp)
         got = a.matvec(x)
-    assert calls == {"csr": 0, "dia": 1}
+    real = a.is_real and not np.iscomplexobj(x)
+    assert calls == (DIA if real else CSR)
     ref = a._csr
     if got.dtype != ref.dtype:
         ref = sp.csr_matrix((ref.data.astype(got.dtype), ref.indices,
@@ -358,15 +364,6 @@ def _kernels_of(monkeypatch, a, real_x: bool = True) -> dict:
 CSR, DIA = {"csr": 1, "dia": 0}, {"csr": 0, "dia": 1}
 
 
-def _laplacian(grid: int) -> sp.csr_matrix:
-    """The 5-point Laplacian on a ``grid x grid`` grid: five diagonals,
-    ``4 grid`` cells of padding."""
-    t = sp.diags([-np.ones(grid - 1), 2.0 * np.ones(grid),
-                  -np.ones(grid - 1)], [-1, 0, 1])
-    eye = sp.identity(grid)
-    return (sp.kron(t, eye) + sp.kron(eye, t)).tocsr()
-
-
 def _band(n: int, offsets) -> SparseHermitianMatrix:
     diags = [np.full(n - abs(k), -1.0 if k else 4.0) for k in offsets]
     return SparseHermitianMatrix.from_csr(
@@ -384,25 +381,26 @@ def test_dense_matrix_keeps_the_csr_kernel(monkeypatch, rng, real_x):
 @pytest.mark.parametrize("real_x", [True, False], ids=["real-x", "complex-x"])
 def test_laplacian_in_budget_takes_the_dia_kernel(monkeypatch, real_x):
     """The 5-point Laplacian on a 30 x 30 grid: five diagonals, 2.7% of
-    padding, a vector of 7.2 or 14.4 kB."""
-    a = SparseHermitianMatrix.from_csr(_laplacian(30))
-    assert _kernels_of(monkeypatch, a, real_x) == DIA
+    padding, a vector of 7.2 kB.  A complex vector of 14.4 kB takes the
+    CSR kernel: only real products take the DIA kernel."""
+    a = SparseHermitianMatrix.from_csr(laplacian(30))
+    assert _kernels_of(monkeypatch, a, real_x) == (DIA if real_x else CSR)
     assert a._dia[0].tolist() == [-30, -1, 0, 1, 30]
 
 
 def test_band_past_the_byte_budget_keeps_the_csr_kernel(monkeypatch):
-    """The budget counts the product vector's bytes: a real tridiagonal
-    matrix with one row more than a real vector's budget allows keeps the
-    CSR kernel, one within it takes the DIA kernel for real vectors, and
-    for complex vectors only within half as many rows."""
+    """The budget counts the real product vector's bytes: a real
+    tridiagonal matrix with one row more than a real vector's budget allows
+    keeps the CSR kernel, and one within it takes the DIA kernel for real
+    vectors.  Complex vectors take the CSR kernel at every size, within
+    half as many rows too."""
     budget = core._DIA_MAX_VECTOR_BYTES
     offsets = (-1, 0, 1)
     assert _kernels_of(monkeypatch, _band(budget // 8 + 1, offsets)) == CSR
-    for n, complex_kernel in ((budget // 8, CSR), (budget // 16, DIA),
-                              (budget // 16 + 1, CSR)):
+    for n in (budget // 8, budget // 16, budget // 16 + 1):
         a = _band(n, offsets)
         assert _kernels_of(monkeypatch, a) == DIA
-        assert _kernels_of(monkeypatch, a, real_x=False) == complex_kernel
+        assert _kernels_of(monkeypatch, a, real_x=False) == CSR
 
 
 def test_band_with_too_much_padding_keeps_the_csr_kernel(monkeypatch):
@@ -421,8 +419,10 @@ def test_both_kernels_give_the_drivers_the_same_overflow(monkeypatch, scale):
     5-point Laplacian scaled to ``scale``, where the Lanczos stream
     overflows at once and COCG or COCR converge or overflow, all four
     drivers give the same statuses, iterations, values and histories with
-    either kernel."""
-    csr = _laplacian(30) * scale
+    either kernel.  The forced kernel runs the real Lanczos and MINRES
+    products; the complex COCG and COCR products take the CSR kernel on
+    both sides."""
+    csr = laplacian(30) * scale
     v = np.random.default_rng(3).standard_normal(csr.shape[0])
     shifts = generate_unit_circle_shifts(8)
     runs = {}
@@ -431,10 +431,14 @@ def test_both_kernels_give_the_drivers_the_same_overflow(monkeypatch, scale):
             mp.setattr(core, "_DIA_MAX_VECTOR_BYTES", budget)
             a = SparseHermitianMatrix.from_csr(csr.copy())
             calls = _spy_on_kernels(mp)
-            runs[kernel] = [result_bits(run(a, v, shifts, keep_history=True))
-                            for run in (run_quadratic_forms, minres_run,
-                                        cocg_run, cocr_run)]
-            assert calls[kernel] > 0 and sum(calls.values()) == calls[kernel]
+            runs[kernel] = []
+            for run, used in ((run_quadratic_forms, kernel),
+                              (minres_run, kernel), (cocg_run, "csr"),
+                              (cocr_run, "csr")):
+                calls.update(csr=0, dia=0)
+                runs[kernel].append(
+                    result_bits(run(a, v, shifts, keep_history=True)))
+                assert calls[used] > 0 and sum(calls.values()) == calls[used]
     assert runs["dia"] == runs["csr"]
     statuses = {o[0] for _, outs in runs["csr"] for o in outs[:-1]}
     assert core.SolveStatus.OVERFLOW in statuses

@@ -38,7 +38,7 @@ from resolvquad.oracle import (
     spectral_quadform,
 )
 
-from conftest import random_hermitian, random_hermitian_dense
+from conftest import laplacian, random_hermitian, random_hermitian_dense
 
 
 @pytest.fixture
@@ -596,6 +596,22 @@ def test_cli_overflowing_frobenius_norm_is_exit_2(tmp_path):
     for method in ("lanczos", "minres", "cocg", "cocr"):
         statuses = {s["status"] for s in summary["methods"][method]["shifts"]}
         assert statuses == {"overflow"}
+
+
+def test_cli_underflowing_cocg_seed_alpha_is_a_status(tmp_path):
+    # on the 30 x 30-grid 5-point Laplacian times 4e307, COCG's seed alpha
+    # underflows to zero at k = 3: COCG's shifts end as seed_breakdown, not
+    # in an exception, and COCR converges, so the run exits 0
+    mat_path = tmp_path / "lap.mtx"
+    write_matrix_market(
+        SparseHermitianMatrix.from_csr(laplacian(30) * 4e307), mat_path)
+    out = tmp_path / "out"
+    code = main(["run", "--matrix", str(mat_path), "--shifts",
+                 "unit-circle:m=8", "--out", str(out)])
+    assert code == 0
+    methods = json.loads((out / "summary.json").read_text())["methods"]
+    for method, status in (("cocg", "seed_breakdown"), ("cocr", "converged")):
+        assert {s["status"] for s in methods[method]["shifts"]} == {status}
 
 
 @pytest.mark.parametrize("content, fault", [
