@@ -6,12 +6,13 @@ matrix is complex symmetric for real symmetric ``A``), and propagate every
 other shift through scalar collinearity factors ``pi_k``.  Only the
 projections ``v^H r_k`` and per-shift scalars are kept, so the output is
 the quadratic-form sequence, never a solution vector.  The seed products
-``x^T y`` are ``numpy.dot`` and the projections ``x^H y`` are
-``numpy.vdot``, each cast to Python ``complex`` before the scalar
-recursions use it.  A seed product whose factors' norms multiply past the
-overflow threshold, or below ``SEED_SCALE_MIN``, is formed from factors
-scaled by powers of two, and the seed scalars from its mantissa and
-exponent; a product in range is formed as it is.
+``x^T y`` (``numpy.dot``) and the projections ``x^H y`` (``numpy.vdot``)
+are :func:`~resolvquad.core.blockwise_dot`'s, each cast to Python
+``complex`` before the scalar recursions use it.  A seed product whose
+factors' norms multiply past the overflow threshold, or below
+``SEED_SCALE_MIN``, is formed from factors scaled by powers of two, and the
+seed scalars from its mantissa and exponent; a product in range is formed
+as it is.
 
 The drivers are called like the Lanczos and MINRES drivers,
 ``(a, v, shifts, *, rtol, lag, max_iter, reference, keep_history)``, with
@@ -60,6 +61,7 @@ from .core import (
     MethodResult,
     SolveStatus,
     SparseHermitianMatrix,
+    blockwise_dot,
     stable_norm,
 )
 from .error_estimate import DEFAULT_LAG, cabs
@@ -220,12 +222,12 @@ def _seed_dot(x: np.ndarray, y: np.ndarray, x_norm: float,
     """
     if (SEED_SCALE_MIN <= x_norm * y_norm < math.inf
             or not math.isfinite(x_norm + y_norm)):
-        return complex(np.dot(x, y)), 0
+        return complex(blockwise_dot(np.dot, x, y)), 0
     ex, ey = math.frexp(x_norm)[1], math.frexp(y_norm)[1]
     # ldexp on the parts: 2**-ex need not be a double
     xs = np.ldexp(x.view(np.float64), -ex).view(x.dtype)
     ys = xs if y is x else np.ldexp(y.view(np.float64), -ey).view(y.dtype)
-    return complex(np.dot(xs, ys)), ex + ey
+    return complex(blockwise_dot(np.dot, xs, ys)), ex + ey
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -294,7 +296,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         nonlocal rnorm, rr_prev
         rnorm = stable_norm(r)
         rr_prev = _seed_dot(r, r, rnorm, rnorm)  # r_0^T r_0
-        p0 = complex(np.vdot(v, r))  # p_0^{(i)} = v^H r_0
+        p0 = complex(blockwise_dot(np.vdot, v, r))  # p_0^{(i)} = v^H r_0
         s.p = np.full(s.z.shape, p0, dtype=np.complex128)
         r_scalars.append(p0)
 
@@ -315,7 +317,7 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
         rnorm = stable_norm(r)
         rr = _seed_dot(r, r, rnorm, rnorm)
         beta_seed = _quotient(rr, rr_prev)  # beta_{k-1}
-        r_scalar = complex(np.vdot(v, r))  # v^H r_k
+        r_scalar = complex(blockwise_dot(np.vdot, v, r))  # v^H r_k
         if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
                 and cmath.isfinite(r_scalar)):
             return SolveStatus.OVERFLOW, k
@@ -374,7 +376,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
         rnorm, wnorm_prev = stable_norm(r), stable_norm(w)
         e_prev = _seed_dot(r, w, rnorm, wnorm_prev)  # r_0^T (z_s I - A) r_0
-        r_scalar_prev = complex(np.vdot(v, r))  # v^H r_0
+        r_scalar_prev = complex(blockwise_dot(np.vdot, v, r))  # v^H r_0
         r_scalars.append(r_scalar_prev)
 
     def advance(k: int):
@@ -403,7 +405,7 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
         _commit(batch, k, pi_new, value_new, p_new)
 
         r = r - alpha_seed * q
-        r_scalar = complex(np.vdot(v, r))
+        r_scalar = complex(blockwise_dot(np.vdot, v, r))
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
         rnorm, wnorm = stable_norm(r), stable_norm(w)
         e = _seed_dot(r, w, rnorm, wnorm)

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * the inner product is ``x^H y``, conjugating its first argument
   (``numpy.vdot``); the complex-symmetric solvers also use the transpose
   bilinear form ``x^T y`` (``numpy.dot``); both are cast to Python
-  ``complex`` before scalar arithmetic,
+  ``complex`` before scalar arithmetic; they, and every sum of squares, go
+  through :func:`blockwise_dot`, whose bits no BLAS thread count moves,
 * matrices are stored fully expanded (both triangles) in one scipy CSR so
   that the matrix-vector product has a fixed, run-to-run deterministic
   accumulation order (row-major, column-index ascending),
@@ -21,9 +22,8 @@ Conventions used throughout the package:
   row's products in ascending column order, so they give the same bits,
 * a norm that must stay finite and nonzero at both ends of the double
   range (``||A||_F``, the COCG/COCR residuals) is :func:`stable_norm`:
-  numpy alone, one pass of ``ddot`` calls short enough to run on the
-  calling thread, and a power-of-two scaling only where the sum of squares
-  overflows or nears the underflow threshold.
+  numpy alone, one :func:`blockwise_dot` sum of squares, and a power-of-two
+  scaling only where that sum overflows or nears the underflow threshold.
 
 The dtype follows the data: a matrix whose entries are all real keeps
 ``float64`` values and a ``float64`` CSR, and its product with a real vector
@@ -318,23 +318,28 @@ def _real_or_complex(values: np.ndarray) -> np.ndarray:
 # most n 2**-115 of itself, below the unit round-off for any n < 2**62.
 _SUM_SQUARES_MIN = 2.0 ** -960
 
-# OpenBLAS's x86-64 ddot runs on the calling thread up to 10,000 entries.  A
-# longer call wakes the BLAS worker threads, which then spin on a core for
-# about 0.1 s waiting for more work, and slow whatever runs next on a busy
-# host.  Longer sums of squares are taken in chunks of this many entries.
-_DOT_CHUNK = 8192
+# OpenBLAS's x86-64 dot kernels run on the calling thread up to this many
+# entries.  A longer call splits its sum over the BLAS worker threads, so
+# its bits depend on their count, and the workers then spin on a core for
+# about 0.1 s waiting for more work, which slows whatever runs next.
+_ONE_CALL_MAX = 10_000
+_DOT_CHUNK = 8192  # entries per call of a longer reduction
 
 
-def _sum_squares(x: np.ndarray) -> float:
-    """``x . x`` of a ``float64`` array by ``ddot`` calls of at most
-    ``_DOT_CHUNK`` entries; a sum that overflows is ``inf``."""
-    if x.size <= _DOT_CHUNK:
-        return np.vdot(x, x)
-    x = x.reshape(-1)
-    total = 0.0
-    for start in range(0, x.size, _DOT_CHUNK):
-        chunk = x[start:start + _DOT_CHUNK]
-        total += float(np.vdot(chunk, chunk))
+def blockwise_dot(op, x: np.ndarray, y: np.ndarray):
+    """``op(x, y)`` of two 1-D arrays of one length, contiguous or strided,
+    for ``op`` ``numpy.dot`` or ``numpy.vdot``, with bits that no BLAS
+    thread count moves: the one call up to ``_ONE_CALL_MAX`` entries, else
+    the sum in index order, as Python scalars (which raise no
+    floating-point warning), of ``op`` on consecutive chunks of
+    ``_DOT_CHUNK`` entries."""
+    n = x.size
+    if n <= _ONE_CALL_MAX:
+        return op(x, y)
+    total = op(x[:_DOT_CHUNK], y[:_DOT_CHUNK]).item()
+    for start in range(_DOT_CHUNK, n, _DOT_CHUNK):
+        stop = start + _DOT_CHUNK
+        total += op(x[start:stop], y[start:stop]).item()
     return total
 
 
@@ -344,21 +349,20 @@ def stable_norm(values: np.ndarray) -> float:
     Frobenius norm, and the COCG/COCR residual norms.
 
     The common path is ``sqrt(x . x)`` over the real parts ``x`` of the
-    entries (the ``float64`` view of a complex array), one BLAS ``ddot`` per
-    ``_DOT_CHUNK`` entries, so no BLAS thread other than the caller's runs.
-    It is taken while the sum is finite and at least ``_SUM_SQUARES_MIN``.
-    Otherwise, at the ends of the range, the parts are first multiplied by
-    ``2**-e``, ``e`` the exponent of ``max |x_i|``, which is exact, and the
-    norm is scaled back (Blue, ACM TOMS 4, 1978).  A ``nan`` entry gives
-    ``nan``, else an infinite one ``inf``, as BLAS ``nrm2`` does.
-    ``np.vdot`` raises no floating-point warning, so the sum needs no
-    ``np.errstate``.
+    entries (the ``float64`` view of a complex array), summed by
+    :func:`blockwise_dot` with ``numpy.vdot``, so no BLAS thread other than
+    the caller's runs.  It is taken while the sum is finite and at least
+    ``_SUM_SQUARES_MIN``.  Otherwise, at the ends of the range, the parts
+    are first multiplied by ``2**-e``, ``e`` the exponent of ``max |x_i|``,
+    which is exact, and the norm is scaled back (Blue, ACM TOMS 4, 1978).
+    A ``nan`` entry gives ``nan``, else an infinite one ``inf``, as BLAS
+    ``nrm2`` does.  Neither the sum nor ``np.vdot`` raises a floating-point
+    warning, so it needs no ``np.errstate``.
     """
     if values.dtype.kind == "c":
-        x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
-    else:
-        x = np.asarray(values, dtype=np.float64)
-    total = _sum_squares(x)
+        values = np.ascontiguousarray(values, np.complex128).view(np.float64)
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    total = blockwise_dot(np.vdot, x, x)
     if _SUM_SQUARES_MIN <= total < math.inf:
         return math.sqrt(total)
     peak = float(np.max(np.abs(x), initial=0.0))
@@ -368,7 +372,7 @@ def stable_norm(values: np.ndarray) -> float:
     with np.errstate(under="ignore"):
         scaled = np.ldexp(x, -e)
     try:
-        return math.ldexp(math.sqrt(_sum_squares(scaled)), e)
+        return math.ldexp(math.sqrt(blockwise_dot(np.vdot, scaled, scaled)), e)
     except OverflowError:
         return math.inf
 

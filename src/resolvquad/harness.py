@@ -126,8 +126,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods: {unknown}")
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"repeated methods in {list(self.methods)}")
-        if not (isinstance(self.rtol, float) and self.rtol > 0):
-            raise ConfigError("rtol must be a positive float")
+        if not (isinstance(self.rtol, float) and 0 < self.rtol < math.inf):
+            raise ConfigError("rtol must be a finite positive float")
         for key in ("lag", "max_iter", "seed_shift"):
             value = getattr(self, key)
             if value is None and key != "lag":

@@ -19,10 +19,10 @@ cache between the product and the subtraction; elementwise ufuncs round on
 a slice exactly as on the whole array, so the blocks change no bit.  A
 vector of one block is updated in one call.  A complex vector is updated
 and scaled through its ``float64`` view, where the real coefficient
-multiplies both parts at once.  The reductions and the matrix-vector
-product stay whole-vector calls: blocking a reduction would change its
-summation order.  ``||v||`` and ``beta_k`` are ``numpy.linalg.norm``'s
-``sqrt(u . u)`` without its wrapper, so its bits.
+multiplies both parts at once.  The reductions are
+:func:`~resolvquad.core.blockwise_dot`'s: ``||v||`` and ``beta_k`` are
+``sqrt(u . u)``, or ``sqrt(re . re + im . im)`` on the strided parts of a
+complex ``u``, which is ``numpy.linalg.norm`` up to 10^4 entries.
 
 ``alpha`` is stored as ``real(u^H v)``: for complex Hermitian matrices the
 numerically computed Rayleigh quotient picks up a spurious imaginary part
@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteError, SparseHermitianMatrix
+from .core import NonFiniteError, SparseHermitianMatrix, blockwise_dot
 
 __all__ = [
     "BLOCK",
@@ -115,7 +115,8 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
                          "inspect max_asymmetry")
     v = stream_vector(a, v)
     with np.errstate(all="ignore"):
-        vn = _norm(v)
+        parts = (v,) if v.dtype == np.float64 else (v.real, v.imag)
+        vn = math.sqrt(sum(blockwise_dot(np.dot, p, p) for p in parts))
         if vn == 0.0:
             raise ValueError("||v|| underflows" if np.any(v)
                              else "starting vector must be nonzero")
@@ -123,7 +124,7 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
             raise NonFiniteError("||v|| is not finite")
         v1 = v / vn
         u = a.matvec(v1)
-        alpha1 = float(np.vdot(u, v1).real)
+        alpha1 = float(blockwise_dot(np.vdot, u, v1).real)
     if not math.isfinite(alpha1):
         raise NonFiniteError("alpha_1 is not finite")
     coeffs = LanczosCoefficients(alpha=[alpha1], beta=[])
@@ -150,7 +151,8 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     with np.errstate(all="ignore"):
         # u <- u - alpha_k v_k, rounded as fl(u - fl(alpha_k v_k))
         _subtract_scaled(u, alpha_k, v_curr, scratch)
-        beta_k = _norm(u)
+        parts = (u,) if u.dtype == np.float64 else (u.real, u.imag)
+        beta_k = math.sqrt(sum(blockwise_dot(np.dot, p, p) for p in parts))
         if not math.isfinite(beta_k):
             raise NonFiniteError(f"beta_{k} is not finite")
         if beta_k <= state.a.breakdown_floor:
@@ -166,7 +168,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
                         out=v_next.view(np.float64))
         u_next = state.a.matvec(v_next)
         _subtract_scaled(u_next, beta_k, v_curr, scratch)
-        alpha_next = float(np.vdot(u_next, v_next).real)
+        alpha_next = float(blockwise_dot(np.vdot, u_next, v_next).real)
     if not math.isfinite(alpha_next):
         raise NonFiniteError(f"alpha_{k + 1} is not finite")
     state.coeffs.beta.append(beta_k)
@@ -177,15 +179,6 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     state.k = k + 1
     return StepOutcome(invariant_subspace=False, beta=beta_k,
                        alpha_next=alpha_next)
-
-
-def _norm(u: np.ndarray) -> float:
-    """``||u||_2`` by ``numpy.linalg.norm``'s BLAS ``dot`` calls, so its
-    bits (``inf`` and 0 included), without its wrapper."""
-    if u.dtype == np.float64:
-        return math.sqrt(u.dot(u))
-    re, im = u.real, u.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _subtract_scaled(u: np.ndarray, c: float, x: np.ndarray,

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import SolveStatus, SparseHermitianMatrix
+from .core import SolveStatus, SparseHermitianMatrix, blockwise_dot
 from .error_estimate import DEFAULT_LAG, cabs
 from .lanczos import lanczos_init, lanczos_step, stream_vector
 from .shift_batch import ShiftBatch
@@ -122,7 +122,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
         beta_prev = coeffs.beta[-1] if coeffs.beta else 0.0
         # v^H v_k, projected on the sign-flipped basis (-1)^{k-1} v_k
         qsign = 1.0 if k % 2 else -1.0
-        q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
+        q_scalar = qsign * complex(blockwise_dot(np.vdot, v, stream.v_curr))
         outcome = lanczos_step(stream)
         exhausting = outcome.invariant_subspace
         beta_k = 0.0 if exhausting else outcome.beta

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -105,6 +108,25 @@ def result_bits(res):
         out.append({name: (col.dtype, col.tobytes())
                     for name, col in res.history.columns().items()})
     return res.iterations, out
+
+
+def chunk_sum(op, x, y, chunk=8192):
+    """The sum, in index order, of ``op`` on consecutive ``chunk``-entry
+    slices of ``x`` and ``y``, added as Python scalars."""
+    parts = [op(x[i:i + chunk], y[i:i + chunk]).item()
+             for i in range(0, x.size, chunk)]
+    return functools.reduce(operator.add, parts)
+
+
+def long_tridiagonal(n: int, real_v: bool, seed: int = 7):
+    """A random real symmetric tridiagonal of order ``n``, with a real or a
+    complex start vector."""
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    csr = sp.diags([off, rng.standard_normal(n), off], [-1, 0, 1],
+                   format="csr")
+    v = rng.standard_normal(n) if real_v else random_vector(rng, n)
+    return SparseHermitianMatrix.from_csr(csr), v
 
 
 def laplacian(grid: int) -> sp.csr_matrix:

@@ -24,7 +24,9 @@ from resolvquad.harness import generate_unit_circle_shifts
 from resolvquad.mmio import read_matrix_market, write_matrix_market
 
 from conftest import (
+    chunk_sum,
     laplacian,
+    long_tridiagonal,
     random_hermitian_dense,
     random_vector,
     result_bits,
@@ -524,6 +526,111 @@ def test_stable_norm_keeps_every_ddot_on_the_calling_thread(monkeypatch,
     monkeypatch.undo()
     assert abs(norm - _nrm2(x)) <= NORM_ULPS * math.ulp(norm)
     assert sizes and max(sizes) <= 10_000
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([0, 1, 7, 8192, 8193, 10_000, 10_001, 2 * 8192,
+                          3 * 8192 + 5]),
+       op=st.sampled_from([np.dot, np.vdot]),
+       dtype=st.sampled_from([np.float64, np.complex128]),
+       strided=st.booleans(), scale=st.sampled_from([1.0, 1e160]))
+def test_blockwise_dot_is_one_call_or_the_in_order_chunk_sum(
+        seed, n, op, dtype, strided, scale):
+    """Up to 10**4 entries the bytes of one ``op`` call; above, the bytes of
+    the in-order sum of calls on 8,192-entry chunks.  For ``numpy.dot`` and
+    ``numpy.vdot``, real and complex, contiguous and strided operands, and
+    sums that overflow (``numpy.dot`` warns of that, as in the drivers'
+    ``np.errstate``)."""
+    rng = np.random.default_rng(seed)
+
+    def operand():
+        x = scale * random_vector(rng, 2 * n if strided else n)
+        if dtype is np.float64:  # a contiguous copy, or the strided parts
+            x = x.real if strided else x.real.copy()
+        return x[::2] if strided else x
+
+    x, y = operand(), operand()
+    assert x.size == n and x.dtype == dtype
+    with np.errstate(all="ignore"):
+        got = core.blockwise_dot(op, x, y)
+        want = op(x, y) if n <= 10_000 else chunk_sum(op, x, y)
+    assert np.asarray(got).dtype == dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("real_v", [True, False], ids=["real-v", "complex-v"])
+def test_drivers_keep_every_dot_on_the_calling_thread(monkeypatch, real_v):
+    """Every ``numpy.dot`` and ``numpy.vdot`` call of each driver on an
+    n = 2 10**4 stream has at most the 10**4 entries that OpenBLAS runs on
+    the calling thread."""
+    a, v = long_tridiagonal(2 * 10**4, real_v)
+    shifts = generate_unit_circle_shifts(4)
+    for driver in (run_quadratic_forms, minres_run, cocg_run, cocr_run):
+        sizes = []
+        for name in ("dot", "vdot"):
+            def spy(x, y, *args, _op=getattr(np, name), **kwargs):
+                sizes.append(np.size(x))
+                return _op(x, y, *args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        driver(a, v, shifts, max_iter=5, keep_history=True)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= 10_000, driver.__name__
+
+
+THREAD_RUNS = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from resolvquad import cocg_run, cocr_run, minres_run, run_quadratic_forms
+from resolvquad.core import SparseHermitianMatrix
+from resolvquad.harness import generate_unit_circle_shifts
+from conftest import long_tridiagonal, random_vector, result_bits
+
+def show(name, res):
+    bits = [result_bits(res)]
+    for key in ("alpha", "beta", "seed_alpha", "seed_beta", "r_scalars"):
+        if hasattr(res, key):
+            bits.append(np.array(getattr(res, key), complex).tobytes())
+    print(name, hashlib.sha256(repr(bits).encode()).hexdigest())
+
+shifts = generate_unit_circle_shifts(4)
+for real_v in (True, False):
+    a, v = long_tridiagonal(2 * 10**4, real_v)
+    for run in (run_quadratic_forms, minres_run, cocg_run, cocr_run):
+        show(f"{run.__name__} real_v={real_v}",
+             run(a, v, shifts, max_iter=40, keep_history=True))
+# a complex Hermitian stream of exactly 10**4 entries: one call each
+n = 10**4
+rng = np.random.default_rng(11)
+off = random_vector(rng, n - 1)
+csr = sp.diags([off.conj(), rng.standard_normal(n), off], [-1, 0, 1],
+               format="csr")
+a = SparseHermitianMatrix.from_csr(csr)
+for run in (run_quadratic_forms, minres_run):
+    show(f"{run.__name__} complex n=10**4",
+         run(a, random_vector(rng, n), shifts, max_iter=40,
+             keep_history=True))
+"""
+
+
+def test_driver_outputs_do_not_move_with_the_blas_thread_count():
+    """The four drivers give the same statuses, iterations, values, history
+    columns and coefficient bytes at one and at two BLAS threads, on an
+    n = 2 10**4 stream (chunked reductions) and on a complex stream of
+    exactly 10**4 entries (one call per reduction)."""
+    src = str(Path(resolvquad.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, tests, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", THREAD_RUNS], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(out.stdout.splitlines())
+    assert len(outputs[0]) == 10
+    assert outputs[0] == outputs[1]
 
 
 SPECIAL_NORM_VECTORS = [

@@ -710,6 +710,10 @@ REJECTED_INPUTS = {
     "unit-circle-m0": (["--shifts", "unit-circle:m=0"], None),
     "unit-circle-item-without-eq": (["--shifts", "unit-circle:m5"], None),
     "rtol-0": (["--rtol", "0"], None),
+    "rtol-inf": (["--rtol", "inf"], None),
+    "rtol-1e400": (["--rtol", "1e400"], None),
+    "config-rtol-inf": (["--config", "{file}"],
+                        "matrix = {diag}\nrtol = inf\n"),
     "lag-0": (["--lag", "0"], None),
     "max-iter-0": (["--max-iter", "0"], None),
     "vector-three-columns": (["--vector", "file:{file}"],

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,17 +11,22 @@ from resolvquad.core import (
     HAPPY_BREAKDOWN_RTOL,
     NonFiniteError,
     SparseHermitianMatrix,
+    blockwise_dot,
 )
 from resolvquad.lanczos import (
     BLOCK,
-    _norm,
     _subtract_scaled,
     lanczos_init,
     lanczos_step,
 )
 from resolvquad.oracle import tridiagonal_matrix
 
-from conftest import random_hermitian, random_hermitian_dense, random_vector
+from conftest import (
+    chunk_sum,
+    random_hermitian,
+    random_hermitian_dense,
+    random_vector,
+)
 
 
 def diag12_state():
@@ -241,14 +247,16 @@ def test_non_finite_start_norm_raises(entry):
 def two_pass_step(state):
     """The step before the vector updates were blocked: every update is a
     whole-vector product into an n-vector scratch, then a subtraction, and
-    ``v_{k+1}`` is ``numpy.divide(u, beta_k)``.  The reference for
-    :func:`lanczos_step`, which must match it bit for bit."""
+    ``v_{k+1}`` is ``numpy.divide(u, beta_k)``.  ``beta_k`` and ``alpha_k``
+    are taken through :func:`~resolvquad.core.blockwise_dot`.  The
+    reference for :func:`lanczos_step`, which must match it bit for bit."""
     k = state.k
     alpha_k = state.coeffs.alpha[-1]
     u, v_curr, scratch = state.u, state.v_curr, state.scratch
     with np.errstate(all="ignore"):
         np.subtract(u, np.multiply(alpha_k, v_curr, out=scratch), out=u)
-        beta_k = float(np.linalg.norm(u))
+        parts = (u.real, u.imag) if np.iscomplexobj(u) else (u,)
+        beta_k = math.sqrt(sum(blockwise_dot(np.dot, p, p) for p in parts))
         if beta_k <= HAPPY_BREAKDOWN_RTOL * state.a.frobenius_norm:
             state.exhausted = True
             return True
@@ -256,7 +264,7 @@ def two_pass_step(state):
         u_next = state.a.matvec(v_next)
         np.subtract(u_next, np.multiply(beta_k, v_curr, out=scratch),
                     out=u_next)
-        alpha_next = float(np.vdot(u_next, v_next).real)
+        alpha_next = float(blockwise_dot(np.vdot, u_next, v_next).real)
     state.coeffs.beta.append(beta_k)
     state.coeffs.alpha.append(alpha_next)
     state.v_prev, state.v_curr, state.u = v_curr, v_next, u_next
@@ -345,22 +353,34 @@ def test_step_allocates_only_the_matvec_result(real):
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_norm_is_numpys_bit_for_bit(rng, real, scale):
-    """The stream's norm is ``numpy.linalg.norm``'s, also where it
-    overflows to ``inf`` (``lanczos_init`` then raises
-    :class:`NonFiniteError`) and where every square underflows to 0."""
-    for n in (1, 2, 7, 1000, 3 * BLOCK + 5):
+    """The stream's ``||v||`` is ``numpy.linalg.norm``'s up to 10**4
+    entries, and above that the same sums of squares (``re . re + im . im``
+    for a complex ``v``) taken as in-order sums of 8,192-entry calls; also
+    where it overflows to ``inf`` (``lanczos_init`` then raises
+    :class:`NonFiniteError`) and where every square underflows to 0 (it
+    raises ``ValueError``)."""
+    for n in (1, 2, 7, 1000, 10_000, 10_001, 3 * BLOCK + 5):
         u = scale * (rng.standard_normal(n) if real
                      else random_vector(rng, n))
         with np.errstate(all="ignore"):  # as in the stream: dot overflows
-            got, want = _norm(u), float(np.linalg.norm(u))
-        assert isinstance(got, float)
-        assert bits(got) == bits(want)
-    if scale == 1e200:
-        assert got == np.inf
-        with pytest.raises(NonFiniteError, match="v"):
-            lanczos_init(SparseHermitianMatrix.diagonal(np.ones(n)), u)
-    if scale == 1e-170:
-        assert got == 0.0
+            if n <= 10_000:
+                want = float(np.linalg.norm(u))
+            else:
+                want = math.sqrt(sum(chunk_sum(np.dot, p, p) for p in
+                                     ((u,) if real else (u.real, u.imag))))
+        a = SparseHermitianMatrix.diagonal(np.ones(n))
+        if scale == 1e200:
+            assert want == np.inf
+            with pytest.raises(NonFiniteError, match="v"):
+                lanczos_init(a, u)
+        elif scale == 1e-170:
+            assert want == 0.0
+            with pytest.raises(ValueError, match="underflows"):
+                lanczos_init(a, u)
+        else:
+            state = lanczos_init(a, u)
+            assert bits(state.vnorm2) == bits(want * want)
+            assert bits(state.v_curr) == bits(u / want)
 
 
 @pytest.mark.parametrize("n", [1, BLOCK // 2, BLOCK // 2 + 1, BLOCK,
