@@ -14,12 +14,15 @@ Conventions used throughout the package:
   that the matrix-vector product has a fixed, run-to-run deterministic
   accumulation order (row-major, column-index ascending),
 * every product goes through :meth:`SparseHermitianMatrix.matvec`, which
-  calls one of scipy's kernels without the dispatch of ``csr_matrix.dot``:
-  ``dia_matvec`` on cached diagonals for a real product (a real matrix and
-  a real vector) where the entries fill a few diagonals (at most 5% of
-  padding over ``nnz``) and the vector fits a cache-sized budget
-  (``_DIA_MAX_VECTOR_BYTES``), ``csr_matvec`` otherwise; both add each
-  row's products in ascending column order, so they give the same bits,
+  calls scipy's kernels without the dispatch of ``csr_matrix.dot``, one of
+  three ways: ``dia_matvec`` on cached diagonals for a real product (a real
+  matrix and a real vector) where the entries fill a few diagonals (at most
+  5% of padding over ``nnz``) and the vector fits a cache-sized budget
+  (``_DIA_MAX_VECTOR_BYTES``); otherwise ``csr_matvec``, on the whole CSR,
+  or, where the vector passes ``_SPLIT_MIN_VECTOR_BYTES`` and the process
+  may run on two cores, on two row ranges at once, one of them on the
+  process's one worker thread (the split product); every way adds each
+  row's products in ascending column order, so all give the same bits,
 * a norm that must stay finite and nonzero at both ends of the double
   range (``||A||_F``, the COCG/COCR residuals) is :func:`stable_norm`:
   numpy alone, one :func:`blockwise_dot` sum of squares, and a power-of-two
@@ -38,6 +41,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -97,10 +103,14 @@ class SparseHermitianMatrix:
     """Square matrix held as one scipy CSR with full (both-triangle) storage.
 
     The container is immutable after construction and safe to share across
-    threads.  ``hermitian_verified`` records whether the entries passed the
-    conjugate-symmetry check at ``HERMITIAN_TOL`` relative to the largest entry
-    magnitude; ``is_real`` records whether every stored imaginary part is
-    zero, in which case the CSR is ``float64`` (otherwise ``complex128``).
+    threads: concurrent products share only the process's one worker
+    thread, which runs the halves of split products (:meth:`matvec`) one at
+    a time, in the order their callers hand them in, while each caller runs
+    its own half.  ``hermitian_verified`` records whether the entries
+    passed the conjugate-symmetry check at ``HERMITIAN_TOL`` relative to the
+    largest entry magnitude; ``is_real`` records whether every stored
+    imaginary part is zero, in which case the CSR is ``float64`` (otherwise
+    ``complex128``).
     Solvers that require a Hermitian (or real symmetric) matrix check these
     flags instead of re-scanning the entries.  ``row_ptr``, ``col_idx`` and
     ``values`` are the CSR's own arrays, not copies.  The first products
@@ -222,9 +232,9 @@ class SparseHermitianMatrix:
         """``y = A x`` with row-major, index-ascending accumulation.
 
         The product is ``float64`` when the matrix and ``x`` are both real,
-        ``complex128`` otherwise.  It calls one of scipy's private kernels
-        on a zeroed ``y``, without the dispatch of ``csr_matrix.dot``, which
-        costs as much as a kernel at n ~ 10^3:
+        ``complex128`` otherwise.  It calls scipy's private kernels on a
+        zeroed ``y``, without the dispatch of ``csr_matrix.dot``, which
+        costs as much as a kernel at n ~ 10^3, one of three ways:
 
         * ``dia_matvec`` on the diagonals of a real matrix, cached by the
           first real product, where ``x`` is real too, the diagonals pad
@@ -233,18 +243,28 @@ class SparseHermitianMatrix:
           column index, which pays while the vectors stay in cache;
         * ``csr_matvec`` on the CSR otherwise, the call ``csr_matrix.dot``
           makes: for every complex product, and for a real one past the
-          padding rule or the budget.
+          padding rule or the budget;
+        * ``csr_matvec`` split in two, where ``y`` has more than
+          ``_SPLIT_MIN_VECTOR_BYTES`` and ``os.sched_getaffinity`` (where
+          the platform has it) gives at least two cores.  The rows split
+          where ``row_ptr`` reaches ``nnz / 2``, and the kernel runs on
+          each range, with slices of ``row_ptr`` and ``y`` and no copy:
+          rows above on the process's one worker thread, started by the
+          first split product (and again in a child after ``os.fork``),
+          rows below on the calling thread.  scipy's kernel releases the
+          GIL, so the two run at once; each zeroes its own slice of ``y``
+          first.
 
-        Both add row ``i``'s products in ascending column order to ``+0``.
-        A padding cell of the DIA kernel adds ``0 x_j = +-0``, which moves
-        no partial sum since none is ever ``-0``, so both give scipy's CSR
-        bits (``tests/test_core.py`` pins them).  A non-finite ``x`` is
-        where they part: on the CSR kernel it reaches row ``i`` only
-        through a stored ``a_ij``, on the DIA kernel also through a padding
-        cell, where ``0 inf`` makes the row NaN.  On the overflowing
-        problems of the tests the four drivers end alike on both kernels.
-        ``matvec`` stays the one path to the product, which the benchmark's
-        tracer wraps to count products.
+        All three add row ``i``'s products in ascending column order to
+        ``+0``.  A padding cell of the DIA kernel adds ``0 x_j = +-0``,
+        which moves no partial sum since none is ever ``-0``, so all give
+        scipy's CSR bits (``tests/test_core.py`` pins them).  A non-finite
+        ``x`` is where they part: on the CSR kernel it reaches row ``i``
+        only through a stored ``a_ij``, on the DIA kernel also through a
+        padding cell, where ``0 inf`` makes the row NaN.  On the
+        overflowing problems of the tests the four drivers end alike on
+        both kernels.  ``matvec`` stays the one path to the product, which
+        the benchmark's tracer wraps to count products.
         """
         x = np.asarray(x)
         n = self.n
@@ -258,6 +278,10 @@ class SparseHermitianMatrix:
             dia = self._dia
             data = csr.data if dia is None else dia[1]
         x = np.ascontiguousarray(x, dtype=data.dtype)
+        if (dia is None and x.nbytes > _SPLIT_MIN_VECTOR_BYTES
+                and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1):
+            return _split_product(csr.indptr, csr.indices, data, x)
         y = np.zeros(n, data.dtype)
         if dia is None:
             csr_matvec(n, n, csr.indptr, csr.indices, data, x, y)
@@ -283,6 +307,75 @@ _DIA_MAX_PADDING = 0.05
 # smaller caches.  Complex products stay on CSR: DIA took 0.94-1.01 of its
 # time at grid 32 and 0.88-0.90 at grid 100, which no workload shows.
 _DIA_MAX_VECTOR_BYTES = 1 << 18
+# A CSR product splits over two threads where its vector has more than
+# this many bytes.  The split product alone already gains from about
+# 0.3 MB (scripts/dia_crossover.py), but in a solver's step the worker's
+# wake-up and the half of y that the other core's cache holds cost about
+# as much as the split saves up to about 1 MB: on a 2-core Xeon with 2 MB
+# of L2 per core, Lanczos and MINRES runs on 5-point Laplacians took 1.05
+# to 1.24 times as long a step at 0.5 MB, 0.92 to 1.05 times at 0.8 to
+# 0.9 MB, and 0.78 to 0.95 times from 1.05 MB.
+_SPLIT_MIN_VECTOR_BYTES = 1 << 20
+
+
+def _split_product(indptr, indices, data, x) -> np.ndarray:
+    """The CSR product in two row ranges split where ``indptr`` reaches
+    ``nnz / 2``: rows above on the worker thread, rows below here."""
+    n = x.size
+    y = np.empty(n, data.dtype)
+    rows = (indptr, indices, data, x, y)
+    # the first row end at floor(nnz / 2) or past it; a value of indptr's
+    # own dtype, so that searchsorted makes no converted copy of indptr
+    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
+    done, failed = threading.Lock(), []
+    done.acquire()
+    _worker_tasks().put((done, failed, (0, mid, *rows)))
+    _row_product(mid, n, *rows)
+    done.acquire()  # released by the worker once its rows are in y
+    if failed:
+        raise failed[0]
+    return y
+
+
+def _row_product(lo: int, hi: int, indptr, indices, data, x, y) -> None:
+    """Rows ``lo:hi`` of the CSR product into ``y[lo:hi]``, zeroed first."""
+    y[lo:hi] = 0
+    csr_matvec(hi - lo, x.size, indptr[lo:hi + 1], indices, data, x,
+               y[lo:hi])
+
+
+# The process's one split-product worker, (pid, task queue), started by the
+# first split product; a child made by os.fork() starts its own.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _worker_tasks() -> queue.SimpleQueue:
+    """The task queue of this process's worker, started if it has none."""
+    global _worker
+    pid = os.getpid()
+    with _worker_lock:
+        if _worker is None or _worker[0] != pid:
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), daemon=True,
+                             name="resolvquad-matvec").start()
+            _worker = (pid, tasks)
+        return _worker[1]
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """Run each ``(done, failed, rows)`` task's rows, keep what they raise
+    in ``failed`` for the caller, and release ``done``."""
+    while True:
+        done, failed, rows = tasks.get()
+        try:
+            _row_product(*rows)
+        except BaseException as exc:
+            failed.append(exc)
+        # keep no array alive while waiting: the last task's matrix would
+        # otherwise outlive its run
+        del rows
+        done.release()
 
 
 def _diagonals(csr: sp.csr_matrix):

@@ -33,6 +33,7 @@ exactly the shifts that still iterate.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -55,6 +56,8 @@ class ShiftBatch:
         self.z = np.array([complex(z) for z in shifts], dtype=np.complex128)
         if self.z.size == 0:
             raise ValueError("at least one shift is required")
+        if rtol is not None and not 0 < rtol < math.inf:
+            raise ValueError("rtol must be a finite positive float or None")
         self.rtol = rtol
         self.active = np.arange(self.z.size)
         # the driver's per-shift arrays, compacted along with ``active``

@@ -1,8 +1,10 @@
+import gc
 import importlib
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -335,14 +337,7 @@ def test_dia_product_is_the_csr_product_bit_for_bit(problem):
         got = a.matvec(x)
     real = a.is_real and not np.iscomplexobj(x)
     assert calls == (DIA if real else CSR)
-    ref = a._csr
-    if got.dtype != ref.dtype:
-        ref = sp.csr_matrix((ref.data.astype(got.dtype), ref.indices,
-                             ref.indptr), shape=ref.shape)
-    want = np.zeros(a.n, got.dtype)
-    core.csr_matvec(a.n, a.n, ref.indptr, ref.indices, ref.data,
-                    x.astype(got.dtype), want)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _serial_product(a, x).tobytes()
 
 
 def _spy_on_kernels(monkeypatch) -> dict:
@@ -364,6 +359,48 @@ def _kernels_of(monkeypatch, a, real_x: bool = True) -> dict:
 
 
 CSR, DIA = {"csr": 1, "dia": 0}, {"csr": 0, "dia": 1}
+SPLIT = {"csr": 2, "dia": 0}
+
+
+def _offset(view: np.ndarray, whole: np.ndarray) -> int:
+    """The index in ``whole`` at which the 1-D ``view`` starts."""
+    return (view.ctypes.data - whole.ctypes.data) // whole.itemsize
+
+
+def _row_ranges(monkeypatch, a, x):
+    """``a.matvec(x)``, and the ``(first row, row count)`` of each of its
+    ``csr_matvec`` calls in row order.  Each call must read the matrix's
+    own arrays, ``row_ptr`` through a slice of its rows and the values as
+    the product's dtype, and write the same rows of the product."""
+    kernel, seen = core.csr_matvec, []
+
+    def spy(n_row, n_col, indptr, indices, data, x_, y):
+        seen.append((n_row, indptr, indices, data, y))
+        kernel(n_row, n_col, indptr, indices, data, x_, y)
+
+    monkeypatch.setattr(core, "csr_matvec", spy)
+    got = a.matvec(x)
+    ranges = []
+    for n_row, indptr, indices, data, y in seen:
+        first = _offset(indptr, a.row_ptr)
+        assert indptr.base is a.row_ptr or indptr is a.row_ptr
+        assert y.base is got or y is got
+        assert indices is a.col_idx and indptr.size == n_row + 1
+        assert data is (a.values if a.is_real and got.dtype.kind == "f"
+                        else a._complex_data)
+        assert y.size == n_row and (n_row == 0 or _offset(y, got) == first)
+        ranges.append((first, n_row))
+    return got, sorted(ranges)
+
+
+def _serial_product(a, x) -> np.ndarray:
+    """``csr_matvec`` on the whole CSR of ``a``, as the product's dtype."""
+    ref = a._csr
+    dtype = np.result_type(ref.dtype, x.dtype)
+    y = np.zeros(a.n, dtype)
+    core.csr_matvec(a.n, a.n, ref.indptr, ref.indices,
+                    ref.data.astype(dtype), x.astype(dtype), y)
+    return y
 
 
 def _band(n: int, offsets) -> SparseHermitianMatrix:
@@ -395,7 +432,11 @@ def test_band_past_the_byte_budget_keeps_the_csr_kernel(monkeypatch):
     tridiagonal matrix with one row more than a real vector's budget allows
     keeps the CSR kernel, and one within it takes the DIA kernel for real
     vectors.  Complex vectors take the CSR kernel at every size, within
-    half as many rows too."""
+    half as many rows too.  On two cores, a product splits only where its
+    vector passes the split threshold: there it is two ``csr_matvec``
+    calls on complementary row ranges, split where ``row_ptr`` reaches
+    ``nnz / 2``, with the whole product's bits."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     budget = core._DIA_MAX_VECTOR_BYTES
     offsets = (-1, 0, 1)
     assert _kernels_of(monkeypatch, _band(budget // 8 + 1, offsets)) == CSR
@@ -403,6 +444,209 @@ def test_band_past_the_byte_budget_keeps_the_csr_kernel(monkeypatch):
         a = _band(n, offsets)
         assert _kernels_of(monkeypatch, a) == DIA
         assert _kernels_of(monkeypatch, a, real_x=False) == CSR
+    split = core._SPLIT_MIN_VECTOR_BYTES
+    assert _kernels_of(monkeypatch, _band(split // 8, offsets)) == CSR
+    a = _band(split // 16, offsets)
+    assert _kernels_of(monkeypatch, a, real_x=False) == CSR
+    a = _band(split // 16 + 1, offsets)
+    assert _kernels_of(monkeypatch, a, real_x=False) == SPLIT
+    a = _band(split // 8 + 1, offsets)
+    assert _kernels_of(monkeypatch, a) == SPLIT
+    x = np.random.default_rng(1).standard_normal(a.n)
+    got, ranges = _row_ranges(monkeypatch, a, x)
+    # nnz = 3 n - 2; row_ptr[i] = 3 i - 1 first reaches nnz // 2 = 196608
+    # at i = 65537
+    assert (a.n, a.nnz) == (131073, 393217)
+    assert ranges == [(0, 65537), (65537, 65536)]
+    assert got.tobytes() == _serial_product(a, x).tobytes()
+
+
+_special = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def split_products(draw):
+    """A square matrix (not Hermitian: the product does not care) with
+    empty rows, sometimes one row that holds most entries, real or complex
+    entries and ``int32`` or ``int64`` indices; and a real or complex
+    vector with infinities and NaNs among its entries."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 41)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        dense = dense + 1j * rng.standard_normal((n, n))
+    fill = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    dense[rng.random((n, n)) >= fill] = 0.0
+    if draw(st.booleans()):  # one full row, most of nnz in a sparse matrix
+        dense[draw(st.integers(0, n - 1))] = rng.uniform(1.0, 2.0, n)
+    csr = sp.csr_matrix(dense)
+    if draw(st.booleans()):
+        csr.indptr = csr.indptr.astype(np.int64)
+        csr.indices = csr.indices.astype(np.int64)
+    x = rng.standard_normal(n)
+    if draw(st.booleans()):
+        x = x + 1j * rng.standard_normal(n)
+    for i, value, imag in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), _special, st.booleans()),
+            max_size=3)):
+        if imag and x.dtype.kind == "c":
+            x[i] = complex(x[i].real, value)
+        else:
+            x[i] = value
+    return csr, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_products())
+def test_split_product_is_the_csr_product_bit_for_bit(problem):
+    """With both byte thresholds at zero and two cores, every product
+    splits: ``csr_matvec`` on rows ``0:mid`` and ``mid:n``, where ``mid``
+    is the first row end at or past ``nnz / 2`` (rounded down), and the
+    product is the bits of one ``csr_matvec`` on the whole CSR, NaN and
+    infinite rows included, whatever the matrix's dtype and index dtype,
+    the vector's dtype, ``n`` and the rows' fill."""
+    csr, x = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_DIA_MAX_VECTOR_BYTES", 0)
+        mp.setattr(core, "_SPLIT_MIN_VECTOR_BYTES", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        a = SparseHermitianMatrix.from_csr(csr)
+        got, ranges = _row_ranges(mp, a, x)
+    half = a.nnz // 2
+    mid = ranges[0][1]
+    assert ranges == [(0, mid), (mid, a.n - mid)]
+    assert a.row_ptr[mid] >= half and (mid == 0
+                                       or a.row_ptr[mid - 1] < half)
+    assert got.tobytes() == _serial_product(a, x).tobytes()
+
+
+def test_split_product_keeps_no_array_alive(monkeypatch):
+    """Once a split product returns, the worker thread holds none of its
+    arrays: a matrix and vectors that nothing else holds are freed, so the
+    last matrix of one run does not outlive it into the next."""
+    monkeypatch.setattr(core, "_DIA_MAX_VECTOR_BYTES", 0)
+    monkeypatch.setattr(core, "_SPLIT_MIN_VECTOR_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    a = _band(64, (-1, 0, 1))
+    x = np.random.default_rng(3).standard_normal(a.n)
+    y = a.matvec(x)
+    held = [weakref.ref(v) for v in (a.row_ptr, a.col_idx, a.values, x, y)]
+    del a, x, y
+    gc.collect()
+    assert [ref() is None for ref in held] == [True] * 5
+
+
+@pytest.mark.parametrize("real_x", [True, False], ids=["real-x", "complex-x"])
+def test_one_core_keeps_one_csr_product(monkeypatch, real_x):
+    """Where the process may run on one core only, a product past the
+    split threshold is one ``csr_matvec`` call on the whole CSR."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    a = _band(core._SPLIT_MIN_VECTOR_BYTES // 8 + 1, (-1, 0, 1))
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(a.n) if real_x else random_vector(rng, a.n)
+    got, ranges = _row_ranges(monkeypatch, a, x)
+    assert ranges == [(0, a.n)]
+    assert got.tobytes() == _serial_product(a, x).tobytes()
+
+
+def _run_script(code: str) -> str:
+    """``code``'s output in a new interpreter on this ``src``; a script
+    that hangs fails the test at the timeout."""
+    src = str(Path(resolvquad.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+# Split products on two cores, of a diagonal matrix whose vector is past
+# the split threshold.
+SPLIT_SETUP = """
+import os, threading
+import numpy as np
+from resolvquad.core import SparseHermitianMatrix
+os.sched_getaffinity = lambda pid: {0, 1}
+n = 2 * 10**5
+a = SparseHermitianMatrix.diagonal(np.arange(1.0, n + 1.0))
+x = np.random.default_rng(5).standard_normal(n)
+"""
+
+FORK_RUN = SPLIT_SETUP + """
+import time
+before = a.matvec(x).tobytes()
+pid = os.fork()
+if pid == 0:  # the parent's worker thread does not exist here
+    os._exit(0 if a.matvec(x).tobytes() == before else 3)
+deadline = time.monotonic() + 60
+while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        raise SystemExit("the child's split product hangs")
+    time.sleep(0.01)
+assert os.waitstatus_to_exitcode(done[1]) == 0, done
+assert a.matvec(x).tobytes() == before
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_product_after_fork_starts_its_own_worker():
+    """A child made by ``os.fork`` after the parent's split product makes
+    its own split product, with the parent's bytes, rather than wait on
+    the parent's worker thread, which it does not have; the parent's
+    worker goes on serving the parent."""
+    assert _run_script(FORK_RUN) == "ok\n"
+
+
+THREAD_COUNT_RUN = """
+import sys, threading
+start = threading.active_count()
+import numpy as np
+import resolvquad
+from resolvquad import minres_run, run_quadratic_forms
+assert threading.active_count() == start, "the import started a thread"
+""" + SPLIT_SETUP + """
+small = SparseHermitianMatrix.diagonal(np.arange(1.0, 1001.0))
+for run in (run_quadratic_forms, minres_run):
+    run(small, np.ones(1000), [1j], max_iter=5)
+assert threading.active_count() == start, "a whole product started a thread"
+other = SparseHermitianMatrix.diagonal(np.full(n, 2.0))
+products = [(a, x), (other, x + 1j)]
+want = [m.matvec(u).tobytes() for m, u in products]
+for run in (run_quadratic_forms, minres_run):
+    for m, u in products:
+        run(m, u, [1j], max_iter=5)
+sys.setswitchinterval(1e-6)  # switch threads as often as possible
+wrong = []
+
+def caller(i):
+    m, u = products[i % 2]
+    for _ in range(20):
+        if m.matvec(u).tobytes() != want[i % 2]:
+            wrong.append(i)
+
+callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+for thread in callers:
+    thread.start()
+for thread in callers:
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "a split product hangs"
+assert not wrong, wrong
+assert threading.active_count() == start + 1, threading.enumerate()
+print("ok")
+"""
+
+
+def test_split_products_share_one_worker_thread():
+    """``import resolvquad`` and runs with no split product start no
+    thread; any number of split products, of two matrices, real and
+    complex, and from four threads at once that switch as often as the
+    interpreter lets them, start one worker in all, and concurrent
+    callers each get their own product's bytes."""
+    assert _run_script(THREAD_COUNT_RUN) == "ok\n"
 
 
 def test_band_with_too_much_padding_keeps_the_csr_kernel(monkeypatch):

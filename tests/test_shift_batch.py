@@ -263,6 +263,24 @@ def test_max_iter_below_one_is_rejected(driver, max_iter):
         driver(a, np.ones(3), [1.0 + 1.0j], max_iter=max_iter)
 
 
+@pytest.mark.parametrize("rtol", [math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("driver",
+                         [run_quadratic_forms, minres_run, cocg_run, cocr_run])
+def test_rtol_that_is_not_finite_and_positive_is_rejected(driver, rtol):
+    """``rtol=inf`` used to stop every shift as ``converged`` at the first
+    check and ``rtol=nan`` never stopped one; ``None`` still runs with no
+    stopping rule, to ``max_iter``."""
+    a = SparseHermitianMatrix.diagonal(np.arange(1.0, 51.0))
+    v, shifts = np.ones(50), [0.5 + 1j, 3 + 0.1j]
+    for reference in (None, [1j, 1j]):
+        with pytest.raises(ValueError, match=r"^rtol must be a finite "
+                                             r"positive float or None$"):
+            driver(a, v, shifts, rtol=rtol, reference=reference)
+    res = driver(a, v, shifts, rtol=None, max_iter=3)
+    assert {o.status for o in res.shifts} == {SolveStatus.MAX_ITER}
+
+
 # ---------------------------------------------------------------------------
 # the run frame, on fake kernels
 # ---------------------------------------------------------------------------
