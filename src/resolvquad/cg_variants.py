@@ -51,6 +51,7 @@ which forms them from the real and imaginary parts as Python does.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -285,59 +286,54 @@ def cocg_run(a: SparseHermitianMatrix, v: np.ndarray,
     v = np.ascontiguousarray(v, dtype=np.complex128)
     s = batch.state
     seed_alpha, seed_beta, r_scalars = [], [], []
-    r, p = v.copy(), v.copy()  # r_0 = p_0 = v
-    # as advance(k) finds them: ||r_{k-1}||, ||r_{k-2}||, r_{k-1}^T r_{k-1}
-    # (as _seed_dot gives it), alpha_{k-2} and beta_{k-2}
-    rnorm = rnorm_prev = 0.0
-    rr_prev = (0j, 0)
-    alpha_prev, beta_prev = 1.0 + 0j, 0j
 
-    def start():
-        nonlocal rnorm, rr_prev
-        rnorm = stable_norm(r)
+    def steps():
+        r, p = v.copy(), v.copy()  # r_0 = p_0 = v
+        rnorm, rnorm_prev = stable_norm(r), 0.0
         rr_prev = _seed_dot(r, r, rnorm, rnorm)  # r_0^T r_0
         p0 = complex(blockwise_dot(np.vdot, v, r))  # p_0^{(i)} = v^H r_0
         s.p = np.full(s.z.shape, p0, dtype=np.complex128)
         r_scalars.append(p0)
+        alpha_prev, beta_prev = 1.0 + 0j, 0j  # alpha_{k-2}, beta_{k-2}
+        for k in itertools.count(1):
+            yield
+            if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
+                # the collinear residual of every surviving shift vanished too
+                return SolveStatus.CONVERGED, k - 1
+            rnorm_prev = rnorm
+            w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
+            pnorm, wnorm = stable_norm(p), stable_norm(w)
+            pap = _seed_dot(p, w, pnorm, wnorm)
+            if (_vanished(pap, pnorm, wnorm)
+                    or _vanished(rr_prev, rnorm_prev, rnorm_prev)):
+                return SolveStatus.SEED_BREAKDOWN, k
+            alpha_seed = _quotient(rr_prev, pap)  # alpha_{k-1}
+            r = r - alpha_seed * w
+            rnorm = stable_norm(r)
+            rr = _seed_dot(r, r, rnorm, rnorm)
+            beta_seed = _quotient(rr, rr_prev)  # beta_{k-1}
+            r_scalar = complex(blockwise_dot(np.vdot, v, r))  # v^H r_k
+            if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
+                    and cmath.isfinite(r_scalar)):
+                return SolveStatus.OVERFLOW, k
+            if alpha_seed == 0:  # underflowed: the next shared divides by it
+                return SolveStatus.SEED_BREAKDOWN, k
+            seed_alpha.append(alpha_seed)
+            seed_beta.append(beta_seed)
+            r_scalars.append(r_scalar)
+            shared = (beta_prev / alpha_prev) * alpha_seed  # shift-independent
 
-    def advance(k: int):
-        nonlocal r, p, rnorm, rnorm_prev, rr_prev, alpha_prev, beta_prev
-        if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
-            # the collinear residual of every surviving shift vanished too
-            return SolveStatus.CONVERGED, k - 1
-        rnorm_prev = rnorm
-        w = z_s * p - a.matvec(p)  # (z_s I - A) p_{k-1}
-        pnorm, wnorm = stable_norm(p), stable_norm(w)
-        pap = _seed_dot(p, w, pnorm, wnorm)
-        if (_vanished(pap, pnorm, wnorm)
-                or _vanished(rr_prev, rnorm_prev, rnorm_prev)):
-            return SolveStatus.SEED_BREAKDOWN, k
-        alpha_seed = _quotient(rr_prev, pap)  # alpha_{k-1}
-        r = r - alpha_seed * w
-        rnorm = stable_norm(r)
-        rr = _seed_dot(r, r, rnorm, rnorm)
-        beta_seed = _quotient(rr, rr_prev)  # beta_{k-1}
-        r_scalar = complex(blockwise_dot(np.vdot, v, r))  # v^H r_k
-        if not (cmath.isfinite(alpha_seed) and cmath.isfinite(beta_seed)
-                and cmath.isfinite(r_scalar)):
-            return SolveStatus.OVERFLOW, k
-        if alpha_seed == 0:  # underflowed: the next shared would divide by it
-            return SolveStatus.SEED_BREAKDOWN, k
-        seed_alpha.append(alpha_seed)
-        seed_beta.append(beta_seed)
-        r_scalars.append(r_scalar)
-        shared = (beta_prev / alpha_prev) * alpha_seed  # shift-independent
+            pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
+                                         s.sigma)
+            value_new, p_new = cocg_scalar_update(
+                s.pi_m1, pi_new, s.p, batch.value, alpha_seed, beta_seed,
+                r_scalar)
+            _commit(batch, k, pi_new, value_new, p_new)
 
-        pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
-                                     s.sigma)
-        value_new, p_new = cocg_scalar_update(
-            s.pi_m1, pi_new, s.p, batch.value, alpha_seed, beta_seed, r_scalar)
-        _commit(batch, k, pi_new, value_new, p_new)
+            p = r + beta_seed * p
+            alpha_prev, beta_prev, rr_prev = alpha_seed, beta_seed, rr
 
-        p = r + beta_seed * p
-        alpha_prev, beta_prev, rr_prev = alpha_seed, beta_seed, rr
-
-    k = batch.run(start, advance, max_iter, a.n)
+    k = batch.run(steps(), max_iter, a.n)
     return _result("cocg", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 
@@ -361,68 +357,59 @@ def cocr_run(a: SparseHermitianMatrix, v: np.ndarray,
     v = np.ascontiguousarray(v, dtype=np.complex128)
     s = batch.state  # p_{-1}^{(i)} = 0; p_{k-1}^{(i)} is rebuilt each step
     seed_alpha, seed_beta, r_scalars = [], [], []
-    r = v.copy()
-    # as advance(k) finds them: q_{k-2}, w = (z_s I - A) r_{k-1}, ||r_{k-1}||,
-    # ||r_{k-2}||, ||w||, e_prev = r_{k-1}^T w (as _seed_dot gives it),
-    # alpha_{k-2}, beta_{k-2} and v^H r_{k-1}
-    q = w = np.zeros_like(r)
-    rnorm = rnorm_prev = wnorm_prev = 0.0
-    e_prev = (0j, 0)
-    alpha_prev, beta_prev = 1.0 + 0j, 0j
-    r_scalar_prev = 0j
 
-    def start():
-        nonlocal w, rnorm, wnorm_prev, e_prev, r_scalar_prev
+    def steps():
+        r = v.copy()  # r_0 = v
+        q = np.zeros_like(r)  # q_{-1}
         w = z_s * r - a.matvec(r)  # (z_s I - A) r_0
-        rnorm, wnorm_prev = stable_norm(r), stable_norm(w)
+        rnorm, rnorm_prev, wnorm_prev = stable_norm(r), 0.0, stable_norm(w)
         e_prev = _seed_dot(r, w, rnorm, wnorm_prev)  # r_0^T (z_s I - A) r_0
         r_scalar_prev = complex(blockwise_dot(np.vdot, v, r))  # v^H r_0
         r_scalars.append(r_scalar_prev)
+        alpha_prev, beta_prev = 1.0 + 0j, 0j  # alpha_{k-2}, beta_{k-2}
+        for k in itertools.count(1):
+            yield
+            if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
+                # the collinear residual of every surviving shift vanished too
+                return SolveStatus.CONVERGED, k - 1
+            rnorm_prev = rnorm
+            q = w + beta_prev * q  # q_{k-1}
+            qnorm = stable_norm(q)
+            qq = _seed_dot(q, q, qnorm, qnorm)
+            if _vanished(qq, qnorm, qnorm):
+                return SolveStatus.SEED_BREAKDOWN, k
+            alpha_seed = _quotient(e_prev, qq)  # alpha_{k-1}
+            if not (cmath.isfinite(alpha_seed) and cmath.isfinite(qq[0])):
+                return SolveStatus.OVERFLOW, k
+            seed_alpha.append(alpha_seed)
+            shared = (beta_prev / alpha_prev) * alpha_seed
 
-    def advance(k: int):
-        nonlocal r, q, w, rnorm, rnorm_prev, wnorm_prev, e_prev, \
-            alpha_prev, beta_prev, r_scalar_prev
-        if _exhausted(a, rnorm, rnorm_prev, alpha_prev):
-            # the collinear residual of every surviving shift vanished too
-            return SolveStatus.CONVERGED, k - 1
-        rnorm_prev = rnorm
-        q = w + beta_prev * q  # q_{k-1}
-        qnorm = stable_norm(q)
-        qq = _seed_dot(q, q, qnorm, qnorm)
-        if _vanished(qq, qnorm, qnorm):
-            return SolveStatus.SEED_BREAKDOWN, k
-        alpha_seed = _quotient(e_prev, qq)  # alpha_{k-1}
-        if not (cmath.isfinite(alpha_seed) and cmath.isfinite(qq[0])):
-            return SolveStatus.OVERFLOW, k
-        seed_alpha.append(alpha_seed)
-        shared = (beta_prev / alpha_prev) * alpha_seed
+            pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
+                                         s.sigma)
+            value_new, p_new = cocr_scalar_update(
+                s.pi_m2, s.pi_m1, pi_new, s.p, batch.value, alpha_seed,
+                beta_prev, r_scalar_prev)
+            _commit(batch, k, pi_new, value_new, p_new)
 
-        pi_new = collinear_pi_update(s.pi_m1, s.pi_m2, alpha_seed, shared,
-                                     s.sigma)
-        value_new, p_new = cocr_scalar_update(
-            s.pi_m2, s.pi_m1, pi_new, s.p, batch.value, alpha_seed, beta_prev,
-            r_scalar_prev)
-        _commit(batch, k, pi_new, value_new, p_new)
+            r = r - alpha_seed * q
+            r_scalar = complex(blockwise_dot(np.vdot, v, r))
+            w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
+            rnorm, wnorm = stable_norm(r), stable_norm(w)
+            e = _seed_dot(r, w, rnorm, wnorm)
+            # a vanished e_{k-1} makes alpha_{k-1} zero, and so does
+            # underflow; the next shared would divide by it
+            if _vanished(e_prev, rnorm_prev, wnorm_prev) or alpha_seed == 0:
+                return SolveStatus.SEED_BREAKDOWN, k
+            beta_seed = _quotient(e, e_prev)  # beta_{k-1}
+            if not (cmath.isfinite(beta_seed) and cmath.isfinite(r_scalar)):
+                return SolveStatus.OVERFLOW, k
+            seed_beta.append(beta_seed)
+            r_scalars.append(r_scalar)
+            alpha_prev, beta_prev = alpha_seed, beta_seed
+            e_prev, wnorm_prev = e, wnorm
+            r_scalar_prev = r_scalar
 
-        r = r - alpha_seed * q
-        r_scalar = complex(blockwise_dot(np.vdot, v, r))
-        w = z_s * r - a.matvec(r)  # (z_s I - A) r_k, reused next iteration
-        rnorm, wnorm = stable_norm(r), stable_norm(w)
-        e = _seed_dot(r, w, rnorm, wnorm)
-        # a vanished e_{k-1} makes alpha_{k-1} zero, and so does underflow;
-        # the next shared would divide by it
-        if _vanished(e_prev, rnorm_prev, wnorm_prev) or alpha_seed == 0:
-            return SolveStatus.SEED_BREAKDOWN, k
-        beta_seed = _quotient(e, e_prev)  # beta_{k-1}
-        if not (cmath.isfinite(beta_seed) and cmath.isfinite(r_scalar)):
-            return SolveStatus.OVERFLOW, k
-        seed_beta.append(beta_seed)
-        r_scalars.append(r_scalar)
-        alpha_prev, beta_prev = alpha_seed, beta_seed
-        e_prev, wnorm_prev = e, wnorm
-        r_scalar_prev = r_scalar
-
-    k = batch.run(start, advance, max_iter, a.n)
+    k = batch.run(steps(), max_iter, a.n)
     return _result("cocr", batch, k, z_s, seed_alpha, seed_beta, r_scalars)
 
 

@@ -19,7 +19,7 @@ shifts and each iteration is a handful of array operations.  A
   them, are derived after the run from the outcomes and those columns; the
   solve loop computes only the ``nu`` that stopping reads,
 * the run itself, :meth:`ShiftBatch.run`: the loop and every exit, around
-  each driver's ``(start, advance)`` kernel pair over its own stream.
+  each driver's generator, which takes one iteration per resume.
 
 An iteration is one :meth:`ShiftBatch.step`: the shifts that failed (a
 breakdown, an overflow, a vanished ``pi``) freeze first, the others take the
@@ -203,14 +203,15 @@ class ShiftBatch:
 
     # -- the run ----------------------------------------------------------------
 
-    def run(self, start, advance, max_iter: Optional[int], n: int) -> int:
+    def run(self, steps, max_iter: Optional[int], n: int) -> int:
         """Drive a run to its end; return the last iteration whose values
         were accepted, which :meth:`finish` takes.
 
-        ``start()`` sets the run up; ``advance(k)`` takes iteration ``k``
-        and returns ``None``, or ``(status, j)`` to end the run with every
-        active shift frozen at ``j``.  The run also ends once no shift is
-        active or after ``max_iter`` iterations (default ``2n``).  A
+        ``steps`` is the driver's generator: it sets the run up as far as
+        its first ``yield``, takes iteration ``k`` on its ``k``-th resume,
+        and ``return status, j`` ends the run with every active shift
+        frozen at ``j``.  The run also ends once no shift is active or
+        after ``max_iter`` iterations (default ``2n``).  A
         ``NonFiniteError`` ends it as ``OVERFLOW`` at the last accepted
         iteration: Lanczos's ``L_1`` needs only ``alpha_1``, but MINRES's
         ``M_1`` needs ``beta_1`` too, so a failed ``beta_1`` ends Lanczos
@@ -224,14 +225,13 @@ class ShiftBatch:
         k = 0
         with np.errstate(all="ignore"):
             try:
-                start()
+                next(steps)
                 while k < max_iter and self.running:
-                    end = advance(k + 1)
-                    if end is not None:
-                        status, k = end
-                        self.freeze_all(k, status)
-                        break
+                    next(steps)
                     k += 1
+            except StopIteration as end:
+                status, k = end.value
+                self.freeze_all(k, status)
             except NonFiniteError:
                 self.freeze_all(k, SolveStatus.OVERFLOW)
         return k

@@ -36,6 +36,7 @@ over the batch and branches on a scalar.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -209,29 +210,28 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
     s = batch.state
     stream: Optional[LanczosState] = None
 
-    def start():
+    def steps():
         nonlocal stream
         stream = lanczos_init(a, v)
         s.c = np.full(s.z.shape, stream.vnorm2, dtype=np.complex128)
-
-    def advance(k: int):
-        if k == 1:
-            delta, s.pi, L = shift_start(s.z, s.c, stream.coeffs.alpha[0])
-        else:
+        yield
+        delta, s.pi, L = shift_start(s.z, s.c, stream.coeffs.alpha[0])
+        for k in itertools.count(1):
+            # L_{k-1} is finite for every active shift, so a non-finite c_k or
+            # pi_k (k > 1) leaves L_k non-finite too: the batch freezes it
+            batch.step(k, L, (SolveStatus.BREAKDOWN,
+                              np.abs(delta) <= TOL_DELTA), delta=delta)
+            yield  # iteration k + 1
             outcome = lanczos_step(stream)
             if outcome.invariant_subspace:
                 # exhausted Krylov space: every surviving value is exact
                 batch.mark_exact()
-                return SolveStatus.CONVERGED, k - 1
+                return SolveStatus.CONVERGED, k
             beta = outcome.beta
             delta, s.pi, s.c, L = shift_update(
                 s.z, outcome.alpha_next, beta * beta, s.c, s.pi, batch.value)
-        # L_{k-1} is finite for every active shift, so a non-finite c_k or
-        # pi_k (k > 1) leaves L_k non-finite too: the batch freezes it
-        batch.step(k, L, (SolveStatus.BREAKDOWN, np.abs(delta) <= TOL_DELTA),
-                   delta=delta)
 
-    k = batch.run(start, advance, max_iter, a.n)
+    k = batch.run(steps(), max_iter, a.n)
     result = stream_result("lanczos", batch, k, stream)
     if result.history is not None:
         # mu is derived from the recorded history, with the pivots above

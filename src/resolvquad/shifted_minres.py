@@ -37,6 +37,7 @@ Lanczos stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -109,54 +110,55 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
     s.c1 = s.c2 = np.ones(s.z.shape)
     s.s1 = s.s2 = zeros
     s.ns1 = -zeros.conjugate()
-    stream, rnorm = None, 0.0  # rnorm: ||r_0|| = ||v||
+    stream = None
 
-    def start():
-        nonlocal stream, rnorm
+    def steps():
+        nonlocal stream
         stream = lanczos_init(a, v)
-        rnorm = math.sqrt(stream.vnorm2)
+        rnorm = math.sqrt(stream.vnorm2)  # ||r_0|| = ||v||
+        for k in itertools.count(1):
+            yield
+            coeffs = stream.coeffs  # alpha_1..alpha_k, beta_1..beta_{k-1}
+            alpha_k = coeffs.alpha[-1]
+            beta_prev = coeffs.beta[-1] if coeffs.beta else 0.0
+            # v^H v_k, projected on the sign-flipped basis (-1)^{k-1} v_k
+            sign = 1.0 if k % 2 else -1.0
+            q_scalar = sign * complex(blockwise_dot(np.vdot, v, stream.v_curr))
+            outcome = lanczos_step(stream)
+            exhausting = outcome.invariant_subspace
+            beta_k = 0.0 if exhausting else outcome.beta
 
-    def advance(k: int):
-        coeffs = stream.coeffs  # alpha_1..alpha_k, beta_1..beta_{k-1}
-        alpha_k = coeffs.alpha[-1]
-        beta_prev = coeffs.beta[-1] if coeffs.beta else 0.0
-        # v^H v_k, projected on the sign-flipped basis (-1)^{k-1} v_k
-        qsign = 1.0 if k % 2 else -1.0
-        q_scalar = qsign * complex(blockwise_dot(np.vdot, v, stream.v_curr))
-        outcome = lanczos_step(stream)
-        exhausting = outcome.invariant_subspace
-        beta_k = 0.0 if exhausting else outcome.beta
+            # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
+            # G_{k-2} meets a zero in row k-2: G_{k-2} (0, beta_prev) is
+            # (s2 beta_prev, c2 beta_prev) up to the sign of a zero part of
+            # r2, which only scales p_{k-2} in a sum
+            r2 = s.s2 * beta_prev
+            # G_{k-1} (c2 beta_prev, z - alpha_k)
+            x, y = s.c2 * beta_prev, s.z - alpha_k
+            r1 = s.c1 * x + s.s1 * y
+            r0 = s.ns1 * x + s.c1 * y
+            r0_abs = cabs(r0)
+            c, sn, rkk = _rotation(r0, r0_abs, beta_k,
+                                   np.hypot(r0_abs, beta_k))
+            failed = ()
+            if np.count_nonzero(r0_abs) < r0_abs.size:
+                swap = r0_abs == 0
+                c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
+                if beta_k == 0.0:
+                    # zI - A singular on the Krylov space: cannot divide
+                    failed = ((SolveStatus.BREAKDOWN, swap),)
+            p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
+            value_new = batch.value + rnorm * c * s.f * p_new
+            ns = -sn.conjugate()
+            s.c2, s.s2, s.c1, s.s1, s.ns1 = s.c1, s.s1, c, sn, ns
+            s.p2, s.p1 = s.p1, p_new
+            s.f = ns * s.f
+            # a non-finite p_new or f_new leaves value_new non-finite too
+            batch.step(k, value_new, *failed, residual=(rnorm, s.f))
 
-        # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
-        # G_{k-2} meets a zero in row k-2: G_{k-2} (0, beta_prev) is
-        # (s2 beta_prev, c2 beta_prev) up to the sign of a zero part of
-        # r2, which only scales p_{k-2} in a sum
-        r2 = s.s2 * beta_prev
-        # G_{k-1} (c2 beta_prev, z - alpha_k)
-        x, y = s.c2 * beta_prev, s.z - alpha_k
-        r1 = s.c1 * x + s.s1 * y
-        r0 = s.ns1 * x + s.c1 * y
-        r0_abs = cabs(r0)
-        c, sn, rkk = _rotation(r0, r0_abs, beta_k, np.hypot(r0_abs, beta_k))
-        failed = ()
-        if np.count_nonzero(r0_abs) < r0_abs.size:
-            swap = r0_abs == 0
-            c[swap], sn[swap], rkk[swap] = 0.0, 1.0, beta_k
-            if beta_k == 0.0:
-                # zI - A singular on the Krylov space: cannot divide
-                failed = ((SolveStatus.BREAKDOWN, swap),)
-        p_new = (q_scalar - r2 * s.p2 - r1 * s.p1) / rkk
-        value_new = batch.value + rnorm * c * s.f * p_new
-        ns = -sn.conjugate()
-        s.c2, s.s2, s.c1, s.s1, s.ns1 = s.c1, s.s1, c, sn, ns
-        s.p2, s.p1 = s.p1, p_new
-        s.f = ns * s.f
-        # a non-finite p_new or f_new leaves value_new non-finite too
-        batch.step(k, value_new, *failed, residual=(rnorm, s.f))
+            if exhausting:
+                # Krylov space exhausted: surviving values are exact
+                return SolveStatus.CONVERGED, k
 
-        if exhausting:
-            # Krylov space exhausted: surviving values are exact
-            return SolveStatus.CONVERGED, k
-
-    k = batch.run(start, advance, max_iter, a.n)
+    k = batch.run(steps(), max_iter, a.n)
     return stream_result("minres", batch, k, stream)

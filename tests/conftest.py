@@ -138,6 +138,41 @@ def laplacian(grid: int) -> sp.csr_matrix:
     return (sp.kron(t, eye) + sp.kron(eye, t)).tocsr()
 
 
+def kronecker_sum(rng, n1, n2, real=False):
+    """``A = T1 (x) I + I (x) T2`` and ``v = v1 (x) v2`` for random Jacobi
+    matrices ``T1`` of order ``n1`` and ``T2`` of order ``n2``, with
+    complex off-diagonals unless ``real``, and the exact quadratic form
+    ``Q(z) = v^H (zI - A)^{-1} v`` as a function of ``z``.
+
+    ``T1 = U diag(lambda) U^H`` and ``T2 = X diag(mu) X^H`` give
+    ``Q(z) = sum_{j,l} w1_j w2_l / (z - lambda_j - mu_l)`` with
+    ``w1 = |U^H v1|^2`` and ``w2 = |X^H v2|^2``: two small ``eigh`` and
+    O(n1 n2) per shift, at any ``n = n1 n2``.  The diagonals are
+    ``N(0, 1/4)`` and the off-diagonal moduli uniform on ``[1/4, 3/4]``,
+    so the spectrum of ``A`` lies within about ``[-4, 4]``.
+    """
+    factors = []
+    for m in (n1, n2):
+        off = rng.uniform(0.25, 0.75, m - 1)
+        if not real:
+            off = off * np.exp(2j * np.pi * rng.random(m - 1))
+        t = sp.diags([off.conj(), 0.5 * rng.standard_normal(m), off],
+                     [-1, 0, 1], format="csr")
+        u = random_vector(rng, m, real=real)
+        lam, q = np.linalg.eigh(t.toarray())
+        factors.append((t, u, lam, np.abs(q.conj().T @ u) ** 2))
+    (t1, v1, lam, w1), (t2, v2, mu, w2) = factors
+    a = sp.kron(t1, sp.identity(n2)) + sp.kron(sp.identity(n1), t2)
+    poles = lam[:, None] + mu[None, :]
+    weights = np.outer(w1, w2)
+
+    def quadform(z):
+        return complex(np.sum(weights / (z - poles)))
+
+    return (SparseHermitianMatrix.from_csr(a.tocsr()), np.kron(v1, v2),
+            quadform)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -534,6 +535,55 @@ def test_split_product_keeps_no_array_alive(monkeypatch):
     del a, x, y
     gc.collect()
     assert [ref() is None for ref in held] == [True] * 5
+
+
+def _within(seconds: float, call, *args):
+    """``call(*args)`` on a daemon thread of its own: its result, or what
+    it raised; a call that has not returned after ``seconds`` fails the
+    test."""
+    out = []
+
+    def target():
+        try:
+            out.append((call(*args), None))
+        except BaseException as exc:
+            out.append((None, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert out, f"{call.__name__} hangs"
+    result, exc = out[0]
+    if exc is not None:
+        raise exc
+    return result
+
+
+def test_split_product_raises_the_worker_s_error_in_the_caller(monkeypatch):
+    """An exception in the worker's half of a split product is raised by
+    ``matvec`` in the caller.  The worker serves on: the next split
+    product returns the whole product's bits, and the process still runs
+    one worker thread."""
+    monkeypatch.setattr(core, "_DIA_MAX_VECTOR_BYTES", 0)
+    monkeypatch.setattr(core, "_SPLIT_MIN_VECTOR_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    a = _band(64, (-1, 0, 1))
+    x = np.random.default_rng(4).standard_normal(a.n)
+    row_product = core._row_product
+
+    def failing(*rows):
+        if threading.current_thread().name == "resolvquad-matvec":
+            raise RuntimeError("the worker's half failed")
+        row_product(*rows)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(core, "_row_product", failing)
+        with pytest.raises(RuntimeError, match="the worker's half failed"):
+            _within(60, a.matvec, x)
+    got = _within(60, a.matvec, x)
+    assert got.tobytes() == _serial_product(a, x).tobytes()
+    names = [thread.name for thread in threading.enumerate()]
+    assert names.count("resolvquad-matvec") == 1
 
 
 @pytest.mark.parametrize("real_x", [True, False], ids=["real-x", "complex-x"])

@@ -593,9 +593,16 @@ def test_cli_overflowing_frobenius_norm_is_exit_2(tmp_path):
                  "unit-circle:m=4", "--out", str(out)])
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
-    for method in ("lanczos", "minres", "cocg", "cocr"):
-        statuses = {s["status"] for s in summary["methods"][method]["shifts"]}
-        assert statuses == {"overflow"}
+    # the frame's exits: Lanczos's L_1 needs only alpha_1 and ends at 1,
+    # MINRES's M_1 needs the failed beta_1 too and ends at 0 with no
+    # residual norm; COCG and COCR end at 2
+    for method, iterations in (("lanczos", 1), ("minres", 0), ("cocg", 2),
+                               ("cocr", 2)):
+        shifts = summary["methods"][method]["shifts"]
+        assert {s["status"] for s in shifts} == {"overflow"}
+        assert {s["iterations"] for s in shifts} == {iterations}
+    minres = summary["methods"]["minres"]["shifts"]
+    assert [s["residual_norm"] for s in minres] == [None] * len(minres)
 
 
 def test_cli_underflowing_cocg_seed_alpha_is_a_status(tmp_path):

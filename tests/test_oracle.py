@@ -16,7 +16,12 @@ from resolvquad.oracle import (
     tridiagonal_matrix,
 )
 
-from conftest import random_hermitian_dense, random_jacobi, random_vector
+from conftest import (
+    kronecker_sum,
+    random_hermitian_dense,
+    random_jacobi,
+    random_vector,
+)
 
 
 def test_dense_quadform_diag12():
@@ -209,3 +214,19 @@ def test_dense_cap():
     with pytest.raises(ValueError, match="capped"):
         dense_resolvent_quadform(np.eye(2001, dtype=complex),
                                  np.ones(2001, dtype=complex), 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 14),
+       n2=st.integers(1, 14), real=st.booleans(), x=st.floats(-4.0, 4.0),
+       y=st.floats(0.05, 3.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_kronecker_sum_oracle_is_the_dense_quadform(seed, n1, n2, real, x, y,
+                                                    sign):
+    """The Kronecker-sum builder's ``Q(z)``, from the two factors' spectra,
+    against an LU solve with the assembled ``A`` (n <= 196), on and off
+    the spectrum's span."""
+    a, v, quadform = kronecker_sum(np.random.default_rng(seed), n1, n2, real)
+    assert a.n == n1 * n2 and a.hermitian_verified and (a.is_real or not real)
+    z = complex(x, sign * y)
+    want = dense_resolvent_quadform(a.to_dense(), v, z)
+    assert abs(quadform(z) - want) <= 1e-12 * abs(want)

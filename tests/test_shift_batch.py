@@ -1,9 +1,11 @@
-"""The shift-batch drivers against per-shift scalar runs, the batch's
-``nu`` stopping against a scan of each shift, the float64 stream against
-the complex one, the drivers' behaviour when the Lanczos stream itself
-stops being finite, and the run frame's own contract on fake kernels."""
+"""The shift-batch drivers against per-shift scalar runs and, at
+n ~ 2e4, against an exact oracle, the batch's ``nu`` stopping against a
+scan of each shift, the float64 stream against the complex one, the
+drivers' behaviour when the Lanczos stream itself stops being finite, and
+the run frame's own contract on fake kernels."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +24,12 @@ from resolvquad.shifted_lanczos import (
 )
 from resolvquad.shifted_minres import minres_run
 
-from conftest import random_hermitian_dense, random_vector, stream_problem
+from conftest import (
+    kronecker_sum,
+    random_hermitian_dense,
+    random_vector,
+    stream_problem,
+)
 
 AGREE_RTOL = 1e-12
 
@@ -139,6 +146,20 @@ def test_real_stream_agrees_with_phase_rotated_complex_stream(
             assert got.iterations == want.iterations
             assert abs(got.value - want.value) \
                 <= ROTATION_VALUE_RTOL * abs(want.value)
+
+
+@pytest.mark.parametrize("driver", [run_quadratic_forms, minres_run])
+def test_stream_drivers_meet_the_kronecker_oracle_at_n_2e4(rng, driver):
+    """A complex Hermitian Kronecker sum of order 141 x 142 (n = 20,022)
+    and 16 shifts ``x + 0.05i`` across its spectrum: with reference
+    stopping at 1e-10 from the exact ``Q``, every shift converges there."""
+    a, v, quadform = kronecker_sum(rng, 141, 142)
+    shifts = [complex(x, 0.05) for x in np.linspace(-3.5, 3.5, 16)]
+    reference = [quadform(z) for z in shifts]
+    res = driver(a, v, shifts, rtol=1e-10, reference=reference)
+    assert {o.status for o in res.shifts} == {SolveStatus.CONVERGED}
+    assert max(abs(o.value - r) / abs(r)
+               for o, r in zip(res.shifts, reference)) <= 1e-10
 
 
 def scan_nu_stopping(xs, failed, rtol, lag):
@@ -306,11 +327,13 @@ def test_frame_stops_at_max_iter(max_iter, n, taken):
     batch = fake_batch()
     seen = []
 
-    def advance(k):
-        seen.append(k)
-        accept(batch, k)
+    def steps():
+        for k in itertools.count(1):
+            yield
+            seen.append(k)
+            accept(batch, k)
 
-    assert batch.run(lambda: None, advance, max_iter, n) == taken
+    assert batch.run(steps(), max_iter, n) == taken
     assert seen == list(range(1, taken + 1))
     assert ends(batch.finish(taken)) \
         == [(SolveStatus.MAX_ITER, taken, complex(taken))] * 3
@@ -318,15 +341,17 @@ def test_frame_stops_at_max_iter(max_iter, n, taken):
 
 def test_frame_stops_once_no_shift_is_active():
     """Shift ``k - 1`` breaks down at iteration ``k``; the run ends when
-    the last one has, without another call of ``advance``."""
+    the last one has, without another resume of the generator."""
     batch = fake_batch()
     seen = []
 
-    def advance(k):
-        seen.append(k)
-        accept(batch, k, (SolveStatus.BREAKDOWN, batch.active == k - 1))
+    def steps():
+        for k in itertools.count(1):
+            yield
+            seen.append(k)
+            accept(batch, k, (SolveStatus.BREAKDOWN, batch.active == k - 1))
 
-    assert batch.run(lambda: None, advance, 100, 100) == 3
+    assert batch.run(steps(), 100, 100) == 3
     assert seen == [1, 2, 3]
     assert ends(batch.finish(3)) == [(SolveStatus.BREAKDOWN, 1, None),
                                      (SolveStatus.BREAKDOWN, 2, 1 + 0j),
@@ -336,17 +361,19 @@ def test_frame_stops_once_no_shift_is_active():
 @pytest.mark.parametrize("status, back", [(SolveStatus.SEED_BREAKDOWN, 0),
                                           (SolveStatus.CONVERGED, 1)])
 def test_frame_end_freezes_every_active_shift(status, back):
-    """``advance(3)`` ends the run at ``3 - back``: every shift still
+    """Iteration 3 returns ``(status, 3 - back)``: every shift still
     active freezes there with the status and its last accepted value; a
     shift that froze before keeps its own end."""
     batch = fake_batch()
 
-    def advance(k):
-        if k == 3:
-            return status, k - back
-        accept(batch, k, (SolveStatus.BREAKDOWN, batch.active == 0))
+    def steps():
+        for k in itertools.count(1):
+            yield
+            if k == 3:
+                return status, k - back
+            accept(batch, k, (SolveStatus.BREAKDOWN, batch.active == 0))
 
-    assert batch.run(lambda: None, advance, 100, 100) == 3 - back
+    assert batch.run(steps(), 100, 100) == 3 - back
     assert not batch.running
     assert ends(batch.finish(3 - back)) == [
         (SolveStatus.BREAKDOWN, 1, None),
@@ -354,42 +381,45 @@ def test_frame_end_freezes_every_active_shift(status, back):
 
 
 def test_frame_non_finite_start_ends_at_zero():
+    """A set-up that fails ends the run before its first iteration."""
     batch = fake_batch()
 
-    def start():
+    def steps():
         raise NonFiniteError("alpha_1 is not finite")
+        yield  # unreached: it makes this function a generator
 
-    def advance(k):
-        raise AssertionError("advance called")
-
-    assert batch.run(start, advance, None, 10) == 0
+    assert batch.run(steps(), None, 10) == 0
     assert ends(batch.finish(0)) == [(SolveStatus.OVERFLOW, 0, None)] * 3
 
 
 def test_frame_non_finite_stream_ends_at_the_last_accepted_iteration():
     batch = fake_batch()
 
-    def advance(k):
-        if k == 4:
-            raise NonFiniteError("beta_3 is not finite")
-        accept(batch, k)
+    def steps():
+        for k in itertools.count(1):
+            yield
+            if k == 4:
+                raise NonFiniteError("beta_3 is not finite")
+            accept(batch, k)
 
-    assert batch.run(lambda: None, advance, 100, 100) == 3
+    assert batch.run(steps(), 100, 100) == 3
     assert ends(batch.finish(3)) == [(SolveStatus.OVERFLOW, 3, 3 + 0j)] * 3
 
 
 def test_frame_silences_floating_point_warnings_inside_only():
     """The suite turns a numpy ``RuntimeWarning`` into an error; inside the
-    frame, start and advance may divide by zero and overflow."""
+    frame, the generator's set-up and iterations may divide by zero and
+    overflow."""
     batch = fake_batch()
     before = np.geterr()
 
-    def start():
+    def steps():
         np.ones(1) / np.zeros(1)
+        for k in itertools.count(1):
+            yield
+            accept(batch, k,
+                   (SolveStatus.OVERFLOW, np.full(3, 1e308) * 10 > 0))
 
-    def advance(k):
-        accept(batch, k, (SolveStatus.OVERFLOW, np.full(3, 1e308) * 10 > 0))
-
-    assert batch.run(start, advance, 5, 5) == 1
+    assert batch.run(steps(), 5, 5) == 1
     assert np.geterr() == before
     assert ends(batch.finish(1)) == [(SolveStatus.OVERFLOW, 1, None)] * 3
