@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -72,9 +71,9 @@ class LanczosCoefficients:
 
 @dataclass
 class StepOutcome:
+    """How a step ended; what it emitted is the end of ``state.coeffs``."""
+
     invariant_subspace: bool
-    beta: Optional[float] = None
-    alpha_next: Optional[float] = None
 
 
 @dataclass
@@ -134,7 +133,7 @@ def lanczos_init(a: SparseHermitianMatrix, v: np.ndarray) -> LanczosState:
 
 
 def lanczos_step(state: LanczosState) -> StepOutcome:
-    """Advance by one iteration: emit ``beta_k`` and ``alpha_{k+1}``.
+    """Advance one step: append ``beta_k`` and ``alpha_{k+1}`` to ``coeffs``.
 
     Returns an invariant-subspace outcome when ``beta_k`` falls to the
     matrix's ``breakdown_floor`` (finite for every finite matrix); every
@@ -177,8 +176,7 @@ def lanczos_step(state: LanczosState) -> StepOutcome:
     state.v_curr = v_next
     state.u = u_next
     state.k = k + 1
-    return StepOutcome(invariant_subspace=False, beta=beta_k,
-                       alpha_next=alpha_next)
+    return StepOutcome(invariant_subspace=False)
 
 
 def _subtract_scaled(u: np.ndarray, c: float, x: np.ndarray,

@@ -173,13 +173,12 @@ class QuadFormResult(MethodResult):
 
 def stream_result(method: str, batch: ShiftBatch, k: int,
                   stream: Optional[LanczosState]) -> QuadFormResult:
-    """Finish ``batch`` at iteration ``k`` and record ``stream``'s
-    coefficients; ``stream`` is ``None`` when it never started."""
+    """Finish ``batch`` at iteration ``k`` and hand the result ``stream``'s
+    own coefficient lists; ``stream`` is ``None`` when it never started."""
     result = QuadFormResult(method=method, shifts=batch.finish(k),
                             iterations=k, history=batch.history)
     if stream is not None:
-        result.alpha = list(stream.coeffs.alpha)
-        result.beta = list(stream.coeffs.beta)
+        result.alpha, result.beta = stream.coeffs.alpha, stream.coeffs.beta
         result.vnorm2 = stream.vnorm2
         result.invariant_subspace_at = stream.k if stream.exhausted else None
     return result
@@ -227,9 +226,9 @@ def run_quadratic_forms(a: SparseHermitianMatrix, v: np.ndarray,
                 # exhausted Krylov space: every surviving value is exact
                 batch.mark_exact()
                 return SolveStatus.CONVERGED, k
-            beta = outcome.beta
+            alpha, beta = stream.coeffs.alpha[-1], stream.coeffs.beta[-1]
             delta, s.pi, s.c, L = shift_update(
-                s.z, outcome.alpha_next, beta * beta, s.c, s.pi, batch.value)
+                s.z, alpha, beta * beta, s.c, s.pi, batch.value)
 
     k = batch.run(steps(), max_iter, a.n)
     result = stream_result("lanczos", batch, k, stream)

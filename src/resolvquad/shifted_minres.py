@@ -126,7 +126,7 @@ def minres_run(a: SparseHermitianMatrix, v: np.ndarray,
             q_scalar = sign * complex(blockwise_dot(np.vdot, v, stream.v_curr))
             outcome = lanczos_step(stream)
             exhausting = outcome.invariant_subspace
-            beta_k = 0.0 if exhausting else outcome.beta
+            beta_k = 0.0 if exhausting else coeffs.beta[-1]
 
             # column k of the tridiagonal: rows k-2, k-1 and the diagonal.
             # G_{k-2} meets a zero in row k-2: G_{k-2} (0, beta_prev) is

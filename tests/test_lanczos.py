@@ -59,8 +59,8 @@ def test_two_step_sequence_diag12():
     state = diag12_state()
     out1 = lanczos_step(state)
     assert not out1.invariant_subspace
-    assert out1.beta == pytest.approx(0.5, abs=1e-15)
-    assert out1.alpha_next == pytest.approx(1.5, abs=1e-14)
+    assert state.coeffs.beta[-1] == pytest.approx(0.5, abs=1e-15)
+    assert state.coeffs.alpha[-1] == pytest.approx(1.5, abs=1e-14)
     out2 = lanczos_step(state)
     assert out2.invariant_subspace
     assert state.k == 2
@@ -123,7 +123,7 @@ def test_decomposition_residual(rng):
         if out.invariant_subspace:
             break
         basis.append(state.v_curr.copy())
-        betas.append(out.beta)
+        betas.append(state.coeffs.beta[-1])
     k = len(basis) - 1
     vmat = np.column_stack(basis)
     t_ext = np.zeros((k + 1, k))

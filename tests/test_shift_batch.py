@@ -148,12 +148,16 @@ def test_real_stream_agrees_with_phase_rotated_complex_stream(
                 <= ROTATION_VALUE_RTOL * abs(want.value)
 
 
-@pytest.mark.parametrize("driver", [run_quadratic_forms, minres_run])
-def test_stream_drivers_meet_the_kronecker_oracle_at_n_2e4(rng, driver):
-    """A complex Hermitian Kronecker sum of order 141 x 142 (n = 20,022)
-    and 16 shifts ``x + 0.05i`` across its spectrum: with reference
-    stopping at 1e-10 from the exact ``Q``, every shift converges there."""
-    a, v, quadform = kronecker_sum(rng, 141, 142)
+@pytest.mark.parametrize("driver, real", [
+    (run_quadratic_forms, False), (minres_run, False),
+    (cocg_run, True), (cocr_run, True),
+], ids=["run_quadratic_forms", "minres_run", "cocg_run", "cocr_run"])
+def test_stream_drivers_meet_the_kronecker_oracle_at_n_2e4(rng, driver, real):
+    """A Kronecker sum of order 141 x 142 (n = 20,022), complex Hermitian
+    for the stream drivers and real symmetric for COCG and COCR, and 16
+    shifts ``x + 0.05i`` across its spectrum: with reference stopping at
+    1e-10 from the exact ``Q``, every shift converges there."""
+    a, v, quadform = kronecker_sum(rng, 141, 142, real=real)
     shifts = [complex(x, 0.05) for x in np.linspace(-3.5, 3.5, 16)]
     reference = [quadform(z) for z in shifts]
     res = driver(a, v, shifts, rtol=1e-10, reference=reference)

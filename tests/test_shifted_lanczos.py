@@ -380,9 +380,9 @@ def reference_lanczos_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
                 batch.freeze_all(k, SolveStatus.CONVERGED)
                 break
             k += 1
+            beta = stream.coeffs.beta[-1]
             s.delta, s.pi, s.c, s.L = shift_update(
-                s.z, outcome.alpha_next, outcome.beta * outcome.beta, s.c,
-                s.pi, s.L)
+                s.z, stream.coeffs.alpha[-1], beta * beta, s.c, s.pi, s.L)
             overflow = ~(np.isfinite(s.L) & np.isfinite(s.c)
                          & np.isfinite(s.pi))
             batch.freeze(k, (SolveStatus.BREAKDOWN,

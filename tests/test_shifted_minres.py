@@ -105,7 +105,7 @@ def test_matches_least_squares_oracle(rng):
         if out.invariant_subspace:
             break
         basis.append(state.v_curr.copy())
-        betas.append(out.beta)
+        betas.append(state.coeffs.beta[-1])
     alphas = state.coeffs.alpha
     rnorm = np.linalg.norm(v)
     for k in range(1, kmax + 1):
@@ -211,7 +211,7 @@ def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
                 batch.freeze_all(k, SolveStatus.OVERFLOW)
                 break
             exhausting = outcome.invariant_subspace
-            beta_k = 0.0 if exhausting else outcome.beta
+            beta_k = 0.0 if exhausting else stream.coeffs.beta[-1]
             k += 1
             r2, r1 = apply_rotation(s.c2, s.s2, 0j, beta_prev)
             r1, r0 = apply_rotation(s.c1, s.s1, r1, s.z - alpha_k)
@@ -234,7 +234,7 @@ def reference_minres_run(a, v, shifts, *, rtol=1e-10, lag=DEFAULT_LAG,
             if exhausting:
                 batch.freeze_all(k, SolveStatus.CONVERGED)
                 break
-            alpha_k = outcome.alpha_next
+            alpha_k = stream.coeffs.alpha[-1]
             beta_prev = beta_k
             qsign = -qsign
             q_scalar = qsign * complex(np.vdot(v, stream.v_curr))
