@@ -4,7 +4,8 @@
 thresholds of ``SparseHermitianMatrix.matvec``: the budget below which a
 real product takes the DIA kernel (``core._DIA_MAX_VECTOR_BYTES``), and
 the size past which a CSR product splits into two row ranges, one of
-them on a worker thread (``core._SPLIT_MIN_VECTOR_BYTES``,
+them on the thread of a one-thread ``ThreadPoolExecutor``, renewed in a
+child after ``os.fork`` (``core._SPLIT_MIN_VECTOR_BYTES``,
 ``core._split_product``).  The ``complex128`` rows show why complex
 products stay on the CSR kernel, and where their split starts to pay.
 
@@ -17,8 +18,9 @@ alone gains from the split well below the size at which the step does:
 there the worker's wake-up, and the half of the product that the other
 core's cache holds, cost the rest of the step what the split saved.  A
 split gains only with a second core free: on one core its ratios read
-the cost of the handoff.  The matrices are ``(L - 4I) / 2``, the form of
-the ``many-shifts`` and ``large-n`` benchmark inputs, four diagonals with
+the cost of the handoff, a submit to the executor and a wait on its
+future.  The matrices are ``(L - 4I) / 2``, the form of the
+``many-shifts`` and ``large-n`` benchmark inputs, four diagonals with
 no stored diagonal; ``complex`` runs the ``complex128`` kernels on the
 same entries, and the step on a ``complex128`` vector.  The script lifts
 both thresholds, so it times every way at every size.  Run from the

@@ -21,7 +21,8 @@ Conventions used throughout the package:
   (``_DIA_MAX_VECTOR_BYTES``); otherwise ``csr_matvec``, on the whole CSR,
   or, where the vector passes ``_SPLIT_MIN_VECTOR_BYTES`` and the process
   may run on two cores, on two row ranges at once, one of them on the
-  process's one worker thread (the split product); every way adds each
+  worker of the process's one-thread ``ThreadPoolExecutor`` (the split
+  product; a child made by ``os.fork`` gets its own); every way adds each
   row's products in ascending column order, so all give the same bits,
 * a norm that must stay finite and nonzero at both ends of the double
   range (``||A||_F``, the COCG/COCR residuals) is :func:`stable_norm`:
@@ -42,8 +43,8 @@ import enum
 import functools
 import math
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -103,10 +104,11 @@ class SparseHermitianMatrix:
     """Square matrix held as one scipy CSR with full (both-triangle) storage.
 
     The container is immutable after construction and safe to share across
-    threads: concurrent products share only the process's one worker
-    thread, which runs the halves of split products (:meth:`matvec`) one at
-    a time, in the order their callers hand them in, while each caller runs
-    its own half.  ``hermitian_verified`` records whether the entries
+    threads: concurrent products share only the worker of the process's
+    one-thread ``ThreadPoolExecutor`` (a child made by ``os.fork`` gets
+    its own), which runs the halves of split products (:meth:`matvec`) one
+    at a time, in the order their callers submit them, while each caller
+    runs its own half.  ``hermitian_verified`` records whether the entries
     passed the conjugate-symmetry check at ``HERMITIAN_TOL`` relative to the
     largest entry magnitude; ``is_real`` records whether every stored
     imaginary part is zero, in which case the CSR is ``float64`` (otherwise
@@ -249,11 +251,12 @@ class SparseHermitianMatrix:
           the platform has it) gives at least two cores.  The rows split
           where ``row_ptr`` reaches ``nnz / 2``, and the kernel runs on
           each range, with slices of ``row_ptr`` and ``y`` and no copy:
-          rows above on the process's one worker thread, started by the
-          first split product (and again in a child after ``os.fork``),
-          rows below on the calling thread.  scipy's kernel releases the
-          GIL, so the two run at once; each zeroes its own slice of ``y``
-          first.
+          rows above on the worker of the process's one-thread
+          ``ThreadPoolExecutor``, started by the first split product (and
+          again in a child after ``os.fork``), rows below on the calling
+          thread; the future's ``result()`` raises the worker's error in
+          the caller.  scipy's kernel releases the GIL, so the two run at
+          once; each zeroes its own slice of ``y`` first.
 
         All three add row ``i``'s products in ascending column order to
         ``+0``.  A padding cell of the DIA kernel adds ``0 x_j = +-0``,
@@ -327,13 +330,13 @@ def _split_product(indptr, indices, data, x) -> np.ndarray:
     # the first row end at floor(nnz / 2) or past it; a value of indptr's
     # own dtype, so that searchsorted makes no converted copy of indptr
     mid = int(np.searchsorted(indptr, indptr[-1] // 2))
-    done, failed = threading.Lock(), []
-    done.acquire()
-    _worker_tasks().put((done, failed, (0, mid, *rows)))
+    try:
+        upper = _pool.submit(_take_rows, [(0, mid, *rows)])
+    except RuntimeError:  # shut down by interpreter exit, which then joins
+        _row_product(0, n, *rows)  # the threads that still run products
+        return y
     _row_product(mid, n, *rows)
-    done.acquire()  # released by the worker once its rows are in y
-    if failed:
-        raise failed[0]
+    upper.result()  # raises what the worker's half raised
     return y
 
 
@@ -344,38 +347,23 @@ def _row_product(lo: int, hi: int, indptr, indices, data, x, y) -> None:
                y[lo:hi])
 
 
-# The process's one split-product worker, (pid, task queue), started by the
-# first split product; a child made by os.fork() starts its own.
-_worker = None
-_worker_lock = threading.Lock()
+def _take_rows(rows: list) -> None:
+    """The worker's half, taken out of ``rows`` first: the executor holds a
+    task's arguments past the caller's wake-up, and would keep its arrays."""
+    _row_product(*rows.pop())
 
 
-def _worker_tasks() -> queue.SimpleQueue:
-    """The task queue of this process's worker, started if it has none."""
-    global _worker
-    pid = os.getpid()
-    with _worker_lock:
-        if _worker is None or _worker[0] != pid:
-            tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(tasks,), daemon=True,
-                             name="resolvquad-matvec").start()
-            _worker = (pid, tasks)
-        return _worker[1]
+def _new_pool() -> None:
+    """Give the process its split-product worker: one thread, named
+    ``resolvquad-matvec`` and started by the first split product."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, initializer=lambda: setattr(
+        threading.current_thread(), "name", "resolvquad-matvec"))
 
 
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """Run each ``(done, failed, rows)`` task's rows, keep what they raise
-    in ``failed`` for the caller, and release ``done``."""
-    while True:
-        done, failed, rows = tasks.get()
-        try:
-            _row_product(*rows)
-        except BaseException as exc:
-            failed.append(exc)
-        # keep no array alive while waiting: the last task's matrix would
-        # otherwise outlive its run
-        del rows
-        done.release()
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has no parent thread
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _diagonals(csr: sp.csr_matrix):

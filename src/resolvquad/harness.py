@@ -484,16 +484,19 @@ def _recorded(mrep: MethodReport) -> bool:
 
 
 def write_report(report: ExperimentReport, out_dir) -> dict:
-    """Write ``history.csv`` (when recorded) and ``summary.json``."""
+    """Write ``history.csv`` (when recorded, else remove an earlier run's,
+    which would not match this summary) and ``summary.json``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
+    csv_path = out / "history.csv"
     if any(map(_recorded, report.methods)):
-        csv_path = out / "history.csv"
         with open(csv_path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
             fh.writelines(_history_chunks(report))
         paths["history"] = csv_path
+    else:
+        csv_path.unlink(missing_ok=True)
     json_path = out / "summary.json"
     with open(json_path, "w", newline="\n") as fh:
         fh.write(summary_text(report))

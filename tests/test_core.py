@@ -7,6 +7,7 @@ import sys
 import threading
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -537,6 +538,25 @@ def test_split_product_keeps_no_array_alive(monkeypatch):
     assert [ref() is None for ref in held] == [True] * 5
 
 
+def test_split_product_task_holds_no_array_once_it_returns(monkeypatch):
+    """The executor holds a task's arguments until after its caller wakes,
+    so the worker's half takes its rows out of the list they travel in:
+    once a split product returns, its task's arguments hold no array."""
+    monkeypatch.setattr(core, "_DIA_MAX_VECTOR_BYTES", 0)
+    monkeypatch.setattr(core, "_SPLIT_MIN_VECTOR_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    submitted, pool = [], core._pool
+
+    def submit(fn, *args):
+        submitted.append(args)
+        return pool.submit(fn, *args)
+
+    monkeypatch.setattr(core, "_pool", SimpleNamespace(submit=submit))
+    a = _band(64, (-1, 0, 1))
+    a.matvec(np.random.default_rng(7).standard_normal(a.n))
+    assert submitted == [([],)]
+
+
 def _within(seconds: float, call, *args):
     """``call(*args)`` on a daemon thread of its own: its result, or what
     it raised; a call that has not returned after ``seconds`` fails the
@@ -579,6 +599,33 @@ def test_split_product_raises_the_worker_s_error_in_the_caller(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(core, "_row_product", failing)
         with pytest.raises(RuntimeError, match="the worker's half failed"):
+            _within(60, a.matvec, x)
+    got = _within(60, a.matvec, x)
+    assert got.tobytes() == _serial_product(a, x).tobytes()
+    names = [thread.name for thread in threading.enumerate()]
+    assert names.count("resolvquad-matvec") == 1
+
+
+def test_split_product_raises_the_caller_s_error(monkeypatch):
+    """An exception in the caller's half of a split product is raised by
+    ``matvec``, and the worker's half finishes on its own: the next split
+    product returns the whole product's bits, and the process still runs
+    one worker thread."""
+    monkeypatch.setattr(core, "_DIA_MAX_VECTOR_BYTES", 0)
+    monkeypatch.setattr(core, "_SPLIT_MIN_VECTOR_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    a = _band(64, (-1, 0, 1))
+    x = np.random.default_rng(6).standard_normal(a.n)
+    row_product = core._row_product
+
+    def failing(*rows):
+        if threading.current_thread().name != "resolvquad-matvec":
+            raise RuntimeError("the caller's half failed")
+        row_product(*rows)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(core, "_row_product", failing)
+        with pytest.raises(RuntimeError, match="the caller's half failed"):
             _within(60, a.matvec, x)
     got = _within(60, a.matvec, x)
     assert got.tobytes() == _serial_product(a, x).tobytes()
@@ -649,6 +696,25 @@ def test_split_product_after_fork_starts_its_own_worker():
     the parent's worker thread, which it does not have; the parent's
     worker goes on serving the parent."""
     assert _run_script(FORK_RUN) == "ok\n"
+
+
+EXIT_RUN = SPLIT_SETUP + """
+want = a.matvec(x).tobytes()
+
+def after_the_script():
+    # the main thread stops once exit has run the executor's shutdown hook
+    threading.main_thread().join()
+    print("ok" if a.matvec(x).tobytes() == want else "wrong bytes")
+
+threading.Thread(target=after_the_script).start()
+"""
+
+
+def test_split_product_in_a_thread_that_outlives_the_script():
+    """Interpreter exit shuts the split-product executor down before it
+    joins the threads that still run; a split product on one of them is
+    then the whole product on that thread, with the same bytes."""
+    assert _run_script(EXIT_RUN) == "ok\n"
 
 
 THREAD_COUNT_RUN = """

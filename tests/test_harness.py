@@ -536,6 +536,21 @@ def test_cli_run_ok(tmp_path, random_matrix_path, capsys):
     assert (tmp_path / "cli_out" / "summary.json").exists()
 
 
+def test_cli_run_without_history_removes_an_earlier_history(
+        tmp_path, random_matrix_path):
+    """A run without ``--history`` into a directory that holds an earlier
+    run's ``history.csv`` removes it, so the directory never pairs a
+    summary with another run's history."""
+    out = tmp_path / "out"
+    run = ["run", "--matrix", str(random_matrix_path), "--out", str(out)]
+    assert main(run + ["--shifts", "unit-circle:m=4", "--history"]) == 0
+    assert (out / "history.csv").exists()
+    assert main(run + ["--shifts", "unit-circle:m=2"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["shifts"]) == 2
+
+
 def test_cli_config_error_is_exit_1(tmp_path):
     code = main(["run", "--matrix", str(tmp_path / "nope.mtx")])
     assert code == 1
